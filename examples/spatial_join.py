@@ -1,10 +1,11 @@
-"""Broadcast R-tree point-in-polygon join: pages x lake polygons.
+"""Broadcast point-in-polygon join: pages x lake polygons.
 
     python examples/spatial_join.py [sf_dir] [lakes.shp]
 
 The flagship shape: synthesize/read a page table with coordinates, tile
-to grid cells, broadcast the polygon R-tree once via ray.put, and join
-inside an actor pool — the doc side streams, nothing materializes."""
+to grid cells, broadcast the polygons once via ray.put, and join
+inside an actor pool that builds the grid + y-strip index once per
+actor — the doc side streams, nothing materializes."""
 import os
 import sys
 

@@ -15,11 +15,8 @@ boundary edge follow this formula's convention (not geo::Contains's strict
 interior test); synthesized inputs are in general position.
 
 Index layout (built once per actor in __init__, immutable):
-- STR R-tree over polygon bboxes (rtree.py) — kept for box-box queries and
-  as the general-purpose structure;
-- a uniform-grid candidate table (cell -> covering polygons) used for the
-  hot point-query path: cell assignment + searchsorted + repeat is ~10x
-  cheaper than level-wise tree descent for large point batches;
+- a uniform-grid candidate table (cell -> covering polygons): cell
+  assignment + searchsorted + repeat, then a bbox check;
 - per-polygon y-strip edge buckets: each polygon's edges are bucketed into
   horizontal strips (striding ~16 edges per strip), and the refine explodes
   only the edges of the point's strip. An edge is replicated into every
@@ -34,14 +31,13 @@ from __future__ import annotations
 import numpy as np
 
 from .rings import SimplePolygon, edge_table
-from .rtree import STRtree
 
 _GRID_ZOOM = 11           # candidate grid resolution (~0.18 deg cells)
 _EDGES_PER_STRIP = 8
 
 
 class PIPIndex:
-    def __init__(self, polys: list[SimplePolygon], fanout: int = 16,
+    def __init__(self, polys: list[SimplePolygon],
                  grid_zoom: int = _GRID_ZOOM):
         self.polys = polys
         self.geom_ids = np.array([p.geom_id for p in polys], np.int64)
@@ -49,7 +45,6 @@ class PIPIndex:
         boxes = (np.vstack([p.bbox for p in polys])
                  if polys else np.empty((0, 4)))
         self.boxes = boxes
-        self.tree = STRtree(boxes, fanout=fanout)
         self.grid_zoom = grid_zoom
         self._build_grid(boxes)
         self._build_strips(polys)
@@ -198,11 +193,6 @@ class PIPIndex:
             base = int(csum[end - 1])
             start = end
         return np.concatenate(hits_pt), np.concatenate(hits_poly)
-
-    def query_geom(self, px, py) -> tuple[np.ndarray, np.ndarray]:
-        """Like query() but returns the source shapefile geom_id."""
-        pt, poly = self.query(px, py)
-        return pt, self.geom_ids[poly]
 
 
 def brute_force_pip(px: np.ndarray, py: np.ndarray,

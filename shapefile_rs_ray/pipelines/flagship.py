@@ -1,7 +1,7 @@
 """The flagship pipeline (north star end-to-end): Common-Crawl-style pages
--> text stats -> grid-cell tiling -> broadcast R-tree point-in-polygon join
-against the shapefile-decoded lake polygons -> resumable partitioned output
-with lineage manifests -> zonal aggregates.
+-> text stats -> grid-cell tiling -> broadcast point-in-polygon join (grid +
+y-strip index) against the shapefile-decoded lake polygons -> resumable
+partitioned output with lineage manifests -> zonal aggregates.
 
 Every stage is a streaming map_batches over Arrow; the only materialized
 artifacts are the (small) polygon side, the zonal aggregate, and the

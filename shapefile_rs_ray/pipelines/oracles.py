@@ -553,8 +553,8 @@ PAGES_CTE = f"pages AS ({synth.webpages_sql()})"
 
 
 def pip_join_sql() -> str:
-    """Bbox prefilter (the R-tree's role) + even-odd crossing count with the
-    engine's exact edge expression."""
+    """Bbox prefilter (the grid index's role) + even-odd crossing count
+    with the engine's exact edge expression."""
     return f"""
 WITH {PAGES_CTE},
 cand AS (
@@ -1079,11 +1079,47 @@ FROM g JOIN e a ON g.vec_id = a.vec_id
 
 
 # ---------------------------------------------------------------------------
-# WAV / BMP decode goldens (round 4: REAL multimodal decode, scalar twins)
+# Codec goldens: scalar twins of the decode stages, written by _ensure_golden
 # ---------------------------------------------------------------------------
 
-WAV_GOLDEN_PQ = os.path.join(ORACLE_DIR, "wav_decode.parquet")
-BMP_GOLDEN_PQ = os.path.join(ORACLE_DIR, "bmp_decode.parquet")
+
+def golden_path(name: str) -> str:
+    """Golden parquet of the query `name`."""
+    return os.path.join(ORACLE_DIR, f"{name}.parquet")
+
+
+def _ensure_golden(path: str, n_docs: int, rows_fn, names) -> None:
+    """Write the golden for doc ids [0, n_docs) unless one built for at
+    least n_docs docs exists: rows_fn(doc_id) -> that doc's rows, one
+    int64 column per name. The doc count is tagged in the file metadata
+    (rows per doc vary for the frame samplers); oracle SQL semi-joins the
+    golden to the sf's documents, so a larger golden is reused."""
+    if os.path.exists(path):
+        meta = pq.ParquetFile(path).schema_arrow.metadata or {}
+        if int(meta.get(b"n_docs", b"0")) >= n_docs:
+            return
+    import ray
+
+    @ray.remote
+    def _chunk(start: int, stop: int) -> pa.Table:
+        rows = [r for did in range(start, stop) for r in rows_fn(did)]
+        return pa.table({nm: pa.array([r[i] for r in rows], pa.int64())
+                         for i, nm in enumerate(names)})
+
+    step = 100
+    os.makedirs(ORACLE_DIR, exist_ok=True)
+    parts = ray.get([_chunk.remote(s, min(s + step, n_docs))
+                     for s in range(0, n_docs, step)])
+    tbl = pa.concat_tables(parts).replace_schema_metadata(
+        {b"n_docs": str(n_docs).encode()})
+    tmp = f"{path}.tmp{os.getpid()}"
+    pq.write_table(tbl, tmp)
+    os.replace(tmp, path)
+
+
+def _one_row(row_fn):
+    """rows_fn for a twin that returns one row of values per doc."""
+    return lambda doc_id: [(doc_id, *row_fn(doc_id))]
 
 
 def _wav_scalar_row(doc_id: int) -> tuple:
@@ -1227,9 +1263,6 @@ def ensure_wkb_golden() -> None:
     os.replace(tmp, WKB_GOLDEN_PQ)
 
 
-PNG_GOLDEN_PQ = os.path.join(ORACLE_DIR, "png_decode.parquet")
-
-
 def _png_scalar_row(doc_id: int) -> tuple:
     """Independent scalar twin of PngDecodeStage over synth_png_bytes:
     struct-module chunk walk, zlib inflate, then a PURE-PYTHON per-byte
@@ -1306,50 +1339,6 @@ def _png_scalar_row(doc_id: int) -> tuple:
             xx = ((xi * w) // t) * 3
             thumb += row[xx] + row[xx + 1] + row[xx + 2]
     return w, h, sums[0], sums[1], sums[2], thumb
-
-
-def _ensure_scalar_golden(path: str, n_docs: int, row_fn, names) -> None:
-    if os.path.exists(path) and \
-            pq.ParquetFile(path).metadata.num_rows >= n_docs:
-        return
-    import ray
-
-    @ray.remote
-    def _chunk(start: int, stop: int) -> pa.Table:
-        rows = [row_fn(d) for d in range(start, stop)]
-        cols = {"doc_id": pa.array(range(start, stop), pa.int64())}
-        for ci, nm in enumerate(names):
-            cols[nm] = pa.array([r[ci] for r in rows], pa.int64())
-        return pa.table(cols)
-
-    step = 200
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    parts = ray.get([_chunk.remote(s, min(s + step, n_docs))
-                     for s in range(0, n_docs, step)])
-    tmp = f"{path}.tmp{os.getpid()}"
-    pq.write_table(pa.concat_tables(parts), tmp)
-    os.replace(tmp, path)
-
-
-def ensure_wav_golden(n_docs: int) -> None:
-    _ensure_scalar_golden(WAV_GOLDEN_PQ, n_docs, _wav_scalar_row,
-                          ("sample_rate", "n_channels", "n_samples",
-                           "sum_abs", "sum_sq", "peak"))
-
-
-def ensure_bmp_golden(n_docs: int) -> None:
-    _ensure_scalar_golden(BMP_GOLDEN_PQ, n_docs, _bmp_scalar_row,
-                          ("width", "height", "sum_r", "sum_g", "sum_b",
-                           "thumb_sum"))
-
-
-def ensure_png_golden(n_docs: int) -> None:
-    _ensure_scalar_golden(PNG_GOLDEN_PQ, n_docs, _png_scalar_row,
-                          ("width", "height", "sum_r", "sum_g", "sum_b",
-                           "thumb_sum"))
-
-
-JPEG_GOLDEN_PQ = os.path.join(ORACLE_DIR, "jpeg_decode.parquet")
 
 
 def _jpeg_scalar_px(p: bytes):
@@ -1548,12 +1537,6 @@ def _jpeg_scalar_row(doc_id: int) -> tuple:
     return w, h, sums[0], sums[1], sums[2], thumb
 
 
-def ensure_jpeg_golden(n_docs: int) -> None:
-    _ensure_scalar_golden(JPEG_GOLDEN_PQ, n_docs, _jpeg_scalar_row,
-                          ("width", "height", "sum_r", "sum_g", "sum_b",
-                           "thumb_sum"))
-
-
 # ---------------------------------------------------------------------------
 # bigram-LM score golden (round 4: the CCNet/KenLM quality-scoring role)
 # ---------------------------------------------------------------------------
@@ -1616,67 +1599,36 @@ def ensure_lm_golden(sf_dir: str) -> None:
     os.replace(tmp, path)
 
 
-Y4M_GOLDEN_PQ = os.path.join(ORACLE_DIR, "y4m_decode.parquet")
-
-
-def ensure_y4m_golden(n_docs: int, samples: int = 4) -> None:
+def _y4m_scalar_rows(doc_id: int, samples: int = 4) -> list:
     """Independent scalar twin of Y4mDecodeStage over synth_y4m_bytes:
     byte-offset frame location + Python sum over the raw luma slice (no
     numpy in the per-frame math)."""
-    # row count is samples-per-doc dependent — track coverage via an
-    # explicit doc-count metadata tag (a >= num_rows check would wrongly
-    # reuse a small-corpus golden for corpora up to `samples`x larger)
-    if os.path.exists(Y4M_GOLDEN_PQ):
-        meta = pq.ParquetFile(Y4M_GOLDEN_PQ).schema_arrow.metadata or {}
-        if int(meta.get(b"n_docs", b"0")) >= n_docs:
-            return
-    import ray
-
-    @ray.remote
-    def _chunk(start: int, stop: int) -> pa.Table:
-        from ..stages.multimodal import synth_y4m_bytes
-        rows = {"doc_id": [], "sample": [], "frame": [], "ts_ms": [],
-                "n_frames": [], "luma_sum": []}
-        for did in range(start, stop):
-            p = synth_y4m_bytes(did)
-            nl = p.index(b"\x0a")
-            w = h = 0
-            fn, fd = 25, 1
-            for tok in p[10:nl].split(b" "):
-                if tok[:1] == b"W":
-                    w = int(tok[1:])
-                elif tok[:1] == b"H":
-                    h = int(tok[1:])
-                elif tok[:1] == b"F":
-                    fn, fd = (int(x) for x in tok[1:].split(b":"))
-            fb = w * h + 2 * ((w // 2) * (h // 2))
-            stride = 6 + fb                     # b"FRAME\n" + planes
-            n = (len(p) - (nl + 1)) // stride
-            take = min(samples, n)
-            for j in range(take):
-                fi = (j * n) // take
-                off = nl + 1 + fi * stride + 6
-                rows["doc_id"].append(did)
-                rows["sample"].append(j)
-                rows["frame"].append(fi)
-                rows["ts_ms"].append(fi * 1000 * fd // fn)
-                rows["n_frames"].append(n)
-                rows["luma_sum"].append(sum(p[off:off + w * h]))
-        return pa.table({k: pa.array(v, pa.int64())
-                         for k, v in rows.items()})
-
-    step = 200
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    parts = ray.get([_chunk.remote(s, min(s + step, n_docs))
-                     for s in range(0, n_docs, step)])
-    tbl = pa.concat_tables(parts).replace_schema_metadata(
-        {b"n_docs": str(n_docs).encode()})
-    tmp = f"{Y4M_GOLDEN_PQ}.tmp{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, Y4M_GOLDEN_PQ)
+    from ..stages.multimodal import synth_y4m_bytes
+    p = synth_y4m_bytes(doc_id)
+    nl = p.index(b"\x0a")
+    w = h = 0
+    fn, fd = 25, 1
+    for tok in p[10:nl].split(b" "):
+        if tok[:1] == b"W":
+            w = int(tok[1:])
+        elif tok[:1] == b"H":
+            h = int(tok[1:])
+        elif tok[:1] == b"F":
+            fn, fd = (int(x) for x in tok[1:].split(b":"))
+    fb = w * h + 2 * ((w // 2) * (h // 2))
+    stride = 6 + fb                     # b"FRAME\n" + planes
+    n = (len(p) - (nl + 1)) // stride
+    take = min(samples, n)
+    rows = []
+    for j in range(take):
+        fi = (j * n) // take
+        off = nl + 1 + fi * stride + 6
+        rows.append((doc_id, j, fi, fi * 1000 * fd // fn, n,
+                     sum(p[off:off + w * h])))
+    return rows
 
 
-PHASH_GOLDEN_PQ = os.path.join(ORACLE_DIR, "phash_neardup.parquet")
+PHASH_GOLDEN_PQ = golden_path("phash_neardup")
 
 
 def _phash_scalar_row(doc_id: int) -> tuple:
@@ -1725,11 +1677,8 @@ def _phash_scalar_row(doc_id: int) -> tuple:
 
 
 def ensure_phash_golden(n_docs: int) -> None:
-    _ensure_scalar_golden(PHASH_GOLDEN_PQ, n_docs, _phash_scalar_row,
-                          ("phash",))
-
-
-GIF_GOLDEN_PQ = os.path.join(ORACLE_DIR, "gif_decode.parquet")
+    _ensure_golden(PHASH_GOLDEN_PQ, n_docs, _one_row(_phash_scalar_row),
+                   ("doc_id", "phash"))
 
 
 def _gif_scalar_row(doc_id: int) -> tuple:
@@ -1823,14 +1772,6 @@ def _gif_scalar_row(doc_id: int) -> tuple:
     return w, h, sums[0], sums[1], sums[2], thumb
 
 
-def ensure_gif_golden(n_docs: int) -> None:
-    _ensure_scalar_golden(GIF_GOLDEN_PQ, n_docs, _gif_scalar_row,
-                          ("width", "height", "sum_r", "sum_g", "sum_b",
-                           "thumb_sum"))
-
-
-ADPCM_GOLDEN_PQ = os.path.join(ORACLE_DIR, "adpcm_decode.parquet")
-
 # the twin's own copy of the public IMA tables (a Python list literal,
 # independent of the numpy arrays the vectorized decoder indexes)
 _ADPCM_STEPS = [
@@ -1898,15 +1839,6 @@ def _adpcm_scalar_row(doc_id: int) -> tuple:
         sum_sq += a * a
         peak = max(peak, a)
     return rate, 1, len(samples), sum_abs, sum_sq, peak
-
-
-def ensure_adpcm_golden(n_docs: int) -> None:
-    _ensure_scalar_golden(ADPCM_GOLDEN_PQ, n_docs, _adpcm_scalar_row,
-                          ("sample_rate", "n_channels", "n_samples",
-                           "sum_abs", "sum_sq", "peak"))
-
-
-FLAC_GOLDEN_PQ = os.path.join(ORACLE_DIR, "flac_decode.parquet")
 
 
 def _flac_scalar_row(doc_id: int) -> tuple:
@@ -2099,15 +2031,6 @@ def _flac_scalar_row(doc_id: int) -> tuple:
     return sr_si, ch_si, len(stream), sum_abs, sum_sq, peak
 
 
-def ensure_flac_golden(n_docs: int) -> None:
-    _ensure_scalar_golden(FLAC_GOLDEN_PQ, n_docs, _flac_scalar_row,
-                          ("sample_rate", "n_channels", "n_samples",
-                           "sum_abs", "sum_sq", "peak"))
-
-
-AVI_GOLDEN_PQ = os.path.join(ORACLE_DIR, "avi_frames.parquet")
-
-
 def _avi_scalar_rows(doc_id: int) -> list:
     """Independent scalar twin of AviFrameSampleStage over
     synth_avi_bytes: its OWN sequential RIFF/LIST walk (no idx1 use, no
@@ -2155,40 +2078,6 @@ def _avi_scalar_rows(doc_id: int) -> list:
         rows.append((doc_id, j, fi, fi * 1000 * scale // rate, total,
                      rs, gs, bs))
     return rows
-
-
-def ensure_avi_golden(n_docs: int) -> None:
-    """Multi-row golden (rows-per-doc varies with frame count): tagged
-    with the generating doc count like the y4m golden."""
-    if os.path.exists(AVI_GOLDEN_PQ):
-        meta = pq.ParquetFile(AVI_GOLDEN_PQ).schema_arrow.metadata or {}
-        if int(meta.get(b"n_docs", b"0")) >= n_docs:
-            return
-    import ray
-
-    names = ("doc_id", "sample", "frame", "ts_ms", "n_frames",
-             "r_sum", "g_sum", "b_sum")
-
-    @ray.remote
-    def _chunk(start: int, stop: int) -> pa.Table:
-        rows = []
-        for did in range(start, stop):
-            rows.extend(_avi_scalar_rows(did))
-        return pa.table({nm: pa.array([r[i] for r in rows], pa.int64())
-                         for i, nm in enumerate(names)})
-
-    step = 100
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    parts = ray.get([_chunk.remote(s, min(s + step, n_docs))
-                     for s in range(0, n_docs, step)])
-    tbl = pa.concat_tables(parts)
-    tbl = tbl.replace_schema_metadata({b"n_docs": str(n_docs).encode()})
-    tmp = f"{AVI_GOLDEN_PQ}.tmp{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, AVI_GOLDEN_PQ)
-
-
-MP3_GOLDEN_PQ = os.path.join(ORACLE_DIR, "mp3_meta.parquet")
 
 
 def _mp3_scalar_row(doc_id: int) -> tuple:
@@ -2258,14 +2147,6 @@ def _mp3_scalar_row(doc_id: int) -> tuple:
     return ({3: 1, 2: 2, 0: 25}[vb], lyr, sr, ch, frames, abytes,
             frames * spf * 1000 // sr, abytes * 8 * sr // (frames * spf),
             int(len(brs) > 1), id3v2, id3v1)
-
-
-def ensure_mp3_golden(n_docs: int) -> None:
-    _ensure_scalar_golden(MP3_GOLDEN_PQ, n_docs, _mp3_scalar_row,
-                          ("version", "layer", "sample_rate", "channels",
-                           "n_frames", "audio_bytes", "duration_ms",
-                           "bitrate_bps", "is_vbr", "has_id3v2",
-                           "has_id3v1"))
 
 
 BPE_GOLDEN_PQ = os.path.join(ORACLE_DIR, "bpe_merges.parquet")

@@ -13,10 +13,10 @@ CC-scale video curation stage needs.
 Scale shape: `AviFrameSampleStage` uses the idx1 index to SEEK to the
 sampled frames and decodes only those — an O(samples) decode per file
 regardless of file length, the access pattern that makes sampling 10^9
-videos tractable. Parallelism is per-file via the actor pool (one video
-decodes independently), the same sharding a 100 TB corpus uses.
+videos tractable. Parallelism is per-file (one video decodes
+independently), the same sharding a 100 TB corpus uses.
 
-Twin contract (pipelines/oracles.ensure_avi_golden): an independent
+Twin contract (pipelines/oracles._avi_scalar_rows): an independent
 struct-based RIFF walk + the pure-Python _jpeg_scalar_px decode of each
 sampled frame — no shared control flow with this module or the numpy
 JPEG path.

@@ -87,6 +87,8 @@ def parse_mp3_meta(payload: bytes) -> tuple:
     if payload[:3] == b"ID3":
         if len(payload) < 10:
             raise ValueError("mp3: truncated ID3v2 header")
+        if any(b & 0x80 for b in payload[6:10]):
+            raise ValueError("mp3: ID3v2 size byte is not syncsafe")
         flags = payload[5]
         sz = ((payload[6] << 21) | (payload[7] << 14)
               | (payload[8] << 7) | payload[9])

@@ -1,26 +1,21 @@
 """Multimodal-column stages: opaque binary payloads (html/image/audio/
-video) processed by actor-pool map_batches with typed metadata outputs.
+video) processed by map_batches with typed metadata outputs.
 
 REAL decoders (no imaging/audio library needed, all scalar-twin
 goldened at the gate): WAV (RIFF PCM), BMP 24bpp, PNG (zlib inflate +
 5-filter scanline defilter, stages here), baseline JPEG (Huffman +
 integer IDCT, stages/jpeg.py), GIF (from-scratch LZW + de-interlace,
-stages here), Y4M (YUV4MPEG2 demux).
-`ImageDecodeStub` sniffs those formats and decodes them genuinely; only
-unrecognized formats fall back to the deterministic fake (or raise in
-`strict` mode the way a missing codec would). The remaining stub-only
-formats are the patent-heavy compressed ones (MP3/H.264/...) — the
-Ray-side plumbing (schema, batch sizing for wide binary rows, actor
-signature, output layout) is identical and tested end-to-end either way.
+stages here), Y4M (YUV4MPEG2 demux), IMA ADPCM (stages here), FLAC
+(stages/flac.py), MJPEG AVI (stages/avi.py) and the MP3 frame-header
+walk (stages/mp3.py). Patent-heavy codecs (MP3 payload, H.264/...) are
+not decoded.
 
-`extract_html_text` is NOT a stub: it really parses the html bytes with RE2
+`extract_html_text` really parses the html bytes with RE2
 kernels (strip tags, entity-free corpus) and is oracle-checked against
 DuckDB's regexp on the same bytes.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pyarrow as pa
@@ -41,151 +36,9 @@ def extract_html_text(batch: pa.Table, html_col: str = "html") -> pa.Table:
 HTML_EXTRACT_SQL_EXPR = "regexp_replace(CAST(html AS VARCHAR), '<[^>]*>', '', 'g')"
 
 
-class ImageDecodeStub:
-    """Actor-pool stage for an image-bytes column.
-
-    __init__ loads the (stubbed) codec once per actor; __call__ emits one
-    metadata row per image: (key, n_bytes, sha16, width, height, channels).
-    Deterministic fake dimensions derive from the content hash; `strict`
-    raises NotImplementedError like a missing codec would.
-    """
-
-    OUTPUT_SCHEMA = pa.schema([
-        ("page_id", pa.int64()), ("n_bytes", pa.int64()),
-        ("sha16", pa.string()), ("width", pa.int64()),
-        ("height", pa.int64()), ("channels", pa.int64()),
-    ])
-
-    def __init__(self, bytes_col: str = "html", key_col: str = "page_id",
-                 strict: bool = False):
-        self.bytes_col = bytes_col
-        self.key_col = key_col
-        self.strict = strict
-        self.codec = None  # real impl: PIL.Image loaded here, once per actor
-
-    def _decode(self, payload: bytes) -> tuple[int, int, int]:
-        # REAL formats first (round 5): PNG / baseline JPEG / BMP payloads
-        # decode genuinely; only unknown formats hit the stub fallback
-        if payload[:8] == _PNG_SIG:
-            px = _parse_png(payload)
-            return px.shape[1], px.shape[0], px.shape[2]
-        if payload[:2] == b"\xff\xd8":
-            from .jpeg import parse_jpeg
-            px = parse_jpeg(payload)
-            return px.shape[1], px.shape[0], px.shape[2]
-        if payload[:2] == b"BM":
-            px = _parse_bmp(payload)
-            return px.shape[1], px.shape[0], px.shape[2]
-        if payload[:6] in (b"GIF87a", b"GIF89a"):
-            px = _parse_gif(payload)
-            return px.shape[1], px.shape[0], px.shape[2]
-        if self.strict:
-            raise NotImplementedError(
-                "unrecognized image format; real decoders exist for "
-                "PNG/JPEG-baseline/BMP/GIF — others need an imaging "
-                "library not present in this environment")
-        d = hashlib.sha256(payload).digest()
-        return (64 + d[0] % 192, 64 + d[1] % 192, 1 + d[2] % 4)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.bytes_col].to_pylist()
-        n = len(payloads)
-        w = np.empty(n, np.int64)
-        h = np.empty(n, np.int64)
-        c = np.empty(n, np.int64)
-        sha = []
-        for i, p in enumerate(payloads):
-            p = p or b""
-            w[i], h[i], c[i] = self._decode(p)
-            sha.append(hashlib.sha256(p).hexdigest()[:16])
-        return pa.table({
-            self.key_col: batch[self.key_col],
-            "n_bytes": pa.array([len(p or b"") for p in payloads], pa.int64()),
-            "sha16": pa.array(sha, pa.string()),
-            "width": pa.array(w), "height": pa.array(h),
-            "channels": pa.array(c),
-        })
-
-
-class AudioFrameSampleStub:
-    """Actor-pool stage for an audio-bytes column: emits frame-sample
-    metadata rows (one row per sampled frame), the flat-map layout a real
-    frame sampler produces. Sample positions are deterministic in the
-    content; the PCM decode itself is the stub."""
-
-    def __init__(self, bytes_col: str = "html", key_col: str = "page_id",
-                 frames: int = 4):
-        self.bytes_col = bytes_col
-        self.key_col = key_col
-        self.frames = frames
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch[self.key_col], np.int64)
-        lens = pc.binary_length(batch[self.bytes_col]).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        n = len(keys)
-        f = self.frames
-        rep = np.repeat(keys, f)
-        frame_idx = np.tile(np.arange(f, dtype=np.int64), n)
-        offs = (np.repeat(lens, f) * (frame_idx + 1)) // (f + 1)
-        return pa.table({
-            self.key_col: pa.array(rep, pa.int64()),
-            "frame": pa.array(frame_idx, pa.int64()),
-            "byte_offset": pa.array(offs, pa.int64()),
-        })
-
-
-class VideoFrameSampleStub:
-    """Actor-pool stage for a video-bytes column: one output row per
-    SAMPLED frame with its timestamp — the flat-map layout a real frame
-    sampler (ffmpeg) produces. The container parse is the stub: frame
-    count and fps derive deterministically from the content hash
-    (`strict` raises like a missing codec); the sample positions and
-    timestamps are exact integer arithmetic, fully SQL-oracled.
-
-    REAL counterparts exist for open formats: Y4mDecodeStage (raw
-    YUV4MPEG2) and stages/avi.AviFrameSampleStage (MJPEG AVI with
-    index-seek sampling + genuine JPEG decode); this stub remains only
-    for patent-heavy codecs (H.264/H.265) a from-scratch engine cannot
-    honestly ship."""
-
-    def __init__(self, bytes_col: str = "html", key_col: str = "page_id",
-                 samples: int = 4, strict: bool = False):
-        self.bytes_col = bytes_col
-        self.key_col = key_col
-        self.samples = samples
-        self.strict = strict
-        self.codec = None  # real impl: ffmpeg/pyav opened here, once per actor
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.strict:
-            raise NotImplementedError(
-                "video demux requires a codec library not present in this "
-                "environment; deterministic fake used by default")
-        keys = np.asarray(batch[self.key_col], np.int64)
-        digests = [hashlib.sha256(p or b"").digest()
-                   for p in batch[self.bytes_col].to_pylist()]
-        n_frames = 16 + np.array([d[0] for d in digests], np.int64) % 240
-        fps = 12 + np.array([d[1] for d in digests], np.int64) % 24
-        s = self.samples
-        n = len(keys)
-        j = np.tile(np.arange(s, dtype=np.int64), n)
-        frame = j * np.repeat(n_frames // s, s)
-        ts_ms = frame * 1000 // np.repeat(fps, s)
-        return pa.table({
-            self.key_col: pa.array(np.repeat(keys, s), pa.int64()),
-            "sample": pa.array(j, pa.int64()),
-            "frame": pa.array(frame, pa.int64()),
-            "ts_ms": pa.array(ts_ms, pa.int64()),
-            "n_frames": pa.array(np.repeat(n_frames, s), pa.int64()),
-        })
-
-
 # ---------------------------------------------------------------------------
 # REAL decoders (round 4): containers decodable with pure numpy/struct.
-# WAV (RIFF PCM) and BMP (24bpp uncompressed) need no codec library, so
-# these are not stubs — they parse the actual bytes. The compressed
-# formats (JPEG/MP4/...) stay honest strict-raising stubs above.
+# WAV (RIFF PCM) and BMP (24bpp uncompressed) need no codec library.
 # ---------------------------------------------------------------------------
 
 

@@ -6,10 +6,10 @@ Two scalable realizations of the reference's nested-loop example
 J1 `PIPJoinStage` — broadcast join: the polygon side (small: decoded
     shapefile fixtures) is decoded + grouped ONCE on the driver, `ray.put`
     into the object store, and every actor of the `map_batches` pool builds
-    the immutable STR R-tree in `__init__` (one build per actor, zero per
-    batch). Probe batches stay zero-copy Arrow. No shuffle at all — the
-    right default when the polygon side fits in memory (even 10M polygons is
-    ~GBs; Common-Crawl-scale doc sides never are).
+    the immutable grid + y-strip PIPIndex in `__init__` (one build per
+    actor, zero per batch). Probe batches stay zero-copy Arrow. No shuffle
+    at all — the right default when the polygon side fits in memory (even
+    10M polygons is ~GBs; Common-Crawl-scale doc sides never are).
 
 J2 `cell_partitioned_pip` — shuffle join for a polygon side too big to
     broadcast: both sides get a grid-cell key (docs: point cell; polygons:
@@ -57,10 +57,10 @@ def load_polygons(paths: list[str] | str,
 class PIPJoinStage:
     """Actor-pool map_batches callable for the broadcast PIP join.
 
-    __init__ (once per actor): fetch broadcast polygons, build R-tree + edge
-    arrays. __call__ (per batch): R-tree candidate pairs -> exact even-odd
-    refine -> emit matched rows (input columns projected by `keep_cols` +
-    geom_id, poly_idx).
+    __init__ (once per actor): fetch broadcast polygons, build the grid +
+    y-strip index. __call__ (per batch): grid candidate pairs -> exact
+    even-odd refine -> emit matched rows (input columns projected by
+    `keep_cols` + geom_id, poly_idx).
     """
 
     def __init__(self, polys_ref, keep_cols=("page_id", "url"),
@@ -71,14 +71,9 @@ class PIPJoinStage:
         self.keep_cols = list(keep_cols)
         self.lon_col = lon_col
         self.lat_col = lat_col
-        self.build(polys)
+        self.index = PIPIndex(polys)
 
-    # build/probe_batch implement the SpatialJoin extension protocol
-    # (shapefile_rs_ray.protocols): build once per actor, probe per batch
-    def build(self, build_side) -> None:
-        self.index = PIPIndex(build_side)
-
-    def probe_batch(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> pa.Table:
         lon = np.asarray(batch[self.lon_col], np.float64)
         lat = np.asarray(batch[self.lat_col], np.float64)
         pt, poly = self.index.query(lon, lat)
@@ -87,9 +82,6 @@ class PIPJoinStage:
         out["geom_id"] = pa.array(self.index.geom_ids[poly], pa.int64())
         out["poly_idx"] = pa.array(self.index.poly_idx[poly], pa.int64())
         return pa.table(out)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.probe_batch(batch)
 
 
 def broadcast_pip_join(ds, polys: list[SimplePolygon], *,

@@ -1,10 +1,10 @@
 """Zonal statistics (J4 in SURVEY.md §2.6): raster<->vector style aggregation
 of the page "raster" (points) over polygon zones.
 
-Pipeline shape: PIP join (broadcast R-tree actors) emits (zone, measure)
-rows, a per-batch *partial* aggregate collapses them to one row per zone per
-batch, and a small `groupby(geom_id)` merges the partials — the
-pre-aggregate-before-shuffle pattern, so the all-to-all exchange moves one
+Pipeline shape: PIP join (broadcast grid + y-strip index actors) emits
+(zone, measure) rows, a per-batch *partial* aggregate collapses them to one
+row per zone per batch, and a small `groupby(geom_id)` merges the partials —
+the pre-aggregate-before-shuffle pattern, so the all-to-all exchange moves one
 row per (zone, batch) instead of one per page.
 """
 

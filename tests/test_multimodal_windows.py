@@ -20,30 +20,6 @@ def test_extract_html_text_roundtrip():
     assert out["extracted_text"].to_pylist() == out["text"].to_pylist()
 
 
-def test_image_decode_stub_plumbing():
-    from shapefile_rs_ray.stages.multimodal import ImageDecodeStub
-    b = pa.table({"page_id": pa.array([1, 2], pa.int64()),
-                  "html": pa.array([b"abc", b""], pa.binary())})
-    out = ImageDecodeStub()(b)
-    assert out.column_names == ["page_id", "n_bytes", "sha16", "width",
-                                "height", "channels"]
-    assert out["n_bytes"].to_pylist() == [3, 0]
-    # deterministic fake
-    out2 = ImageDecodeStub()(b)
-    assert out.equals(out2)
-    with pytest.raises(NotImplementedError):
-        ImageDecodeStub(strict=True)(b)
-
-
-def test_audio_frame_stub_layout():
-    from shapefile_rs_ray.stages.multimodal import AudioFrameSampleStub
-    b = pa.table({"page_id": pa.array([7], pa.int64()),
-                  "html": pa.array([b"x" * 100], pa.binary())})
-    out = AudioFrameSampleStub(frames=4)(b)
-    assert out.num_rows == 4
-    assert out["byte_offset"].to_pylist() == [20, 40, 60, 80]
-
-
 def test_tumbling_window_matches_pandas(ray_session):
     import ray
     from shapefile_rs_ray.stages.windows import tumbling_window_counts

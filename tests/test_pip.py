@@ -1,4 +1,4 @@
-"""Point-in-polygon, ring grouping, and R-tree tests against brute-force
+"""Point-in-polygon and ring grouping tests against brute-force
 oracles (semantic spec: examples/geotype-example/src/main.rs:16-38)."""
 
 import numpy as np
@@ -7,7 +7,6 @@ import pytest
 from shapefile_rs_ray.geometry import shp
 from shapefile_rs_ray.geometry.pip import PIPIndex, brute_force_pip
 from shapefile_rs_ray.geometry.rings import OrphanedInnerRing, group_rings
-from shapefile_rs_ray.geometry.rtree import STRtree
 
 D = "/root/reference/tests/data"
 
@@ -62,23 +61,3 @@ def test_pip_matches_brute_force_on_lakes():
     exp = set(brute_force_pip(px, py, polys))
     assert got == exp
     assert len(exp) > 50  # non-trivial
-
-
-def test_rtree_query_boxes():
-    rng = np.random.default_rng(3)
-    lo = rng.uniform(0, 90, (200, 2))
-    boxes = np.column_stack([lo, lo + rng.uniform(1, 10, (200, 2))])
-    tree = STRtree(np.column_stack([boxes[:, 0], boxes[:, 1],
-                                    boxes[:, 2], boxes[:, 3]]))
-    qlo = rng.uniform(0, 90, (50, 2))
-    qb = np.column_stack([qlo, qlo + rng.uniform(1, 10, (50, 2))])
-    qb = np.column_stack([qb[:, 0], qb[:, 1], qb[:, 2], qb[:, 3]])
-    qi, ei = tree.query_boxes(qb)
-    got = set(zip(qi.tolist(), ei.tolist()))
-    exp = set()
-    for i in range(50):
-        hit = np.nonzero((qb[i, 0] <= boxes[:, 2]) & (qb[i, 2] >= boxes[:, 0]) &
-                         (qb[i, 1] <= boxes[:, 3]) & (qb[i, 3] >= boxes[:, 1]))[0]
-        for h in hit:
-            exp.add((i, int(h)))
-    assert got == exp

@@ -483,58 +483,24 @@ def test_h3_exact_inverse_roundtrip_all_resolutions():
         assert np.array_equal(h3.encode_vec(la, ln, res), pc)
 
 
-def test_cell_index_protocol_builtins():
-    """SURVEY §2.12: the CellIndex protocol exists, built-ins conform,
-    and encode matches the underlying kernels bit-for-bit."""
-    import numpy as np
-    from shapefile_rs_ray import protocols
-    from shapefile_rs_ray.functions import cells, h3
-
-    lon = np.array([11.77, -93.45, 0.0])
-    lat = np.array([49.70, 45.49, 0.0])
-    for name in ("quadkey", "s2", "h3", "hex"):
-        idx = protocols.cell_index(name)
-        assert isinstance(idx, protocols.CellIndex)
-    assert np.array_equal(protocols.cell_index("quadkey").encode(lon, lat, 7),
-                          cells.grid_cell(lon, lat, 7))
-    assert np.array_equal(protocols.cell_index("s2").encode(lon, lat, 12),
-                          cells.s2_cell(lon, lat, 12))
-    assert np.array_equal(protocols.cell_index("h3").encode(lon, lat, 7),
-                          h3.encode_vec(lat, lon, 7))
-    rows, nb = protocols.cell_index("quadkey").neighbors(lon, lat, 7)
-    base = cells.grid_cell(lon, lat, 7)
-    for i in range(3):           # own cell is in each point's disk
-        assert base[i] in nb[rows == i]
-    import pytest
-    with pytest.raises(KeyError, match="unknown cell index"):
-        protocols.cell_index("nope")
-
-
 def test_custom_cell_index_drives_partitioned_join(ray_session, sf_dir):
-    """A USER-DEFINED CellIndex (shifted quadkey — not a built-in) plugs
-    into the cell-partitioned PIP join and reproduces the broadcast-join
-    result exactly."""
+    """A user-defined tiling (shifted quadkey — not a built-in) passed as
+    `cell_fn` drives the cell-partitioned PIP join and reproduces the
+    broadcast-join result exactly."""
     import numpy as np
-    from shapefile_rs_ray import protocols
     from shapefile_rs_ray.functions import cells
     from shapefile_rs_ray.sources.webpages import read_webpages
     from shapefile_rs_ray.stages.pip_join import (_cell_shuffle_pip,
                                                   broadcast_pip_join,
                                                   load_polygons)
 
-    class ShiftedQuadkey:
-        """Custom tiling: quadkey at z with ids offset by 17 (proves the
-        join never assumes the built-in id space)."""
-
-        def encode(self, lon, lat, res):
-            return cells.grid_cell(lon, lat, res) + 17
-
-        def neighbors(self, lon, lat, res):
-            raise NotImplementedError
-
-    idx = ShiftedQuadkey()
-    assert isinstance(idx, protocols.CellIndex)
     zoom = 6
+
+    def shifted_quadkey(lon, lat):
+        """Quadkey ids offset by 17 (proves the join never assumes the
+        built-in id space)."""
+        return cells.grid_cell(lon, lat, zoom) + 17
+
     lakes = ("/root/reference/tests/data/"
              "ne_10m_lakes_north_america.shp")
     polys = load_polygons(lakes)
@@ -544,7 +510,7 @@ def test_custom_cell_index_drives_partitioned_join(ray_session, sf_dir):
     cpairs = cells.cover_bboxes(boxes, zoom)
     cover = (cpairs[0], cpairs[1] + 17)
     got = _cell_shuffle_pip(
-        pages, polys, cell_fn=lambda lo, la: idx.encode(lo, la, zoom),
+        pages, polys, cell_fn=shifted_quadkey,
         cover_pairs=cover, hot={}, keep_cols=("page_id", "url"),
         lon_col="lon", lat_col="lat", id_col="page_id").to_pandas()
     want = broadcast_pip_join(pages, polys).to_pandas()
@@ -552,16 +518,6 @@ def test_custom_cell_index_drives_partitioned_join(ray_session, sf_dir):
     got = got.sort_values(key).reset_index(drop=True)
     want = want.sort_values(key).reset_index(drop=True)
     assert got[key].equals(want[key])
-
-
-def test_spatial_join_protocol_conformance():
-    from shapefile_rs_ray import protocols
-    from shapefile_rs_ray.stages.pip_join import PIPJoinStage, load_polygons
-
-    lakes = ("/root/reference/tests/data/"
-             "ne_10m_lakes_north_america.shp")
-    stage = PIPJoinStage(load_polygons(lakes)[:5], keep_cols=("page_id",))
-    assert isinstance(stage, protocols.SpatialJoin)
 
 
 def test_dbf_memo_currency_datetime_roundtrip(tmp_path):

@@ -878,19 +878,6 @@ def test_gif_decoder_rejects_garbage():
         _parse_gif(b"GIF87a" + b"\x00" * 7 + b"\x3b")  # no image block
 
 
-def test_image_stub_sniffs_gif():
-    import pyarrow as pa
-    from shapefile_rs_ray.stages.multimodal import (ImageDecodeStub,
-                                                    synth_gif_bytes)
-    tbl = pa.table({
-        "page_id": pa.array([3], pa.int64()),
-        "html": pa.array([synth_gif_bytes(3)], pa.binary())})
-    out = ImageDecodeStub(strict=True)(tbl)
-    assert out["width"][0].as_py() == 20 + 3 % 13
-    assert out["height"][0].as_py() == 16 + 3 % 9
-    assert out["channels"][0].as_py() == 3
-
-
 # ---------------------------------------------------------------------------
 # IMA ADPCM (round-5 addition: the compressed-AUDIO counterpart of
 # PNG/JPEG/GIF — real 4-bit codec, block-vectorized decode)
@@ -1250,6 +1237,23 @@ def test_mp3_rejects_malformed():
     # truncate mid-frame: frame overruns stream
     with _pytest.raises(ValueError, match="overruns|garbage"):
         parse_mp3_meta(bytes(synth_mp3_bytes(2)[:-10]))
+
+
+def test_mp3_id3v2_size_must_be_syncsafe():
+    """Each ID3v2 size byte carries 7 bits; a set bit 7 is malformed
+    input, not a skip computed from the wrong size."""
+    import pytest as _pytest
+    from shapefile_rs_ray.stages.mp3 import parse_mp3_meta, synth_mp3_bytes
+    audio = synth_mp3_bytes(2)                # no ID3v2, no ID3v1
+    size = [0x00, 0x00, 0x01, 0x48]           # syncsafe 200
+    tag = b"\x00" * 200
+    m = parse_mp3_meta(b"ID3\x04\x00\x00" + bytes(size) + tag + audio)
+    assert m == parse_mp3_meta(audio)[:9] + (1, 0)
+    for k in range(4):
+        bad = list(size)
+        bad[k] |= 0x80
+        with _pytest.raises(ValueError, match="syncsafe"):
+            parse_mp3_meta(b"ID3\x04\x00\x00" + bytes(bad) + tag + audio)
 
 
 def test_mp3_stage_over_ray(ray_session):

@@ -235,8 +235,8 @@ def _host_join(sf_dir: str):
     groupby) joined back to every page on the host STRING; partition-
     local dictionary encoding means true string equality, no reliance
     on hash collision-freedom."""
-    import zlib
     from shapefile_rs_ray.sources.webpages import read_webpages
+    from shapefile_rs_ray.stages.combine import combine_by_key
     from shapefile_rs_ray.stages.relational import shuffle_join_str
     import pyarrow.compute as pc
 
@@ -248,28 +248,8 @@ def _host_join(sf_dir: str):
     pages = read_webpages(sf_dir, with_html=False).map_batches(
         with_host, batch_format="pyarrow")
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        uniq, cnt = np.unique(
-            np.asarray(batch["host"], dtype=object).astype(str),
-            return_counts=True)
-        ph = np.array([zlib.crc32(x.encode("utf-8")) for x in uniq],
-                      np.int64) % 251
-        return pa.table({"host": pa.array(uniq.tolist(), pa.string()),
-                         "host_pages": pa.array(cnt.astype(np.int64),
-                                                pa.int64()),
-                         "__p": pa.array(ph, pa.int64())})
-
-    def count_reduce(part: pa.Table) -> pa.Table:
-        hs = np.asarray(part["host"], dtype=object).astype(str)
-        ct = np.asarray(part["host_pages"], np.int64)
-        uniq, inv = np.unique(hs, return_inverse=True)
-        sums = np.bincount(inv, weights=ct).astype(np.int64)
-        return pa.table({"host": pa.array(uniq.tolist(), pa.string()),
-                         "host_pages": pa.array(sums, pa.int64())})
-
-    counts = (pages.map_batches(count_partial, batch_format="pyarrow")
-              .groupby("__p").map_groups(count_reduce,
-                                         batch_format="pyarrow"))
+    counts = combine_by_key(pages, "host",
+                            {"host_pages": ("page_id", "count")})
     return shuffle_join_str(pages, counts, key="host",
                             right_cols=("host_pages",))
 
@@ -454,43 +434,26 @@ def _doc_rank(sf_dir: str):
     from shapefile_rs_ray.sources.webpages import (_doc_count,
                                                    read_documents,
                                                    read_webpages)
+    from shapefile_rs_ray.stages.combine import combine_by_key
     from shapefile_rs_ray.stages.graph import CC_PARTS, pagerank
 
     n = _doc_count(sf_dir)
     repl = synth.REPL
 
-    def edge_partial(batch: pa.Table) -> pa.Table:
+    def link(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch["page_id"], np.int64)
         src = ids // repl
         r = ids % repl
         dst = np.where(r < 5, src % 97,
                        (src * 31 + r * 17 + 7) % n)
-        key = src * n + dst          # n_docs <= ~1e9 packs into int64
-        u, inv = np.unique(key, return_inverse=True)
-        w = np.bincount(inv).astype(np.int64)
-        return pa.table({
-            "src": pa.array(u // n, pa.int64()),
-            "dst": pa.array(u % n, pa.int64()),
-            "w": pa.array(w, pa.int64()),
-            "__p": pa.array((u // n) % CC_PARTS, pa.int64())})
-
-    def edge_reduce(part: pa.Table) -> pa.Table:
-        src = np.asarray(part["src"], np.int64)
-        dst = np.asarray(part["dst"], np.int64)
-        w = np.asarray(part["w"], np.int64)
-        key = src * n + dst
-        u, inv = np.unique(key, return_inverse=True)
-        return pa.table({
-            "src": pa.array(u // n, pa.int64()),
-            "dst": pa.array(u % n, pa.int64()),
-            "w": pa.array(np.bincount(inv, weights=w)
-                          .astype(np.int64), pa.int64())})
+        return pa.table({"src": pa.array(src, pa.int64()),
+                         "dst": pa.array(dst, pa.int64())})
 
     pages = (read_webpages(sf_dir, with_html=False)
              .select_columns(["page_id"]))
-    edges = (pages.map_batches(edge_partial, batch_format="pyarrow")
-             .groupby("__p").map_groups(edge_reduce,
-                                        batch_format="pyarrow"))
+    edges = combine_by_key(pages.map_batches(link, batch_format="pyarrow"),
+                           ["src", "dst"], {"w": ("src", "count")},
+                           parts=CC_PARTS)
     nodes = read_documents(sf_dir, columns=["doc_id"]).map_batches(
         lambda b: pa.table({"node": b["doc_id"]}),
         batch_format="pyarrow")
@@ -551,39 +514,24 @@ def _blocklist_hosts(sf_dir: str):
     whose host sits on the blocklist (h0, h9, h18, ... — every 9th
     synthetic host), then count surviving pages per host via the
     coarse-partition reduce (no per-distinct-key groupby)."""
-    from shapefile_rs_ray.functions import hashing, synth
+    import pyarrow.compute as pc
+    from shapefile_rs_ray.functions import synth
     from shapefile_rs_ray.sources.webpages import read_webpages
-    from shapefile_rs_ray.stages.urls import host_blocklist_filter
+    from shapefile_rs_ray.stages.combine import combine_by_key
+    from shapefile_rs_ray.stages.urls import URL_PARTS, host_blocklist_filter
 
     blocked = tuple(f"h{k}.example" for k in range(0, synth.N_HOSTS, 9))
     pages = (read_webpages(sf_dir, with_html=False)
              .select_columns(["page_id", "url"]))
     kept = host_blocklist_filter(pages, blocked_suffixes=blocked)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        from shapefile_rs_ray.stages.urls import URL_PARTS
+    def host(batch: pa.Table) -> pa.Table:
         got = pc.extract_regex(batch["url"], r"^https?://(?P<h>[^/]+)/")
-        host = np.asarray(pc.struct_field(got, "h"), dtype=str)
-        u, inv = np.unique(host, return_inverse=True)
-        cnt = np.bincount(inv, minlength=len(u)).astype(np.int64)
-        return pa.table({
-            "host": pa.array(u.tolist(), pa.string()),
-            "n_pages": pa.array(cnt, pa.int64()),
-            "__p": pa.array(hashing.crc32_str(u) % URL_PARTS,
-                            pa.int64())})
+        return pa.table({"host": pc.struct_field(got, "h")})
 
-    def merge(part: pa.Table) -> pa.Table:
-        host = np.asarray(part["host"], dtype=str)
-        cnt = np.asarray(part["n_pages"], np.int64)
-        u, inv = np.unique(host, return_inverse=True)
-        return pa.table({
-            "host": pa.array(u.tolist(), pa.string()),
-            "n_pages": pa.array(np.bincount(inv, weights=cnt)
-                                .astype(np.int64), pa.int64())})
-
-    return (kept.map_batches(partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(merge, batch_format="pyarrow"))
+    return combine_by_key(kept.map_batches(host, batch_format="pyarrow"),
+                          "host", {"n_pages": ("host", "count")},
+                          parts=URL_PARTS)
 
 
 def _substring_dedup(sf_dir: str):
@@ -1931,8 +1879,8 @@ def _tpch_q3(sf_dir: str):
     import ray
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
+    from shapefile_rs_ray.stages.combine import combine_by_key
     from shapefile_rs_ray.stages.relational import (broadcast_join,
-                                                    grouped_intsum,
                                                     shuffle_join)
     from shapefile_rs_ray.stages.windows import global_topk
     cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
@@ -1980,8 +1928,10 @@ def _tpch_q3(sf_dir: str):
         os.path.join(sf_dir, "lineitem.parquet")).metadata.num_rows)
     joined = shuffle_join(li, orders, key="l_orderkey",
                           right_cols=("odate_us",), parts=jp)
-    agg = grouped_intsum(joined, group_col="l_orderkey", sum_col="rev",
-                         carry_max_col="odate_us")
+    # o_orderdate is functionally dependent on the key: MAX carries it
+    agg = combine_by_key(joined, "l_orderkey",
+                         {"rev": ("rev", "sum"),
+                          "odate_us": ("odate_us", "max")})
 
     def to_float(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -2013,9 +1963,8 @@ def _tpch_q10(sf_dir: str):
     import ray
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    from shapefile_rs_ray.stages.relational import (grouped_intsum,
-                                                    parts_for,
-                                                    shuffle_join)
+    from shapefile_rs_ray.stages.combine import combine_by_key
+    from shapefile_rs_ray.stages.relational import parts_for, shuffle_join
     from shapefile_rs_ray.stages.windows import global_topk
 
     s_us = np.datetime64(Q10_START).astype("datetime64[us]").astype(np.int64)
@@ -2053,11 +2002,7 @@ def _tpch_q10(sf_dir: str):
     joined = shuffle_join(li, orders, key="l_orderkey",
                           right_cols=("o_custkey",), parts=jp)
 
-    def rekey(b: pa.Table) -> pa.Table:
-        return pa.table({"o_custkey": b["o_custkey"], "rev": b["rev"]})
-
-    agg = grouped_intsum(joined.map_batches(rekey, batch_format="pyarrow"),
-                         group_col="o_custkey", sum_col="rev")
+    agg = combine_by_key(joined, "o_custkey", {"rev": ("rev", "sum")})
 
     def to_float(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -2093,7 +2038,7 @@ def _tpch_q18(sf_dir: str):
     import os
     import ray
     import pyarrow.parquet as pq
-    from shapefile_rs_ray.stages.relational import grouped_intsum
+    from shapefile_rs_ray.stages.combine import combine_by_key
     from shapefile_rs_ray.stages.windows import global_topk
 
     def prep(b: pa.Table) -> pa.Table:
@@ -2106,7 +2051,7 @@ def _tpch_q18(sf_dir: str):
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_orderkey", "l_quantity"])
         .map_batches(prep, batch_format="pyarrow"))
-    agg = grouped_intsum(li, group_col="l_orderkey", sum_col="qty")
+    agg = combine_by_key(li, "l_orderkey", {"qty": ("qty", "sum")})
 
     def having(b: pa.Table) -> pa.Table:
         s = np.asarray(b["qty"], np.int64)
@@ -2149,10 +2094,9 @@ def _tpch_q5(sf_dir: str):
     import ray
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
+    from shapefile_rs_ray.stages.combine import combine_by_key
     from shapefile_rs_ray.stages.relational import (broadcast_join,
-                                                    grouped_intsum,
-                                                    shuffle_join)
-    from shapefile_rs_ray.stages.relational import parts_for
+                                                    parts_for, shuffle_join)
     jp = parts_for(pq.ParquetFile(
         os.path.join(sf_dir, "lineitem.parquet")).metadata.num_rows)
     nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
@@ -2226,9 +2170,9 @@ def _tpch_q5(sf_dir: str):
         b = b.filter(keep)
         return pa.table({"nkey": b["s_nationkey"], "rev": b["rev"]})
 
-    agg = grouped_intsum(joined.map_batches(same_nation,
+    agg = combine_by_key(joined.map_batches(same_nation,
                                             batch_format="pyarrow"),
-                         group_col="nkey", sum_col="rev", parts=31)
+                         "nkey", {"rev": ("rev", "sum")}, parts=31)
 
     name_of = dict(zip(nat_keys.tolist(), nat_names))
 
@@ -2592,65 +2536,81 @@ def _wkb_export(sf_dir: str):
 
 def queries() -> dict[str, Callable[[str], Any]]:
     # ORDERING MATTERS: the driver's CORRECTNESS gate truncates at the
-    # first 50 entries (dict order). Front-load (a) queries whose code or
-    # oracle changed and (b) queries the gate has never seen green, then
-    # fill the window with driver-green staples representing the core
-    # surface; the remainder (all driver-green in earlier rounds) follows.
+    # first 50 entries (dict order). Front-load queries whose code or
+    # oracle changed, then fill the window with driver-green staples;
+    # the remainder (all driver-green in earlier rounds) follows.
     return {
-        # -- the ten CODECS queries (one fused task-based form) --
-        **{name: _codec_query(name) for name in CODECS},
-        # -- NEW operators round 5 --
-        "warc_extract": _warc_extract,
+        # -- changed: every keyed aggregate now runs through
+        # stages/combine.combine_by_key --
+        # spatial: cell counts, tiles, zonal, raster zones/regions
+        "hot_cells": _hot_cells,
+        "tile_pyramid": _tile_pyramid,
+        "zonal_stats": _zonal_stats,
+        "zonal_cellpart": _zonal_cellpart,
+        "pip_join_cellpart": _pip_join_cellpart,
+        "pip_join_h3": _pip_join_h3,
+        "rasterize_zones": _rasterize_zones,
+        "focal_stats": _focal_stats,
+        "vectorize_regions": _vectorize_regions,
+        # relational: TPC-H aggregates, double quantiles
+        "tpch_q3": _tpch_q3,
+        "tpch_q5": _tpch_q5,
+        "tpch_q10": _tpch_q10,
+        "tpch_q18": _tpch_q18,
+        "value_quantiles": _value_quantiles,
+        # dedup: exact, pair, url/host accounting
+        "exact_dedup": _exact_dedup,
+        "simhash_pairs": _simhash_pairs,
+        "phash_neardup": _phash_neardup,
+        "url_canon": _url_canon,
+        "blocklist_hosts": _blocklist_hosts,
+        "host_join": _host_join,
+        # graph: components, pagerank, triangles
+        "dup_clusters": _dup_clusters,
+        "doc_rank": _doc_rank,
         "host_triangles": _host_triangles,
-        "stratified_split": _stratified_split,
-        "robots_gate": _robots_gate,
+        # text: BPE, LM, tf-idf, split
         "bpe_merges": _bpe_merges,
         "bpe_encode": _bpe_encode,
+        "lm_score": _lm_score,
+        "ppl_buckets": _ppl_buckets,
+        "tfidf_terms": _tfidf_terms,
+        "inverted_index": _inverted_index,
+        "stratified_split": _stratified_split,
+        # events: tumbling/hopping windows, distinct users
+        "events_window": _events_window,
+        "events_hopping": _events_hopping,
+        "window_distinct": _window_distinct,
+        # -- changed: the FLAC twin decodes sample-rate codes 12-14 --
+        "flac_decode": _codec_query("flac_decode"),
+        # -- untouched staples filling the window --
+        "warc_extract": _warc_extract,
+        "robots_gate": _robots_gate,
         "events_pushdown": _events_pushdown,
         "tpch_q6": _tpch_q6,
         "compress_ratio": _compress_ratio,
         "quota_sample": _quota_sample,
         "seq_pack": _seq_pack,
         "script_mix": _script_mix,
-        "tpch_q18": _tpch_q18,
         "substring_dedup": _substring_dedup,
         "substring_clean": _substring_clean,
-        "url_canon": _url_canon,
-        "blocklist_hosts": _blocklist_hosts,
-        "doc_rank": _doc_rank,
-        "phash_neardup": _phash_neardup,
         "wkb_export": _wkb_export,
-        # -- never driver-certified before (VERDICT r4 item 3) --
-        "tpch_q10": _tpch_q10,
-        # -- changed round 5: cluster.py (zero-copy matrix, sortless
-        # seeding, block-bounded gram) --
         "kmeans_embed": _kmeans_embed,
         "semantic_neardup": _semantic_neardup,
-        # -- changed round 5: vectorized crc32_str swapped into the
-        # tfidf/ngrams/lm/textqc/relational partitioners and the minhash
-        # shingle + simhash token hashers (bit-identical, pytest-pinned;
-        # re-certified here anyway) --
-        "tfidf_terms": _tfidf_terms,
-        "inverted_index": _inverted_index,
         "minhash_pairs": _minhash_pairs,
         "jaccard_pairs": _jaccard_pairs,
-        "simhash_pairs": _simhash_pairs,
-        "dup_clusters": _dup_clusters,
         "bigram_counts": _bigram_counts,
+        # ---- end of the 50-entry correctness-gate window ----
+        # Every entry below is an UNTOUCHED gate-green staple.
+        **{name: _codec_query(name) for name in CODECS
+           if name != "flac_decode"},
         "trigram_counts": _trigram_counts,
         "decontaminate": _decontaminate,
-        "lm_score": _lm_score,
-        "ppl_buckets": _ppl_buckets,
         "host_docs": _host_docs,
-        "host_join": _host_join,
         "pii_scrub": _pii_scrub,
         "gopher_quality": _gopher_quality,
-        # -- changed round 5: H3 goldens now impl-tag versioned --
         "h3_polyfill": _h3_polyfill,
         "h3_compact": _h3_compact,
-        # ---- end of the 50-entry correctness-gate window ----
-        # Every entry below is an UNTOUCHED gate-green staple (h3_ring
-        # and cells_multi rotated out to make room for the CODECS set).
         "h3_ring": _h3_ring,
         "cells_multi": _cells_multi,
         "chunk_dedup": _chunk_dedup,
@@ -2660,24 +2620,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "simplify_lakes": _simplify_lakes,
         "clip_lakes": _clip_lakes,
         "html_extract": _html_extract,
-        "events_window": _events_window,
         "events_late": _events_late,
-        "events_hopping": _events_hopping,
         "range_join": _range_join,
         "top_events_user": _top_events_user,
-        # everything below is driver-green from earlier rounds and
-        # UNCHANGED this round (tpch_q5/tpch_q3/asof_join/
-        # session_windows/top_events/exact_dedup/pip_join, plus
-        # orders_by_nation/lineitem_q1 bumped by warc_extract/
-        # adpcm_decode, rotated out to make room for round-5 additions)
         "orders_by_nation": _orders_by_nation,
         "lineitem_q1": _lineitem_q1,
-        "tpch_q5": _tpch_q5,
-        "tpch_q3": _tpch_q3,
         "asof_join": _asof_join,
         "session_windows": _session_windows,
         "top_events": _top_events,
-        "exact_dedup": _exact_dedup,
         "pip_join": _pip_join,
         "decode_lakes": _decode_lakes,
         "cust_orders_left": _cust_orders_left,
@@ -2695,14 +2645,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "rollup_orders": _rollup_orders,
         "knn_sites": _knn_sites,
         "webpages": _webpages,
-        "pip_join_cellpart": _pip_join_cellpart,
-        "pip_join_h3": _pip_join_h3,
-        "zonal_stats": _zonal_stats,
-        "hot_cells": _hot_cells,
         "ann_top1": _ann_top1,
         "tile_cells": _tile_cells,
-        "tile_pyramid": _tile_pyramid,
-        "zonal_cellpart": _zonal_cellpart,
         "bbox_join": _bbox_join,
         "nearest_polygon": _nearest_polygon,
         "knn_cellpart": _knn_cellpart,
@@ -2710,18 +2654,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embed_neardup": _embed_neardup,
         "token_stats": _token_stats,
         "token_quantiles": _token_quantiles,
-        "value_quantiles": _value_quantiles,
         "text_fidelity": _text_fidelity,
         "langid": _langid,
-        "rasterize_zones": _rasterize_zones,
-        "focal_stats": _focal_stats,
-        "vectorize_regions": _vectorize_regions,
         "hex_cells": _hex_cells,
         "quality_corpus": _quality_corpus,
         "hll_users": _hll_users,
         "hll_window_users": _hll_window_users,
         "cms_users": _cms_users,
-        "window_distinct": _window_distinct,
         "sample_pages": _sample_pages,
         "stratified_sample": _stratified_sample,
         "value_histogram": _value_histogram,

@@ -3,6 +3,7 @@ pipeline at a given sf and compare rows/schema/values against oracle_sql()
 via DuckDB. Usage: python scripts/check_correctness.py [sf_dir] [names...]
 """
 
+import hashlib
 import sys
 import time
 
@@ -29,6 +30,12 @@ def canon(df):
     # (pandas can't factorize bytearray), not pass locally and die remotely.
     df = df[sorted(df.columns)].copy()
     return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
+
+
+def digest(df) -> str:
+    """sha256 of a canon() frame's CSV: compares engine outputs across
+    commits without an oracle."""
+    return hashlib.sha256(df.to_csv(index=False).encode()).hexdigest()
 
 
 def main():
@@ -67,12 +74,14 @@ def main():
             continue
         el = time.time() - t0
         if name not in oracles:
-            print(f"{name}: rows-only, {len(got)} rows [{el:.1f}s]")
+            print(f"{name}: rows-only, {len(got)} rows "
+                  f"sha256={digest(got)} [{el:.1f}s]")
             continue
         try:
             exp = canon(con.execute(oracles[name]).df())
         except Exception as e:
-            print(f"{name}: ORACLE ERROR {type(e).__name__}: {e}")
+            print(f"{name}: ORACLE ERROR {type(e).__name__}: {e} "
+                  f"sha256={digest(got)}")
             failures.append(name)
             continue
         ok_rows = len(got) == len(exp)
@@ -92,7 +101,8 @@ def main():
                 msg = str(e).split("\n")[0]
         status = "OK" if (ok_rows and ok_cols and ok_vals) else "FAIL"
         print(f"{name}: {status} rows={len(got)}/{len(exp)} "
-              f"cols_match={ok_cols} vals={ok_vals} [{el:.1f}s]")
+              f"cols_match={ok_cols} vals={ok_vals} sha256={digest(got)} "
+              f"[{el:.1f}s]")
         if status == "FAIL":
             failures.append(name)
             if not ok_cols:

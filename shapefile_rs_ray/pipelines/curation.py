@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 
 from ..functions import hashing
 from ..functions.text import LangId, token_stats
+from ..stages.combine import combine_by_key
 
 DEDUP_PARTS = 251   # prime (CLAUDE.md partition-modulus rule)
 
@@ -82,7 +83,7 @@ def curate_corpus(pages, *, lang: str = "en", id_col: str = "page_id",
 
 def stratified_split(pages, *, train_pct: int = 80, val_pct: int = 10,
                      url_col: str = "url", lang_col: str = "lang",
-                     text_col: str = "text", parts: int = 61):
+                     text_col: str = "text"):
     """Deterministic train/val/test assignment + per-(lang, split)
     accounting — the split stage every training-data pipeline ends with.
 
@@ -91,48 +92,24 @@ def stratified_split(pages, *, train_pct: int = 80, val_pct: int = 10,
     under re-runs, re-partitioning, corpus growth, and dedup-order
     changes — the property that keeps eval contamination impossible
     across pipeline versions (a row's split can never depend on which
-    worker saw it). Stats are map-side partials + one coarse
-    prime-modulus reduce (never a per-distinct-key groupby).
+    worker saw it). Stats go through `combine_by_key` (never a
+    per-distinct-key groupby).
 
     Returns Dataset(lang, split, n_pages, n_chars).
     """
-    from ..functions.hashing import crc32_str
-
     lo, hi = train_pct, train_pct + val_pct
 
-    def partial(batch: pa.Table) -> pa.Table:
-        bucket = crc32_str(batch[url_col].to_pylist()) % 100
+    def assign(batch: pa.Table) -> pa.Table:
+        bucket = hashing.crc32_str(batch[url_col].to_pylist()) % 100
         split = np.where(bucket < lo, 0, np.where(bucket < hi, 1, 2))
-        langs = batch[lang_col].to_pylist()
-        nc = np.array([len(t) for t in batch[text_col].to_pylist()],
-                      np.int64)
-        key = pa.table({"lang": pa.array(langs),
-                        "split": pa.array(split, pa.int64()),
-                        "nc": pa.array(nc, pa.int64())})
-        # local collapse: distinct (lang, split) rows per batch
-        g = key.group_by(["lang", "split"]).aggregate(
-            [("nc", "sum"), ("nc", "count")])
-        lhash = crc32_str(g["lang"].to_pylist())
-        return pa.table({
-            "lang": g["lang"],
-            "split": g["split"],
-            "n_chars": g["nc_sum"].cast(pa.int64()),
-            "n_pages": g["nc_count"].cast(pa.int64()),
-            "__p": pa.array((lhash * 3 + np.asarray(g["split"], np.int64))
-                            % parts, pa.int64()),
-        })
+        return pa.table({"lang": batch[lang_col],
+                         "split": pa.array(split, pa.int64()),
+                         "nc": pc.utf8_length(batch[text_col])
+                         .cast(pa.int64())})
 
-    def reduce_(part: pa.Table) -> pa.Table:
-        g = part.group_by(["lang", "split"]).aggregate(
-            [("n_chars", "sum"), ("n_pages", "sum")])
-        return pa.table({
-            "lang": g["lang"],
-            "split": g["split"],
-            "n_pages": g["n_pages_sum"].cast(pa.int64()),
-            "n_chars": g["n_chars_sum"].cast(pa.int64())})
-
-    return (pages.map_batches(partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(reduce_, batch_format="pyarrow"))
+    return combine_by_key(pages.map_batches(assign, batch_format="pyarrow"),
+                          ["lang", "split"], {"n_pages": ("nc", "count"),
+                                              "n_chars": ("nc", "sum")})
 
 
 QUOTA_DEFAULT = {"en": 200, "de": 120, "fr": 120, "es": 120, "zh": 80}

@@ -16,6 +16,7 @@ import pyarrow as pa
 from ..functions import cells as cells_mod
 from ..functions.text import token_stats
 from ..sources.webpages import read_webpages
+from ..stages.combine import combine_by_key
 from ..stages.pip_join import broadcast_pip_join, load_polygons
 from ..stages.zonal import zonal_stats
 from ..state.lineage import write_partitioned
@@ -61,7 +62,7 @@ def flagship_zonal(sf_dir: str, **kw):
 PYRAMID_ZOOMS = (4, 6, 8, 10, 12)
 
 
-def tile_pyramid(pages, *, zooms=PYRAMID_ZOOMS, parts: int = 251):
+def tile_pyramid(pages, *, zooms=PYRAMID_ZOOMS):
     """Tile-pyramid page counts: (zoom, cx, cy, n_pages) for every zoom in
     `zooms` — the pre-aggregation a tile server reads per zoom level.
 
@@ -71,14 +72,12 @@ def tile_pyramid(pages, *, zooms=PYRAMID_ZOOMS, parts: int = 251):
     EXACTLY and the SQL twin is integer arithmetic over the same base
     cell, no re-derivation from floats per level.
 
-    Shape: per batch, counts collapse to occupied (zoom, cx, cy) tiles
-    (bounded by the tile grid, 4^12 at the finest, not by row count);
-    one coarse prime-modulus shuffle merges partials with a vectorized
-    local reduce — never a per-distinct-tile groupby."""
+    Shape: every page emits one packed (zoom, cx, cy) key per zoom, and
+    `combine_by_key` counts them — never a per-distinct-tile groupby."""
     max_zoom = max(zooms)
     side = 1 << max_zoom
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def tile_keys(batch: pa.Table) -> pa.Table:
         base = cells_mod.grid_cell(np.asarray(batch["lon"], np.float64),
                                    np.asarray(batch["lat"], np.float64),
                                    max_zoom)
@@ -89,25 +88,19 @@ def tile_pyramid(pages, *, zooms=PYRAMID_ZOOMS, parts: int = 251):
             d = max_zoom - z
             keys.append((np.int64(z) << np.int64(48))
                         | ((ix >> d) << np.int64(24)) | (iy >> d))
-        uniq, cnt = np.unique(np.concatenate(keys), return_counts=True)
-        return pa.table({
-            "pk": pa.array(uniq, pa.int64()),
-            "n": pa.array(cnt.astype(np.int64), pa.int64()),
-            "__p": pa.array(uniq % parts, pa.int64()),
-        })
+        return pa.table({"pk": pa.array(np.concatenate(keys), pa.int64())})
 
-    def reduce_(part: pa.Table) -> pa.Table:
-        pk = np.asarray(part["pk"], np.int64)
-        n = np.asarray(part["n"], np.int64)
-        uniq, inv = np.unique(pk, return_inverse=True)
-        tot = np.bincount(inv, weights=n).astype(np.int64)
+    def unpack(batch: pa.Table) -> pa.Table:
+        pk = np.asarray(batch["pk"], np.int64)
         return pa.table({
-            "zoom": pa.array(uniq >> np.int64(48), pa.int64()),
-            "cx": pa.array((uniq >> np.int64(24)) & np.int64(0xFFFFFF),
+            "zoom": pa.array(pk >> np.int64(48), pa.int64()),
+            "cx": pa.array((pk >> np.int64(24)) & np.int64(0xFFFFFF),
                            pa.int64()),
-            "cy": pa.array(uniq & np.int64(0xFFFFFF), pa.int64()),
-            "n_pages": pa.array(tot, pa.int64()),
+            "cy": pa.array(pk & np.int64(0xFFFFFF), pa.int64()),
+            "n_pages": batch["n_pages"],
         })
 
-    return (pages.map_batches(partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(reduce_, batch_format="pyarrow"))
+    counts = combine_by_key(pages.map_batches(tile_keys,
+                                              batch_format="pyarrow"),
+                            "pk", {"n_pages": ("pk", "count")})
+    return counts.map_batches(unpack, batch_format="pyarrow")

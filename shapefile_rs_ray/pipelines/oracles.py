@@ -1842,14 +1842,18 @@ def _adpcm_scalar_row(doc_id: int) -> tuple:
 
 
 def _flac_scalar_row(doc_id: int) -> tuple:
-    """Independent scalar twin of FlacDecodeStage over synth_flac_bytes:
+    """The FLAC twin's stats for synth_flac_bytes(doc_id)."""
+    from ..stages.flac import synth_flac_bytes
+    return _flac_scalar_stats(synth_flac_bytes(doc_id))
+
+
+def _flac_scalar_stats(p: bytes) -> tuple:
+    """Independent scalar twin of FlacDecodeStage over one FLAC stream:
     its own byte-walking bit reader (per-byte accumulator, not a big
     int), bitwise CRC-8/CRC-16 (no tables), sequential per-sample
     predictor loops (no cumsum), and its own UTF-8 / header decode — no
     numpy, no control flow shared with stages/flac.parse_flac."""
     import hashlib
-    from ..stages.flac import synth_flac_bytes
-    p = synth_flac_bytes(doc_id)
     assert p[:4] == b"fLaC"
 
     def crc8b(buf):
@@ -1985,14 +1989,19 @@ def _flac_scalar_row(doc_id: int) -> tuple:
             bs = 576 << (bs_code - 2)
         else:
             bs = 256 << (bs_code - 8)
-        if sr_code == 12:
-            rd.bits(8)
-        elif sr_code in (13, 14):
-            rd.bits(16)
+        if sr_code == 0:
+            sr = sr_si
+        elif sr_code == 12:             # kHz in the next 8 bits
+            sr = rd.bits(8) * 1000
+        elif sr_code == 13:             # Hz in the next 16 bits
+            sr = rd.bits(16)
+        elif sr_code == 14:             # tens of Hz in the next 16 bits
+            sr = rd.bits(16) * 10
+        else:
+            sr = rates[sr_code]
         assert crc8b(p[pos:rd.i]) == rd.bits(8)
         bps = bps_si if bps_code == 0 else \
             {1: 8, 2: 12, 4: 16, 5: 20, 6: 24, 7: 32}[bps_code]
-        sr = sr_si if sr_code == 0 else rates[sr_code]
         assert sr == sr_si
         if chan <= 7:
             cols = [subframe(rd, bs, bps) for _ in range(chan + 1)]

@@ -36,37 +36,25 @@ import re
 import numpy as np
 import pyarrow as pa
 
+from .combine import combine_by_key
+
 WORD_RE = re.compile("[a-z0-9]+")
 EOW = "</w>"                 # Sennrich end-of-word sentinel
 BPE_PARTS = 61
 
 
-def word_histogram(pages, *, text_col: str = "text",
-                   parts: int = BPE_PARTS):
-    """Dataset(word, cnt): lowercase [a-z0-9]+ token counts — map-side
-    partials, one coarse shuffle (the corpus' only pass)."""
-    def partial(batch: pa.Table) -> pa.Table:
-        words: list[str] = []
+def word_histogram(pages, *, text_col: str = "text"):
+    """Dataset(word, cnt): lowercase [a-z0-9]+ token counts through
+    `combine_by_key` (the corpus' only pass)."""
+    def words(batch: pa.Table) -> pa.Table:
+        out: list[str] = []
         for t in batch[text_col].to_pylist():
-            words.extend(WORD_RE.findall(t.lower()))
-        u, cnt = np.unique(np.asarray(words, object), return_counts=True)
-        from ..functions.hashing import crc32_str
-        return pa.table({
-            "word": pa.array(u.tolist(), pa.string()),
-            "cnt": pa.array(cnt.astype(np.int64)),
-            "__p": pa.array(crc32_str(u.tolist()) % parts, pa.int64())})
+            out.extend(WORD_RE.findall(t.lower()))
+        return pa.table({"word": pa.array(out, pa.string())})
 
-    def reduce_(part: pa.Table) -> pa.Table:
-        w = np.asarray(part["word"].to_pylist(), object)
-        c = np.asarray(part["cnt"], np.int64)
-        u, inv = np.unique(w, return_inverse=True)
-        s = np.zeros(len(u), np.int64)
-        np.add.at(s, inv, c)
-        return pa.table({"word": pa.array(u.tolist(), pa.string()),
-                         "cnt": pa.array(s, pa.int64())})
-
-    return (pages.map_batches(partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(reduce_, batch_format="pyarrow"))
+    return combine_by_key(pages.map_batches(words, batch_format="pyarrow"),
+                          "word", {"cnt": ("word", "count")},
+                          parts=BPE_PARTS)
 
 
 def merge_word(syms: list[str], left: str, right: str) -> list[str]:

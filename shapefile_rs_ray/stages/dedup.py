@@ -26,100 +26,43 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import hashing
+from .combine import combine_by_key
 
 
-def _dedup_pairs(pairs, extra_col: str | None = None, parts: int = 61):
+PAIR_PARTS = 61   # prime: survives any power-of-two key packing upstream
+
+
+def _dedup_pairs(pairs, extra_col: str | None = None):
     """Exact pair dedup without a per-group aggregate: Ray's
     groupby(keys).aggregate() materializes one group per DISTINCT key, which
-    collapses at millions of pairs; instead hash-partition on a combined
-    64-bit key (one shuffle into `parts` coarse partitions) and dedupe each
-    partition with one vectorized np.unique. With `extra_col`, the MINIMUM
-    extra value per pair is kept (lexsort + first-of-run). `parts` is prime:
-    a power-of-two modulus cancels against the a*2^31 key packing and
-    partitions on id_b's low bits alone."""
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            # fully-empty upstream groupby outputs can be schema-less
-            z = pa.array([], pa.int64())
-            cols = {"id_a": z, "id_b": z}
-            if extra_col is not None:
-                cols[extra_col] = z
-            cols["__p"] = z
-            return pa.table(cols)
-        a = np.asarray(batch["id_a"], np.int64)
-        b = np.asarray(batch["id_b"], np.int64)
-        key = a * np.int64(1 << 31) + b        # ids < 2^31 by construction
-        return batch.append_column("__p", pa.array(key % parts, pa.int64()))
-
-    def local(part: pa.Table) -> pa.Table:
-        a = np.asarray(part["id_a"], np.int64)
-        b = np.asarray(part["id_b"], np.int64)
-        key = a * np.int64(1 << 31) + b
-        if extra_col is None:
-            uniq, idx = np.unique(key, return_index=True)
-            return pa.table({"id_a": pa.array(a[idx], pa.int64()),
-                             "id_b": pa.array(b[idx], pa.int64())})
-        extra = np.asarray(part[extra_col], np.int64)
-        order = np.lexsort((extra, key))
-        key_s = key[order]
-        first = np.empty(len(key_s), bool)
-        first[0:1] = True
-        first[1:] = key_s[1:] != key_s[:-1]
-        idx = order[first]
-        return pa.table({"id_a": pa.array(a[idx], pa.int64()),
-                         "id_b": pa.array(b[idx], pa.int64()),
-                         extra_col: pa.array(extra[idx], pa.int64())})
-
-    return (pairs.map_batches(add_part, batch_format="pyarrow")
-            .groupby("__p").map_groups(local, batch_format="pyarrow"))
+    collapses at millions of pairs; `combine_by_key` on (id_a, id_b) moves
+    them through `PAIR_PARTS` coarse partitions instead. With `extra_col`,
+    the MINIMUM extra value per pair is kept."""
+    aggs = {} if extra_col is None else {extra_col: (extra_col, "min")}
+    return combine_by_key(pairs, ["id_a", "id_b"], aggs, parts=PAIR_PARTS)
 
 
-def exact_dedup(pages, *, id_col: str = "page_id", text_col: str = "text",
-                parts: int = 251):
+def exact_dedup(pages, *, id_col: str = "page_id", text_col: str = "text"):
     """Dataset -> Dataset(page_id, n_copies): the minimum id per distinct
     text and the duplicate-group size (group key = sha256 of the text; a
     collision would need 2^-128 odds, documented deviation from
     group-by-text).
 
-    Per-batch partials collapse to one row per distinct text BEFORE the
-    exchange; the final merge is NOT groupby(h) — distinct-text count grows
-    with the corpus, the measured-pathological per-distinct-key shape — but
-    ONE shuffle into `parts` coarse prime-modulus hash partitions, each
-    merged with a single lexsort + reduceat.
+    The merge is NOT groupby(h) — distinct-text count grows with the
+    corpus, the measured-pathological per-distinct-key shape — but
+    `combine_by_key` on the 64-bit content hash, which collapses each
+    batch to one row per distinct text before its one coarse shuffle.
     """
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def with_hash(batch: pa.Table) -> pa.Table:
         h = hashing.content_hash64(batch[text_col].to_pylist()).view(np.int64)
-        ids = np.asarray(batch[id_col], np.int64)
-        order = np.argsort(h, kind="stable")
-        hs, ids_s = h[order], ids[order]
-        uniq, start = np.unique(hs, return_index=True)
-        bounds = np.append(start, len(hs))
-        mins = np.minimum.reduceat(ids_s, start)
-        counts = (bounds[1:] - bounds[:-1])
-        return pa.table({"h": pa.array(uniq, pa.int64()),
-                         "min_id": pa.array(mins, pa.int64()),
-                         "n": pa.array(counts, pa.int64()),
-                         "__p": pa.array(uniq % parts, pa.int64())})
+        return pa.table({"h": pa.array(h, pa.int64()),
+                         id_col: batch[id_col].cast(pa.int64())})
 
-    def merge(part: pa.Table) -> pa.Table:
-        h = np.asarray(part["h"], np.int64)
-        mins = np.asarray(part["min_id"], np.int64)
-        n = np.asarray(part["n"], np.int64)
-        order = np.argsort(h, kind="stable")
-        hs, mins_s, n_s = h[order], mins[order], n[order]
-        uniq, start = np.unique(hs, return_index=True)
-        return pa.table({
-            id_col: pa.array(np.minimum.reduceat(mins_s, start), pa.int64()),
-            "n_copies": pa.array(np.add.reduceat(n_s, start), pa.int64()),
-        })
-
-    return (pages.map_batches(partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(merge, batch_format="pyarrow"))
-
-
-PAIR_PARTS = 61   # prime: survives any power-of-two key packing upstream
+    return combine_by_key(
+        pages.map_batches(with_hash, batch_format="pyarrow"), "h",
+        {id_col: (id_col, "min"), "n_copies": (id_col, "count")}
+    ).drop_columns(["h"])
 
 
 def minhash_lsh_pairs(pages, *, id_col: str = "page_id",

@@ -42,45 +42,26 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .combine import combine_by_key
+
 CC_PARTS = 251
 
 
 def _distinct_nodes(pairs, a_col: str, b_col: str, parts: int):
-    """Dataset(node) of every id in either pair column (exact distinct via
-    per-batch collapse + one coarse shuffle)."""
-    def partial(batch: pa.Table) -> pa.Table:
-        node = np.unique(np.concatenate([
-            np.asarray(batch[a_col], np.int64),
-            np.asarray(batch[b_col], np.int64)]))
-        return pa.table({"node": pa.array(node, pa.int64()),
-                         "__p": pa.array(node % parts, pa.int64())})
+    """Dataset(node) of every id in either pair column."""
+    def nodes(batch: pa.Table) -> pa.Table:
+        return pa.table({"node": pa.concat_arrays([
+            batch[a_col].combine_chunks().cast(pa.int64()),
+            batch[b_col].combine_chunks().cast(pa.int64())])})
 
-    def reduce_(part: pa.Table) -> pa.Table:
-        node = np.unique(np.asarray(part["node"], np.int64))
-        return pa.table({"node": pa.array(node, pa.int64())})
-
-    return (pairs.map_batches(partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(reduce_, batch_format="pyarrow"))
+    return combine_by_key(pairs.map_batches(nodes, batch_format="pyarrow"),
+                          "node", parts=parts)
 
 
 def _min_per_node(cand, parts: int):
-    """(node, cand) -> (node, lbl=min cand): coarse node-hash partitions,
-    vectorized local min (np.minimum.at over the uniqued node index)."""
-    def keyed(batch: pa.Table) -> pa.Table:
-        node = np.asarray(batch["node"], np.int64)
-        return batch.append_column("__p", pa.array(node % parts, pa.int64()))
-
-    def reduce_(part: pa.Table) -> pa.Table:
-        node = np.asarray(part["node"], np.int64)
-        c = np.asarray(part["cand"], np.int64)
-        uniq, inv = np.unique(node, return_inverse=True)
-        m = np.full(len(uniq), np.iinfo(np.int64).max, np.int64)
-        np.minimum.at(m, inv, c)
-        return pa.table({"node": pa.array(uniq, pa.int64()),
-                         "lbl": pa.array(m, pa.int64())})
-
-    return (cand.map_batches(keyed, batch_format="pyarrow")
-            .groupby("__p").map_groups(reduce_, batch_format="pyarrow"))
+    """(node, cand) -> (node, lbl=min cand)."""
+    return combine_by_key(cand, "node", {"lbl": ("cand", "min")},
+                          parts=parts)
 
 
 def min_label_components(pairs, *, a_col: str = "id_a", b_col: str = "id_b",
@@ -234,9 +215,9 @@ def pagerank(edges, nodes, *, src_col: str = "src", dst_col: str = "dst",
 
     Distributed shape per round: ONE tag-union co-partition exchange
     joins scores to edges by src (coarse prime modulus, vectorized
-    searchsorted lookup + local np.add.at aggregation by dst), one
-    coarse reduce sums contributions per dst, one tag-union exchange
-    attaches them back to the node set (absent -> base mass). Loop
+    searchsorted lookup), `combine_by_key` sums contributions per dst,
+    one tag-union exchange attaches them back to the node set (absent ->
+    base mass). Loop
     state re-materializes at a constant block count each round (the
     geometric-blocks trap). Scale note: T_i < total mass = N * SCALE;
     shrink PR_SCALE for node counts beyond ~4e6 to stay inside int64.
@@ -257,28 +238,12 @@ def pagerank(edges, nodes, *, src_col: str = "src", dst_col: str = "dst",
         return pa.table(cols)
 
     # loop-invariant: per-src out-weight attached to every edge
-    def out_partial(batch: pa.Table) -> pa.Table:
-        src = np.asarray(batch[src_col], np.int64)
-        w = np.asarray(batch[w_col], np.int64)
-        u, inv = np.unique(src, return_inverse=True)
-        return pa.table({
-            "src": pa.array(u, pa.int64()),
-            "outw": pa.array(np.bincount(inv, weights=w)
-                             .astype(np.int64), pa.int64()),
-            "__p": pa.array(u % parts, pa.int64())})
+    def src_w(batch: pa.Table) -> pa.Table:
+        return pa.table({"src": batch[src_col].cast(pa.int64()),
+                         "w": batch[w_col].cast(pa.int64())})
 
-    def out_reduce(part: pa.Table) -> pa.Table:
-        src = np.asarray(part["src"], np.int64)
-        ow = np.asarray(part["outw"], np.int64)
-        u, inv = np.unique(src, return_inverse=True)
-        return pa.table({
-            "src": pa.array(u, pa.int64()),
-            "outw": pa.array(np.bincount(inv, weights=ow)
-                             .astype(np.int64), pa.int64())})
-
-    outw = (edges.map_batches(out_partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(out_reduce,
-                                       batch_format="pyarrow"))
+    outw = combine_by_key(edges.map_batches(src_w, batch_format="pyarrow"),
+                          "src", {"outw": ("w", "sum")}, parts=parts)
 
     def edge_rows(batch: pa.Table) -> pa.Table:
         src = np.asarray(batch[src_col], np.int64)
@@ -356,23 +321,8 @@ def pagerank(edges, nodes, *, src_col: str = "src", dst_col: str = "dst",
         w = np.asarray(part["b"], np.int64)[em]
         ow = np.asarray(part["c"], np.int64)[em]
         s = sval[np.searchsorted(snode, src)]
-        t = (w * s) // ow
-        u, inv = np.unique(dst, return_inverse=True)
-        tt = np.zeros(len(u), np.int64)
-        np.add.at(tt, inv, t)
-        return pa.table({
-            "node": pa.array(u, pa.int64()),
-            "t": pa.array(tt, pa.int64()),
-            "__p2": pa.array(u % parts, pa.int64())})
-
-    def sum_t(part: pa.Table) -> pa.Table:
-        node = np.asarray(part["node"], np.int64)
-        t = np.asarray(part["t"], np.int64)
-        u, inv = np.unique(node, return_inverse=True)
-        return pa.table({
-            "node": pa.array(u, pa.int64()),
-            "t": pa.array(np.bincount(inv, weights=t).astype(np.int64),
-                          pa.int64())})
+        return pa.table({"node": pa.array(dst, pa.int64()),
+                         "t": pa.array((w * s) // ow, pa.int64())})
 
     def node_rows(batch: pa.Table) -> pa.Table:
         node = np.asarray(batch["node"], np.int64)
@@ -403,13 +353,11 @@ def pagerank(edges, nodes, *, src_col: str = "src", dst_col: str = "dst",
                          "s": pa.array(s, pa.int64())})
 
     for _ in range(rounds):
-        t_ds = (edges_o.map_batches(eo_rows, batch_format="pyarrow")
-                .union(scores.map_batches(score_rows,
-                                          batch_format="pyarrow"))
-                .groupby("__p")
-                .map_groups(contribs, batch_format="pyarrow")
-                .groupby("__p2")
-                .map_groups(sum_t, batch_format="pyarrow"))
+        t_ds = combine_by_key(
+            edges_o.map_batches(eo_rows, batch_format="pyarrow")
+            .union(scores.map_batches(score_rows, batch_format="pyarrow"))
+            .groupby("__p").map_groups(contribs, batch_format="pyarrow"),
+            "node", {"t": ("t", "sum")}, parts=parts)
         scores = (nodes.map_batches(node_rows, batch_format="pyarrow")
                   .union(t_ds.map_batches(t_rows,
                                           batch_format="pyarrow"))
@@ -417,19 +365,6 @@ def pagerank(edges, nodes, *, src_col: str = "src", dst_col: str = "dst",
                   .map_groups(new_scores, batch_format="pyarrow")
                   .repartition(n_blocks).materialize())
     return scores
-
-
-def _pair_unique(a: np.ndarray, b: np.ndarray):
-    """Distinct (a, b) rows without packing (lexsort + diff) — no node-id
-    range assumption."""
-    if len(a) == 0:
-        return a, b
-    o = np.lexsort((b, a))
-    a, b = a[o], b[o]
-    keep = np.empty(len(a), bool)
-    keep[0] = True
-    keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return a[keep], b[keep]
 
 
 def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
@@ -461,52 +396,28 @@ def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
     Node ids must fit 31 bits (pair keys pack as (lo<<32)|hi, the same
     int64-packing contract doc_rank uses); raises loudly otherwise.
     """
-    def norm_partial(batch: pa.Table) -> pa.Table:
+    def norm_edges(batch: pa.Table) -> pa.Table:
         x = np.asarray(batch[a_col], np.int64)
         y = np.asarray(batch[b_col], np.int64)
         if len(x) and (x.max() >= 1 << 31 or y.max() >= 1 << 31
                        or x.min() < 0 or y.min() < 0):
             raise ValueError("triangle_counts: node ids must be in "
                              "[0, 2^31) for int64 pair packing")
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        m = lo != hi
-        lo, hi = _pair_unique(lo[m], hi[m])
-        return pa.table({"lo": pa.array(lo, pa.int64()),
-                         "hi": pa.array(hi, pa.int64()),
-                         "__p": pa.array(lo % parts, pa.int64())})
+        m = x != y
+        return pa.table({"lo": pa.array(np.minimum(x, y)[m], pa.int64()),
+                         "hi": pa.array(np.maximum(x, y)[m], pa.int64())})
 
-    def norm_reduce(part: pa.Table) -> pa.Table:
-        lo, hi = _pair_unique(np.asarray(part["lo"], np.int64),
-                              np.asarray(part["hi"], np.int64))
-        return pa.table({"lo": pa.array(lo, pa.int64()),
-                         "hi": pa.array(hi, pa.int64())})
+    E = combine_by_key(edges.map_batches(norm_edges, batch_format="pyarrow"),
+                       ["lo", "hi"], parts=parts).materialize()
 
-    E = (edges.map_batches(norm_partial, batch_format="pyarrow")
-         .groupby("__p").map_groups(norm_reduce, batch_format="pyarrow")
-         .materialize())
+    # --- degrees (both endpoints)
+    def endpoints(batch: pa.Table) -> pa.Table:
+        return pa.table({"node": pa.concat_arrays([
+            batch["lo"].combine_chunks(), batch["hi"].combine_chunks()])})
 
-    # --- degrees (coarse partition reduce over both endpoints)
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        n = np.concatenate([np.asarray(batch["lo"], np.int64),
-                            np.asarray(batch["hi"], np.int64)])
-        u, cnt = np.unique(n, return_counts=True)
-        return pa.table({"node": pa.array(u, pa.int64()),
-                         "deg": pa.array(cnt.astype(np.int64)),
-                         "__p": pa.array(u % parts, pa.int64())})
-
-    def deg_reduce(part: pa.Table) -> pa.Table:
-        n = np.asarray(part["node"], np.int64)
-        d = np.asarray(part["deg"], np.int64)
-        u, inv = np.unique(n, return_inverse=True)
-        s = np.zeros(len(u), np.int64)
-        np.add.at(s, inv, d)
-        return pa.table({"node": pa.array(u, pa.int64()),
-                         "deg": pa.array(s, pa.int64())})
-
-    D = (E.map_batches(deg_partial, batch_format="pyarrow")
-         .groupby("__p").map_groups(deg_reduce, batch_format="pyarrow")
-         .materialize())
+    D = combine_by_key(E.map_batches(endpoints, batch_format="pyarrow"),
+                       "node", {"deg": ("node", "count")},
+                       parts=parts).materialize()
 
     # --- attach deg to an endpoint column via tag-union co-partition
     def attach(e_ds, col, out_name):
@@ -648,24 +559,11 @@ def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
         tri_key = wk[hit]
         tri_apex = wa[hit]
         # one matched wedge = one triangle: credit apex + both legs
-        node = np.concatenate([tri_apex, tri_key >> 32,
-                               tri_key & 0xFFFFFFFF])
-        u, cnt = np.unique(node, return_counts=True)
-        return pa.table({"node": pa.array(u, pa.int64()),
-                         "n_tri": pa.array(cnt.astype(np.int64)),
-                         "__p2": pa.array(u % parts, pa.int64())})
+        return pa.table({"node": pa.array(np.concatenate([
+            tri_apex, tri_key >> 32, tri_key & 0xFFFFFFFF]), pa.int64())})
 
-    def tri_reduce(part: pa.Table) -> pa.Table:
-        n = np.asarray(part["node"], np.int64)
-        c = np.asarray(part["n_tri"], np.int64)
-        u, inv = np.unique(n, return_inverse=True)
-        s = np.zeros(len(u), np.int64)
-        np.add.at(s, inv, c)
-        return pa.table({"node": pa.array(u, pa.int64()),
-                         "n_tri": pa.array(s, pa.int64())})
-
-    return (E.map_batches(e_keyed, batch_format="pyarrow")
-            .union(W.map_batches(w_keyed, batch_format="pyarrow"))
-            .groupby("__p").map_groups(match, batch_format="pyarrow")
-            .groupby("__p2").map_groups(tri_reduce,
-                                        batch_format="pyarrow"))
+    return combine_by_key(
+        E.map_batches(e_keyed, batch_format="pyarrow")
+        .union(W.map_batches(w_keyed, batch_format="pyarrow"))
+        .groupby("__p").map_groups(match, batch_format="pyarrow"),
+        "node", {"n_tri": ("node", "count")}, parts=parts)

@@ -30,33 +30,20 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.hashing import crc32_str
+from .combine import combine_by_key
 from .ngrams import _doc_ngrams
 
 LM_PARTS = 251
 
 
-def _count_partial(texts, n: int, parts: int) -> pa.Table:
-    grams, _ = _doc_ngrams(texts, n)
-    if grams is None:
-        return pa.table({"gram": pa.array([], pa.string()),
-                         "cnt": pa.array([], pa.int64()),
-                         "__p": pa.array([], pa.int64())})
-    g = np.asarray(grams, dtype=str)
-    uniq, cnt = np.unique(g, return_counts=True)
-    ph = crc32_str(uniq) % parts
-    return pa.table({"gram": pa.array(uniq.tolist(), pa.string()),
-                     "cnt": pa.array(cnt.astype(np.int64), pa.int64()),
-                     "__p": pa.array(ph, pa.int64())})
-
-
-def _count_reduce(part: pa.Table) -> pa.Table:
-    g = np.asarray(part["gram"], dtype=str)
-    c = np.asarray(part["cnt"], np.int64)
-    uniq, inv = np.unique(g, return_inverse=True)
-    tot = np.bincount(inv, weights=c).astype(np.int64)
-    return pa.table({"gram": pa.array(uniq.tolist(), pa.string()),
-                     "cnt": pa.array(tot, pa.int64())})
+def _grams(texts) -> pa.Table:
+    """Unigrams and bigrams of one batch in one column: bigrams always
+    contain a space and unigrams never do ([a-z0-9]+ runs), so the gram
+    string itself disambiguates the order downstream."""
+    grams = [g for g, _ in (_doc_ngrams(texts, 1), _doc_ngrams(texts, 2))
+             if g is not None]
+    return pa.table({"gram": pa.concat_arrays(grams) if grams
+                     else pa.array([], pa.string())})
 
 
 def _collect_split_counts(ds, min_count: int):
@@ -108,22 +95,16 @@ def _lookup(sorted_keys: np.ndarray, sorted_vals: np.ndarray,
 
 
 def lm_score(docs, *, id_col: str = "doc_id", text_col: str = "text",
-             min_count: int = 1, parts: int = LM_PARTS):
+             min_count: int = 1):
     """(doc_id, n_bigrams, logprob, avg_logprob) under the corpus-trained
     add-one bigram LM."""
     import ray
 
-    def fused_partial(batch: pa.Table) -> pa.Table:
-        # ONE tokenize pass + ONE shuffle for both orders: bigram grams
-        # always contain a space and unigrams never do ([a-z0-9]+ runs),
-        # so the gram string itself disambiguates the order downstream
-        u = _count_partial(batch[text_col], 1, parts)
-        b = _count_partial(batch[text_col], 2, parts)
-        return pa.concat_tables([u, b])
-
-    counts = (docs.map_batches(fused_partial, batch_format="pyarrow")
-              .groupby("__p").map_groups(_count_reduce,
-                                         batch_format="pyarrow"))
+    # ONE tokenize pass + ONE shuffle for both orders
+    counts = combine_by_key(
+        docs.map_batches(lambda b: _grams(b[text_col]),
+                         batch_format="pyarrow"),
+        "gram", {"cnt": ("gram", "count")}, parts=LM_PARTS)
     uni_k, uni_v, bi_k, bi_v, V = _collect_split_counts(counts, min_count)
     model_ref = ray.put((uni_k, uni_v, bi_k, bi_v, V))
 

@@ -32,6 +32,7 @@ from ..geometry.pip import PIPIndex
 from ..geometry.rings import (SimplePolygon, group_multipatch_rings,
                               group_rings)
 from ..geometry.shp import MULTIPATCH, read_shp
+from .combine import combine_by_key
 
 
 def load_polygons(paths: list[str] | str,
@@ -110,37 +111,21 @@ def broadcast_pip_join(ds, polys: list[SimplePolygon], *,
 # --------------------------------------------------------------------------
 
 
-def cell_counts(ds, zoom: int, lon_col="lon", lat_col="lat",
-                parts: int = 251, cell_fn=None):
-    """Exact per-cell page counts: per-batch partial collapse (one row per
-    occupied cell per batch), then ONE shuffle into `parts` coarse
-    prime-modulus partitions merged with lexsort+reduceat — occupied-cell
+def cell_counts(ds, zoom: int, lon_col="lon", lat_col="lat", cell_fn=None):
+    """Exact per-cell page counts through `combine_by_key` — occupied-cell
     count grows with the corpus at high zooms, so a per-distinct-cell
     groupby is the measured-pathological shape. Returns Dataset(cell, n).
     `cell_fn(lon, lat) -> int64` overrides the quadkey tiling (H3 path)."""
 
-    def partial_counts(batch: pa.Table) -> pa.Table:
+    def cell_of(batch: pa.Table) -> pa.Table:
         lon = np.asarray(batch[lon_col], np.float64)
         lat = np.asarray(batch[lat_col], np.float64)
         c = (cell_fn(lon, lat) if cell_fn is not None
              else cells_mod.grid_cell(lon, lat, zoom))
-        uniq, counts = np.unique(c, return_counts=True)
-        return pa.table({"cell": pa.array(uniq, pa.int64()),
-                         "n": pa.array(counts, pa.int64()),
-                         "__p": pa.array(uniq % parts, pa.int64())})
+        return pa.table({"cell": pa.array(c, pa.int64())})
 
-    def merge(part: pa.Table) -> pa.Table:
-        c = np.asarray(part["cell"], np.int64)
-        n = np.asarray(part["n"], np.int64)
-        order = np.argsort(c, kind="stable")
-        cs, ns = c[order], n[order]
-        uniq, start = np.unique(cs, return_index=True)
-        return pa.table({"cell": pa.array(uniq, pa.int64()),
-                         "n": pa.array(np.add.reduceat(ns, start),
-                                       pa.int64())})
-
-    return (ds.map_batches(partial_counts, batch_format="pyarrow")
-            .groupby("__p").map_groups(merge, batch_format="pyarrow"))
+    return combine_by_key(ds.map_batches(cell_of, batch_format="pyarrow"),
+                          "cell", {"n": ("cell", "count")})
 
 
 def detect_hot_cells(ds, zoom: int, threshold: int,

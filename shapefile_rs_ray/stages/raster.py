@@ -23,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .combine import combine_by_key
+
 
 def grid_params(boxes: np.ndarray, w: int, h: int
                 ) -> tuple[float, float, float, float]:
@@ -69,32 +71,23 @@ def pixel_candidates(polys, sel: np.ndarray, w: int, h: int) -> pa.Table:
     })
 
 
-def min_zone_by_pix(ds, *, w: int, parts: int = 251):
-    """(poly_id, cell, geom_id, ...) matches -> (pix, ix, iy, zone) with
+def min_zone_by_pix(ds, *, w: int):
+    """(poly_id, cell, geom_id, ...) matches -> (pix, zone, ix, iy) with
     zone = min geom_id per pixel (a pixel center can sit inside two
-    overlapping polygons; the raster keeps one deterministic zone).
-    Coarse prime-modulus partition + vectorized local reduce."""
+    overlapping polygons; the raster keeps one deterministic zone)."""
 
-    def tag(batch: pa.Table) -> pa.Table:
-        pix = np.asarray(batch["cell"], np.int64)
-        return batch.append_column("__p", pa.array(pix % parts, pa.int64()))
+    def pix_zone(batch: pa.Table) -> pa.Table:
+        return pa.table({"pix": batch["cell"], "zone": batch["geom_id"]})
 
-    def reduce_part(part: pa.Table) -> pa.Table:
-        pix = np.asarray(part["cell"], np.int64)
-        zone = np.asarray(part["geom_id"], np.int64)
-        order = np.lexsort((zone, pix))
-        pix, zone = pix[order], zone[order]
-        upix, starts = np.unique(pix, return_index=True)
-        uz = zone[starts]            # min zone: sorted by (pix, zone)
-        return pa.table({
-            "pix": pa.array(upix, pa.int64()),
-            "ix": pa.array(upix % w, pa.int64()),
-            "iy": pa.array(upix // w, pa.int64()),
-            "zone": pa.array(uz, pa.int64()),
-        })
+    def with_xy(batch: pa.Table) -> pa.Table:
+        pix = np.asarray(batch["pix"], np.int64)
+        return pa.table({"pix": batch["pix"], "zone": batch["zone"],
+                         "ix": pa.array(pix % w, pa.int64()),
+                         "iy": pa.array(pix // w, pa.int64())})
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("__p").map_groups(reduce_part, batch_format="pyarrow"))
+    return (combine_by_key(ds.map_batches(pix_zone, batch_format="pyarrow"),
+                           "pix", {"zone": ("zone", "min")})
+            .map_batches(with_xy, batch_format="pyarrow"))
 
 
 def _union_find_roots(edges_a: np.ndarray,
@@ -220,54 +213,23 @@ def vectorize_regions(raster_ds, *, w: int, tile_rows: int = 256,
     korder = np.argsort(keys)
     root_ref = ray.put((keys[korder], vals[korder]))
 
-    def relabel_partial(batch: pa.Table) -> pa.Table:
+    def relabel(batch: pa.Table) -> pa.Table:
         keys, vals = ray.get(root_ref)
         lbl = np.asarray(batch["lbl"], np.int64).copy()
         if len(keys):
             pos = np.clip(np.searchsorted(keys, lbl), 0, len(keys) - 1)
             hit = keys[pos] == lbl
             lbl[hit] = vals[pos[hit]]
-        ix = np.asarray(batch["ix"], np.int64)
-        iy = np.asarray(batch["iy"], np.int64)
-        zone = np.asarray(batch["zone"], np.int64)
-        order = np.argsort(lbl, kind="stable")
-        lbl, ix, iy, zone = lbl[order], ix[order], iy[order], zone[order]
-        ulbl, starts = np.unique(lbl, return_index=True)
-        bounds = np.append(starts, len(lbl))
-        return pa.table({
-            "region_id": pa.array(ulbl, pa.int64()),
-            "zone": pa.array(zone[starts], pa.int64()),
-            "n_pixels": pa.array(np.diff(bounds), pa.int64()),
-            "ix_min": pa.array(np.minimum.reduceat(ix, starts), pa.int64()),
-            "iy_min": pa.array(np.minimum.reduceat(iy, starts), pa.int64()),
-            "ix_max": pa.array(np.maximum.reduceat(ix, starts), pa.int64()),
-            "iy_max": pa.array(np.maximum.reduceat(iy, starts), pa.int64()),
-        })
+        return pa.table({"region_id": pa.array(lbl, pa.int64()),
+                         "zone": batch["zone"], "ix": batch["ix"],
+                         "iy": batch["iy"]})
 
-    def tag_region(batch: pa.Table) -> pa.Table:
-        r = np.asarray(batch["region_id"], np.int64)
-        return batch.append_column("__p", pa.array(r % parts, pa.int64()))
-
-    def merge_part(part: pa.Table) -> pa.Table:
-        r = np.asarray(part["region_id"], np.int64)
-        order = np.argsort(r, kind="stable")
-        cols = {c: np.asarray(part[c])[order] for c in part.column_names
-                if c not in ("__p",)}
-        ur, starts = np.unique(r[order], return_index=True)
-        out = {
-            "region_id": ur,
-            "zone": cols["zone"][starts],
-            "n_pixels": np.add.reduceat(cols["n_pixels"], starts),
-            "ix_min": np.minimum.reduceat(cols["ix_min"], starts),
-            "iy_min": np.minimum.reduceat(cols["iy_min"], starts),
-            "ix_max": np.maximum.reduceat(cols["ix_max"], starts),
-            "iy_max": np.maximum.reduceat(cols["iy_max"], starts),
-        }
-        return pa.table({k: pa.array(v, pa.int64()) for k, v in out.items()})
-
-    return (labeled.map_batches(relabel_partial, batch_format="pyarrow")
-            .map_batches(tag_region, batch_format="pyarrow")
-            .groupby("__p").map_groups(merge_part, batch_format="pyarrow"))
+    # zone is constant per region, so its min is the region's zone
+    return combine_by_key(
+        labeled.map_batches(relabel, batch_format="pyarrow"), "region_id",
+        {"zone": ("zone", "min"), "n_pixels": ("ix", "count"),
+         "ix_min": ("ix", "min"), "iy_min": ("iy", "min"),
+         "ix_max": ("ix", "max"), "iy_max": ("iy", "max")}, parts=parts)
 
 
 def focal_sum(raster_ds, *, w: int, tile_rows: int = 256):

@@ -22,6 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import crc32_str
+from .combine import combine_by_key
 
 
 def _match_ranges(lo: np.ndarray, counts: np.ndarray):
@@ -358,40 +359,6 @@ def grouped_minmax_count(ds, *, group_col: str, value_col: str,
             .groupby(group_col).aggregate(*aggs))
 
 
-def grouped_intsum(ds, *, group_col: str, sum_col: str,
-                   carry_max_col: str | None = None, parts: int = JOIN_PARTS):
-    """Per-group exact integer SUM for UNBOUNDED key cardinality (per-order
-    revenue at 1e12 rows): per-batch vectorized collapse, ONE shuffle into
-    `parts` coarse prime-modulus key-hash partitions, per-partition
-    lexsort+reduceat merge. Integer sums are merge-order-free, so the
-    result is bit-identical to SQL. `carry_max_col` rides along as MAX
-    (for columns functionally dependent on the key)."""
-
-    def collapse(tbl: pa.Table, emit_partition: bool) -> pa.Table:
-        g = np.asarray(tbl[group_col], np.int64)
-        s = np.asarray(tbl[sum_col], np.int64)
-        order = np.argsort(g, kind="stable")
-        gs, ss = g[order], s[order]
-        uniq, start = np.unique(gs, return_index=True)
-        out = {group_col: pa.array(uniq, pa.int64()),
-               sum_col: pa.array(np.add.reduceat(ss, start)
-                                 if len(gs) else np.empty(0, np.int64),
-                                 pa.int64())}
-        if carry_max_col is not None:
-            c = np.asarray(tbl[carry_max_col], np.int64)[order]
-            out[carry_max_col] = pa.array(
-                np.maximum.reduceat(c, start)
-                if len(gs) else np.empty(0, np.int64), pa.int64())
-        if emit_partition:
-            out["__p"] = pa.array(uniq % parts, pa.int64())
-        return pa.table(out)
-
-    return (ds.map_batches(lambda b: collapse(b, True),
-                           batch_format="pyarrow")
-            .groupby("__p").map_groups(lambda p: collapse(p, False),
-                                       batch_format="pyarrow"))
-
-
 def grouped_exact_quantiles(ds, *, group_col: str, value_col: str,
                             qs=((1, 2, "p50"), (9, 10, "p90"),
                                 (99, 100, "p99"))):
@@ -455,9 +422,8 @@ def exact_double_quantiles(ds, *, id_col: str, value_col: str,
     Pass A: row count + a deterministic Knuth-hash sample of values
     (the sample rate scales itself to ~target_samples, so the
     driver-held boundary set is fixed-size at any corpus scale).
-    Pass B: per-batch vectorized bucket histogram against the sampled
-    boundaries (searchsorted + bincount, emitting only nonzero
-    buckets), reduced through one coarse prime-modulus partition; the
+    Pass B: bucket histogram against the sampled boundaries (a
+    vectorized searchsorted, counted by `combine_by_key`); the
     driver's cumulative counts locate, per target rank k = ceil(q*n),
     the ONE bucket holding the k-th smallest value.
     Pass C: collect exactly the needed buckets' values (expected
@@ -491,30 +457,15 @@ def exact_double_quantiles(ds, *, id_col: str, value_col: str,
     bounds_ref = ray.put(bounds)
     nb = len(bounds) + 1          # bucket i = (bounds[i-1], bounds[i]]
 
-    def hist(batch: pa.Table) -> pa.Table:
+    def bucket(batch: pa.Table) -> pa.Table:
         b = ray.get(bounds_ref)
         idx = np.searchsorted(b, np.asarray(batch[value_col], np.float64),
                               "right")
-        cnt = np.bincount(idx, minlength=nb)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({"bucket": pa.array(nz, pa.int64()),
-                         "cnt": pa.array(cnt[nz], pa.int64()),
-                         "__p": pa.array(nz % 251, pa.int64())})
+        return pa.table({"bucket": pa.array(idx, pa.int64())})
 
-    def reduce_part(part: pa.Table) -> pa.Table:
-        bk = np.asarray(part["bucket"], np.int64)
-        ct = np.asarray(part["cnt"], np.int64)
-        order = np.argsort(bk, kind="stable")
-        bk, ct = bk[order], ct[order]
-        ub, starts = np.unique(bk, return_index=True)
-        return pa.table({"bucket": pa.array(ub, pa.int64()),
-                         "cnt": pa.array(np.add.reduceat(ct, starts),
-                                         pa.int64())})
-
-    counts = (ds.map_batches(hist, batch_format="pyarrow")
-              .groupby("__p").map_groups(reduce_part,
-                                         batch_format="pyarrow")
-              ).to_pandas().sort_values("bucket")
+    counts = combine_by_key(ds.map_batches(bucket, batch_format="pyarrow"),
+                            "bucket", {"cnt": ("bucket", "count")}
+                            ).to_pandas()
     full = np.zeros(nb, np.int64)
     full[counts["bucket"].to_numpy(np.int64)] = \
         counts["cnt"].to_numpy(np.int64)

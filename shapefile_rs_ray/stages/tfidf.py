@@ -1,9 +1,9 @@
 """TF-IDF top-terms per document — the classic text-pipeline weighting,
 distributed as two passes over the corpus.
 
-Pass 1 (document frequency): per batch, each doc's DISTINCT terms
-collapse to (term, df_partial) counts; partials shuffle ONCE into
-coarse crc32(term)-mod-prime partitions and reduce locally (never a
+Pass 1 (document frequency): each doc's DISTINCT terms are counted
+per term by `combine_by_key`, which shuffles per-batch partials ONCE
+into coarse crc32(term)-mod-prime partitions (never a
 per-distinct-term groupby). Tokenization is the shared vectorized
 Arrow kernel from stages/ngrams.py (n=1) — one regex kernel per batch,
 no per-document Python loop anywhere.
@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import crc32_str
+from .combine import combine_by_key
 from .ngrams import _doc_ngrams
 
 TERM_PARTS = 251
@@ -99,69 +100,37 @@ _EMPTY_TOPK = pa.table({
 })
 
 
+def _doc_terms(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
+    """(term, doc) rows: each doc's DISTINCT terms, one row per pair."""
+    ids, terms, _ = _batch_doc_term_tf(batch, id_col, text_col)
+    if ids is None:
+        return pa.table({"term": pa.array([], pa.string()),
+                         "doc": pa.array([], pa.int64())})
+    return pa.table({"term": pa.array(terms, pa.string()),
+                     "doc": pa.array(ids, pa.int64())})
+
+
 def inverted_index(docs, *, id_col: str = "doc_id",
-                   text_col: str = "text", min_df: int = 50,
-                   parts: int = TERM_PARTS):
+                   text_col: str = "text", min_df: int = 50):
     """Corpus inverted-index summary: per term with document frequency
     >= min_df, (term, df, min_doc, max_doc, sum_doc) — the bounded
     projection of a postings list that a SQL oracle can recompute
     (full postings are the same rows before the per-term reduce; a
     sink would write them partitioned by the same crc32(term) key).
 
-    Shape: per-batch per-term partials (df, min/max/sum of doc ids over
-    the batch's distinct (doc, term) pairs — each doc counted once per
-    term), ONE coarse prime-modulus term-hash shuffle, vectorized local
-    reduce. Never a per-distinct-term groupby."""
+    Shape: (term, doc) rows reduced per term by `combine_by_key` (df,
+    min/max/sum of doc ids — each doc counted once per term), then the
+    row-local min_df filter. Never a per-distinct-term groupby."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ids, terms, _ = _batch_doc_term_tf(batch, id_col, text_col)
-        if ids is None:
-            z = pa.array([], pa.int64())
-            return pa.table({"term": pa.array([], pa.string()),
-                             "dfp": z, "mn": z, "mx": z, "sm": z,
-                             "__p": z})
-        order = np.argsort(terms, kind="stable")
-        t_s, id_s = terms[order], ids[order]
-        new = np.empty(len(t_s), bool)
-        new[0] = True
-        new[1:] = t_s[1:] != t_s[:-1]
-        starts = np.nonzero(new)[0]
-        uniq = t_s[starts]
-        return pa.table({
-            "term": pa.array(uniq.tolist(), pa.string()),
-            "dfp": pa.array(np.diff(np.append(starts, len(t_s)))
-                            .astype(np.int64), pa.int64()),
-            "mn": pa.array(np.minimum.reduceat(id_s, starts), pa.int64()),
-            "mx": pa.array(np.maximum.reduceat(id_s, starts), pa.int64()),
-            "sm": pa.array(np.add.reduceat(id_s, starts), pa.int64()),
-            "__p": pa.array(_term_part(uniq, parts), pa.int64())})
+    def frequent(batch: pa.Table) -> pa.Table:
+        return batch.filter(pa.array(np.asarray(batch["df"]) >= min_df))
 
-    def reduce_(part: pa.Table) -> pa.Table:
-        terms = np.asarray(part["term"], dtype=str)
-        order = np.argsort(terms, kind="stable")
-        t_s = terms[order]
-        dfp = np.asarray(part["dfp"], np.int64)[order]
-        mn = np.asarray(part["mn"], np.int64)[order]
-        mx = np.asarray(part["mx"], np.int64)[order]
-        sm = np.asarray(part["sm"], np.int64)[order]
-        new = np.empty(len(t_s), bool)
-        new[0] = True
-        new[1:] = t_s[1:] != t_s[:-1]
-        starts = np.nonzero(new)[0]
-        df = np.add.reduceat(dfp, starts)
-        keep = df >= min_df
-        return pa.table({
-            "term": pa.array(t_s[starts][keep].tolist(), pa.string()),
-            "df": pa.array(df[keep], pa.int64()),
-            "min_doc": pa.array(np.minimum.reduceat(mn, starts)[keep],
-                                pa.int64()),
-            "max_doc": pa.array(np.maximum.reduceat(mx, starts)[keep],
-                                pa.int64()),
-            "sum_doc": pa.array(np.add.reduceat(sm, starts)[keep],
-                                pa.int64())})
-
-    return (docs.map_batches(partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(reduce_, batch_format="pyarrow"))
+    return combine_by_key(
+        docs.map_batches(lambda b: _doc_terms(b, id_col, text_col),
+                         batch_format="pyarrow"), "term",
+        {"df": ("doc", "count"), "min_doc": ("doc", "min"),
+         "max_doc": ("doc", "max"), "sum_doc": ("doc", "sum")},
+        parts=TERM_PARTS).map_batches(frequent, batch_format="pyarrow")
 
 
 def tfidf_top_terms(docs, *, id_col: str = "doc_id",
@@ -172,35 +141,15 @@ def tfidf_top_terms(docs, *, id_col: str = "doc_id",
     by tf/df (score desc, term asc ties), df over the whole corpus."""
     import ray
 
-    def df_partial(batch: pa.Table) -> pa.Table:
-        _, terms, _ = _batch_doc_term_tf(batch, id_col, text_col)
-        if terms is None:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "dfp": pa.array([], pa.int64()),
-                             "__p": pa.array([], pa.int64())})
-        uniq, cnt = np.unique(terms, return_counts=True)
-        return pa.table({"term": pa.array(uniq.tolist(), pa.string()),
-                         "dfp": pa.array(cnt.astype(np.int64), pa.int64()),
-                         "__p": pa.array(_term_part(uniq, parts),
-                                         pa.int64())})
-
-    def df_reduce(part: pa.Table) -> pa.Table:
-        terms = np.asarray(part["term"], dtype=str)
-        dfp = np.asarray(part["dfp"], np.int64)
-        uniq, inv = np.unique(terms, return_inverse=True)
-        dfs = np.bincount(inv, weights=dfp).astype(np.int64)
-        return pa.table({"term": pa.array(uniq.tolist(), pa.string()),
-                         "df": pa.array(dfs, pa.int64()),
-                         "__p": part["__p"][:1].to_pylist() * len(uniq)})
-
-    df_ds = (docs.map_batches(df_partial, batch_format="pyarrow")
-             .groupby("__p").map_groups(df_reduce, batch_format="pyarrow")
-             ).materialize()
+    df_ds = combine_by_key(
+        docs.map_batches(lambda b: _doc_terms(b, id_col, text_col),
+                         batch_format="pyarrow"), "term",
+        {"df": ("term", "count")}, parts=parts).materialize()
     n_vocab = df_ds.count()
 
     if n_vocab <= broadcast_vocab_max:
         # -- broadcast path: sorted vocab shipped once via ray.put --
-        df_tbl = df_ds.drop_columns(["__p"]).to_pandas()
+        df_tbl = df_ds.to_pandas()
         vocab = df_tbl["term"].to_numpy(dtype=str)
         dfs = df_tbl["df"].to_numpy(np.int64)
         order = np.argsort(vocab, kind="stable")
@@ -227,9 +176,9 @@ def tfidf_top_terms(docs, *, id_col: str = "doc_id",
         return docs.map_batches(score_topk, batch_format="pyarrow")
 
     # -- big-vocab path: co-partition join on crc32(term), no driver state.
-    # df rows (side 0) reuse the reduced table's __p; pair rows (side 1)
-    # compute the same key, so one union + groupby co-locates each term's
-    # df with every (doc, term, tf) that needs it.
+    # df rows (side 0) and pair rows (side 1) compute the same key, so one
+    # union + groupby co-locates each term's df with every (doc, term, tf)
+    # that needs it.
     def pair_rows(batch: pa.Table) -> pa.Table:
         ids, terms, tf = _batch_doc_term_tf(batch, id_col, text_col)
         if ids is None:
@@ -251,7 +200,7 @@ def tfidf_top_terms(docs, *, id_col: str = "doc_id",
             "n": batch["df"],
             "__side": pa.array(np.zeros(batch.num_rows, np.int64),
                                pa.int64()),
-            "__p": batch["__p"]})
+            "__p": pa.array(_term_part(batch["term"], parts), pa.int64())})
 
     def join_local(part: pa.Table) -> pa.Table:
         side = np.asarray(part["__side"], np.int64)

@@ -16,7 +16,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions import hashing
+from .combine import combine_by_key
 
 URL_PARTS = 61          # prime (see dedup.PAIR_PARTS)
 
@@ -118,44 +118,20 @@ def canonicalize_urls(pages, *, url_col: str = "url",
     return pages.map_batches(fn, batch_format="pyarrow")
 
 
-def url_dedup(pages, *, id_col: str = "page_id", url_col: str = "url",
-              parts: int = URL_PARTS):
+def url_dedup(pages, *, id_col: str = "page_id", url_col: str = "url"):
     """Canonical-URL dedup accounting: one row per canonical URL with
     (canon_url, n_pages, min_page) — min_page is the kept
     representative (first-seen == smallest id, the repo's standard
-    deterministic winner). One coarse crc32-modulus shuffle of
-    (canon_url, partial count, partial min) rows; per-batch partials
-    collapse duplicates before the exchange."""
-    def partial(batch: pa.Table) -> pa.Table:
-        canon = canonicalize_batch(batch[url_col])
-        ids = np.asarray(batch[id_col], np.int64)
-        vals = np.asarray(canon, dtype=str)
-        u, inv = np.unique(vals, return_inverse=True)
-        cnt = np.bincount(inv, minlength=len(u)).astype(np.int64)
-        mn = np.full(len(u), np.iinfo(np.int64).max, np.int64)
-        np.minimum.at(mn, inv, ids)
-        h = hashing.crc32_str(u)
-        return pa.table({
-            "canon_url": pa.array(u.tolist(), pa.string()),
-            "n_pages": pa.array(cnt, pa.int64()),
-            "min_page": pa.array(mn, pa.int64()),
-            "__p": pa.array(h % parts, pa.int64())})
+    deterministic winner), reduced by `combine_by_key` on the canonical
+    URL."""
+    def canon(batch: pa.Table) -> pa.Table:
+        return pa.table({"canon_url": canonicalize_batch(batch[url_col]),
+                         id_col: batch[id_col].cast(pa.int64())})
 
-    def merge(part: pa.Table) -> pa.Table:
-        vals = np.asarray(part["canon_url"], dtype=str)
-        cnt = np.asarray(part["n_pages"], np.int64)
-        mn = np.asarray(part["min_page"], np.int64)
-        u, inv = np.unique(vals, return_inverse=True)
-        out_c = np.bincount(inv, weights=cnt).astype(np.int64)
-        out_m = np.full(len(u), np.iinfo(np.int64).max, np.int64)
-        np.minimum.at(out_m, inv, mn)
-        return pa.table({
-            "canon_url": pa.array(u.tolist(), pa.string()),
-            "n_pages": pa.array(out_c, pa.int64()),
-            "min_page": pa.array(out_m, pa.int64())})
-
-    return (pages.map_batches(partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(merge, batch_format="pyarrow"))
+    return combine_by_key(pages.map_batches(canon, batch_format="pyarrow"),
+                          "canon_url", {"n_pages": (id_col, "count"),
+                                        "min_page": (id_col, "min")},
+                          parts=URL_PARTS)
 
 
 def host_blocklist_filter(pages, *, url_col: str = "url",

@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .combine import combine_by_key
+
 WINDOW_SECONDS = 3600
 
 
@@ -21,65 +23,28 @@ def tumbling_window_counts(events, *, window_s: int = WINDOW_SECONDS,
                            window_col: str | None = None):
     """(user_id, window, n_events, max_value) per tumbling window.
 
-    window = floor(epoch_seconds / window_s). Pure partial+final aggregate:
-    no ordering assumption at all (tumbling assignment is a row-local
-    function), integer count and MAX are merge-order-independent so the
-    result is bit-identical to the SQL GROUP BY. The final merge is NOT a
-    per-distinct-key groupby (distinct (user, window) pairs grow with the
-    data — the measured-pathological shape); partials shuffle once into
-    `USER_PARTITIONS` coarse user-hash partitions and each merges with one
-    vectorized lexsort + reduceat.
+    window = floor(epoch_seconds / window_s). Pure partial+final aggregate
+    through `combine_by_key` on (user_id, window): no ordering assumption
+    at all (tumbling assignment is a row-local function), and integer
+    count and MAX are merge-order-independent, so the result is
+    bit-identical to the SQL GROUP BY.
     """
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def assign(batch: pa.Table) -> pa.Table:
         if window_col is not None:   # pre-assigned buckets (hopping path)
             win = np.asarray(batch[window_col], np.int64)
         else:
             ts = np.asarray(batch["ts"].cast(pa.int64()))  # us since epoch
             win = ts // (window_s * 1_000_000)
-        users = np.asarray(batch["user_id"], np.int64)
-        vals = np.asarray(batch["value"], np.float64)
-        # group on the (user, window) pair via lexsort + run detection — no
-        # bit packing, so any window_s / timestamp range is safe
-        order = np.lexsort((win, users))
-        u_s, w_s, val_s = users[order], win[order], vals[order]
-        new = np.empty(len(u_s), bool)
-        new[0:1] = True
-        new[1:] = (u_s[1:] != u_s[:-1]) | (w_s[1:] != w_s[:-1])
-        start = np.nonzero(new)[0]
-        cnt = np.append(start[1:], len(u_s)) - start
-        mx = np.maximum.reduceat(val_s, start) if len(u_s) else np.empty(0)
-        return pa.table({
-            "user_id": pa.array(u_s[start], pa.int64()),
-            "window": pa.array(w_s[start], pa.int64()),
-            "n_events": pa.array(cnt, pa.int64()),
-            "max_value": pa.array(mx, pa.float64()),
-        })
+        return pa.table({"user_id": batch["user_id"].cast(pa.int64()),
+                         "window": pa.array(win, pa.int64()),
+                         "value": batch["value"].cast(pa.float64())})
 
-    def merge(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return part.select(["user_id", "window", "n_events", "max_value"])
-        users = np.asarray(part["user_id"], np.int64)
-        win = np.asarray(part["window"], np.int64)
-        cnt = np.asarray(part["n_events"], np.int64)
-        mx = np.asarray(part["max_value"], np.float64)
-        order = np.lexsort((win, users))
-        u_s, w_s, c_s, m_s = users[order], win[order], cnt[order], mx[order]
-        new = np.empty(len(u_s), bool)
-        new[0:1] = True
-        new[1:] = (u_s[1:] != u_s[:-1]) | (w_s[1:] != w_s[:-1])
-        start = np.nonzero(new)[0]
-        return pa.table({
-            "user_id": pa.array(u_s[start], pa.int64()),
-            "window": pa.array(w_s[start], pa.int64()),
-            "n_events": pa.array(np.add.reduceat(c_s, start), pa.int64()),
-            "max_value": pa.array(np.maximum.reduceat(m_s, start),
-                                  pa.float64()),
-        })
-
-    return (_partition_by_user(
-                events.map_batches(partial, batch_format="pyarrow"))
-            .groupby("__p").map_groups(merge, batch_format="pyarrow"))
+    return combine_by_key(events.map_batches(assign, batch_format="pyarrow"),
+                          ["user_id", "window"],
+                          {"n_events": ("value", "count"),
+                           "max_value": ("value", "max")},
+                          parts=USER_PARTITIONS)
 
 
 def hopping_window_counts(events, *, window_s: int = WINDOW_SECONDS,
@@ -87,8 +52,8 @@ def hopping_window_counts(events, *, window_s: int = WINDOW_SECONDS,
     """Hopping (sliding) windows: length `window_s`, advancing by `hop_s`
     (must divide window_s). Every event lands in exactly window_s/hop_s
     windows — a map-side EXPLODE by window index (row-local, order-free),
-    then the identical partial + coarse-user-partition merge as the
-    tumbling path. Output: (user_id, window, n_events, max_value) where
+    then the same `combine_by_key` aggregate as the tumbling path.
+    Output: (user_id, window, n_events, max_value) where
     `window` is the hop index of the window's start (start = window*hop_s).
     """
     assert window_s % hop_s == 0
@@ -558,46 +523,22 @@ def running_user_max(events, *, parts: int = USER_PARTITIONS):
             .groupby("__p").map_groups(local, batch_format="pyarrow"))
 
 
-def window_distinct_users(events, *, window_s: int = WINDOW_SECONDS,
-                          parts: int = 251):
+def window_distinct_users(events, *, window_s: int = WINDOW_SECONDS):
     """(window, n_users): EXACT distinct users per tumbling window.
 
-    Two-phase distinct: every batch collapses to its distinct
-    (window, user) pairs first (np.unique — the partial), pairs shuffle
-    ONCE into coarse hash partitions where a second np.unique removes
-    cross-batch duplicates and collapses to per-window partial counts;
-    the final merge groupby is BOUNDED by #windows (time-range / window,
-    independent of row count). Never a per-distinct-(window,user)
-    groupby. Integer counts, so merge-order-free and bit-exact vs SQL
-    COUNT(DISTINCT)."""
-    from ray.data.aggregate import Sum
+    Two-phase distinct: `combine_by_key` first reduces the events to
+    their distinct (window, user) pairs, then counts the pairs per
+    window. Never a per-distinct-(window,user) groupby. Integer counts,
+    so merge-order-free and bit-exact vs SQL COUNT(DISTINCT)."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def assign(batch: pa.Table) -> pa.Table:
         ts = np.asarray(batch["ts"].cast(pa.int64()))      # us since epoch
         if len(ts) and ts.min() < 0:    # SQL // truncates, numpy floors
             raise ValueError("window index needs ts >= epoch")
-        win = ts // (window_s * 1_000_000)
-        users = np.asarray(batch["user_id"], np.int64)
-        pairs = np.unique(np.stack([win, users], 1), axis=0)
-        key = (pairs[:, 0] * np.int64(1_000_003)
-               + pairs[:, 1]) % parts                      # partition only —
-        # collisions just co-locate more pairs, never change the result
         return pa.table({
-            "window": pa.array(pairs[:, 0], pa.int64()),
-            "user_id": pa.array(pairs[:, 1], pa.int64()),
-            "__p": pa.array(key, pa.int64()),
-        })
+            "window": pa.array(ts // (window_s * 1_000_000), pa.int64()),
+            "user_id": batch["user_id"].cast(pa.int64())})
 
-    def reduce_(part: pa.Table) -> pa.Table:
-        arr = np.stack([np.asarray(part["window"], np.int64),
-                        np.asarray(part["user_id"], np.int64)], 1)
-        uniq = np.unique(arr, axis=0)
-        win, cnt = np.unique(uniq[:, 0], return_counts=True)
-        return pa.table({"window": pa.array(win, pa.int64()),
-                         "n_partial": pa.array(cnt.astype(np.int64),
-                                               pa.int64())})
-
-    return (events.map_batches(partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(reduce_, batch_format="pyarrow")
-            .groupby("window").aggregate(Sum("n_partial",
-                                             alias_name="n_users")))
+    pairs = combine_by_key(events.map_batches(assign, batch_format="pyarrow"),
+                           ["window", "user_id"])
+    return combine_by_key(pairs, "window", {"n_users": ("user_id", "count")})

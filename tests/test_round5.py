@@ -1772,6 +1772,71 @@ def test_flac_decoder_verbatim_wasted_and_escape_paths():
     assert y[:, 0].tolist() == res
 
 
+def test_flac_extra_bits_sample_rate_codes_engine_and_twin():
+    """Sample-rate codes 12-14 carry the rate in extra header bits (kHz,
+    Hz, tens of Hz), which synth never emits. A hand-built 48 kHz stream
+    with one frame per code decodes identically in engine and twin."""
+    import hashlib
+    import numpy as np
+    import pyarrow as pa
+    from shapefile_rs_ray.pipelines.oracles import _flac_scalar_stats
+    from shapefile_rs_ray.stages.flac import (FlacDecodeStage, _BitWriter,
+                                              crc8, crc16)
+
+    n = 8
+    codes = ((12, 48, 8), (13, 48000, 16), (14, 4800, 16))
+    vals = [[(i * 37 + f * 1000) % 4001 - 2000 for i in range(n)]
+            for f in range(len(codes))]
+    flat = sum(vals, [])
+    info = _BitWriter()
+    info.write(n, 16)
+    info.write(n, 16)
+    info.write(0, 24)
+    info.write(0, 24)
+    info.write(48000, 20)
+    info.write(0, 3)                    # 1 channel
+    info.write(15, 5)                   # 16 bps
+    info.write(len(flat), 36)
+    si = (info.getvalue()
+          + hashlib.md5(np.asarray(flat, "<i2").tobytes()).digest())
+    frames = b""
+    for num, ((code, extra, width), v) in enumerate(zip(codes, vals)):
+        hdr = _BitWriter()
+        hdr.write(0b11111111111110, 14)
+        hdr.write(0, 2)
+        hdr.write(6, 4)                 # blocksize: 8-bit at end
+        hdr.write(code, 4)
+        hdr.write(0, 4)                 # mono
+        hdr.write(0, 3)                 # bps from STREAMINFO
+        hdr.write(0, 1)
+        hdr.write(num, 8)               # frame number (< 128: one byte)
+        hdr.write(n - 1, 8)
+        hdr.write(extra, width)         # the rate, after the blocksize
+        head = hdr.getvalue()
+        head += bytes([crc8(head)])
+        body = _BitWriter()
+        body.write(0, 1)
+        body.write(0b000001, 6)         # VERBATIM
+        body.write(0, 1)
+        for x in v:
+            body.write(x & 0xFFFF, 16)
+        body.align()
+        frame = head + body.getvalue()
+        frames += frame + crc16(frame).to_bytes(2, "big")
+    blob = b"fLaC" + bytes([0x80, 0, 0, len(si)]) + si + frames
+
+    out = FlacDecodeStage()(pa.table({"doc_id": pa.array([0], pa.int64()),
+                                      "flac": pa.array([blob],
+                                                       pa.binary())}))
+    eng = tuple(out[c][0].as_py()
+                for c in ("sample_rate", "n_channels", "n_samples",
+                          "sum_abs", "sum_sq", "peak"))
+    a = np.abs(np.asarray(flat, np.int64))
+    assert eng == (48000, 1, len(flat), int(a.sum()), int((a * a).sum()),
+                   int(a.max()))
+    assert _flac_scalar_stats(blob) == eng
+
+
 def test_mp3_layer1_and_mpeg25_paths():
     """Hand-built streams cover the table rows synth never emits:
     MPEG-1 Layer I (384 spf, 4-byte slots) and MPEG-2.5 Layer III

@@ -237,7 +237,7 @@ def _host_join(sf_dir: str):
     on hash collision-freedom."""
     from shapefile_rs_ray.sources.webpages import read_webpages
     from shapefile_rs_ray.stages.combine import combine_by_key
-    from shapefile_rs_ray.stages.relational import shuffle_join_str
+    from shapefile_rs_ray.stages.relational import shuffle_join
     import pyarrow.compute as pc
 
     def with_host(batch: pa.Table) -> pa.Table:
@@ -250,8 +250,8 @@ def _host_join(sf_dir: str):
 
     counts = combine_by_key(pages, "host",
                             {"host_pages": ("page_id", "count")})
-    return shuffle_join_str(pages, counts, key="host",
-                            right_cols=("host_pages",))
+    return shuffle_join(pages, counts.materialize(), key="host",
+                        right_cols=("host_pages",))
 
 
 def _running_max(sf_dir: str):
@@ -1789,28 +1789,45 @@ def _top_events_user(sf_dir: str):
     return grouped_topk(ev, k=3)
 
 
-def _pack_char_cols(batch: pa.Table, cols_shifts) -> pa.Table:
-    """Pack 1-char string columns into one int64 `grp` key: dictionary-
-    encode per batch (batch-local codes), resolve ords once on the tiny
-    dictionary, shift-combine. Shared by the lineitem aggregates."""
+# order-free per-group aggregates of a (key, v[, qty]) projection:
+# COUNT/MIN/MAX of a price and an exact integer SUM of l_quantity
+_MINMAX_AGGS = {"n_rows": ("v", "count"), "max_value": ("v", "max"),
+                "min_value": ("v", "min")}
+_QTY_AGGS = {**_MINMAX_AGGS, "sum_qty": ("qty", "sum")}
+
+
+def _status_aggregates(ds, cols_shifts):
+    """`_QTY_AGGS` of l_extendedprice / l_quantity per value of some
+    1-char status columns, through `combine_by_key`. The projection
+    packs the status columns into one int64 `grp` key (dictionary-
+    encode per batch, ords resolved once on the tiny dictionary,
+    shift-combine) and casts l_quantity to int64 (integral by
+    construction, so its sum is exact on engine and oracle)."""
     import pyarrow.compute as pc
-    key = np.zeros(batch.num_rows, np.int64)
-    for col, shift in cols_shifts:
-        enc = pc.dictionary_encode(batch[col]).combine_chunks()
-        codes = np.array([ord(v.as_py()) for v in enc.dictionary], np.int64)
-        key += codes[np.asarray(enc.indices, np.int64)] << shift
-    return batch.append_column("grp", pa.array(key, pa.int64()))
+    from shapefile_rs_ray.stages.combine import combine_by_key
 
+    def project(batch: pa.Table) -> pa.Table:
+        key = np.zeros(batch.num_rows, np.int64)
+        for col, shift in cols_shifts:
+            enc = pc.dictionary_encode(batch[col]).combine_chunks()
+            codes = np.array([ord(v.as_py()) for v in enc.dictionary],
+                             np.int64)
+            key += codes[np.asarray(enc.indices, np.int64)] << shift
+        return pa.table({
+            "grp": pa.array(key, pa.int64()),
+            "v": batch["l_extendedprice"].cast(pa.float64()),
+            "qty": pa.array(np.asarray(batch["l_quantity"], np.float64)
+                            .astype(np.int64))})
 
-def _unpack_char_cols(batch: pa.Table, cols_shifts,
-                      value_cols: dict[str, str]) -> pa.Table:
-    g = np.asarray(batch["grp"], np.int64)
-    out = {}
-    for col, shift in cols_shifts:
-        out[col] = pa.array([chr((v >> shift) & 255) for v in g.tolist()])
-    for out_name, src in value_cols.items():
-        out[out_name] = batch[src]
-    return pa.table(out)
+    def unpack(batch: pa.Table) -> pa.Table:
+        g = np.asarray(batch["grp"], np.int64).tolist()
+        out = {col: pa.array([chr((v >> shift) & 255) for v in g])
+               for col, shift in cols_shifts}
+        return pa.table({**out, **{c: batch[c] for c in _QTY_AGGS}})
+
+    agg = combine_by_key(ds.map_batches(project, batch_format="pyarrow"),
+                         "grp", _QTY_AGGS)
+    return agg.map_batches(unpack, batch_format="pyarrow")
 
 
 def _orders_by_nation(sf_dir: str):
@@ -1819,8 +1836,8 @@ def _orders_by_nation(sf_dir: str):
     import os
     import ray
     import pyarrow.parquet as pq
-    from shapefile_rs_ray.stages.relational import (broadcast_join,
-                                                    grouped_minmax_count)
+    from shapefile_rs_ray.stages.combine import combine_by_key
+    from shapefile_rs_ray.stages.relational import broadcast_join
     dim = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                         columns=["c_custkey", "c_nationkey"])
     dim = dim.rename_columns(["o_custkey", "c_nationkey"])
@@ -1829,39 +1846,28 @@ def _orders_by_nation(sf_dir: str):
         columns=["o_custkey", "o_totalprice"])
     joined = broadcast_join(orders, dim, key="o_custkey",
                             dim_cols=("c_nationkey",))
-    return grouped_minmax_count(joined, group_col="c_nationkey",
-                                value_col="o_totalprice")
+
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({"c_nationkey": b["c_nationkey"].cast(pa.int64()),
+                         "v": b["o_totalprice"].cast(pa.float64())})
+
+    return combine_by_key(joined.map_batches(project, batch_format="pyarrow"),
+                          "c_nationkey", _MINMAX_AGGS)
 
 
 def _lineitem_q1(sf_dir: str):
-    """TPC-H-Q1-flavor grouped aggregate over lineitem: group key packed
-    from the two 1-char status columns (dictionary-encode per batch, ords
-    resolved once on the tiny dictionary), partial collapse per batch,
-    bounded-cardinality final groupby. sum_qty is an exact integer sum
-    (l_quantity is integral); price aggregates are order-free MIN/MAX."""
+    """TPC-H-Q1-flavor grouped aggregate over lineitem per
+    (l_returnflag, l_linestatus): `_status_aggregates`. sum_qty is an
+    exact integer sum (l_quantity is integral); price aggregates are
+    order-free MIN/MAX."""
     import os
     import ray
-    from shapefile_rs_ray.stages.relational import grouped_minmax_count
-
-    shifts = (("l_returnflag", 8), ("l_linestatus", 0))
-    vals = {"n_rows": "n_rows", "sum_qty": "sum_int",
-            "max_value": "max_value", "min_value": "min_value"}
-
-    def pack_key(batch: pa.Table) -> pa.Table:
-        return _pack_char_cols(batch, shifts)
-
-    def unpack_key(batch: pa.Table) -> pa.Table:
-        return _unpack_char_cols(batch, shifts, vals)
-
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice"])
-    keyed = li.map_batches(pack_key, batch_format="pyarrow")
-    agg = grouped_minmax_count(keyed, group_col="grp",
-                               value_col="l_extendedprice",
-                               sum_int_col="l_quantity")
-    return agg.map_batches(unpack_key, batch_format="pyarrow")
+    return _status_aggregates(li, (("l_returnflag", 8),
+                                   ("l_linestatus", 0)))
 
 
 Q3_CUTOFF = "1998-06-01"
@@ -2135,9 +2141,11 @@ def _tpch_q5(sf_dir: str):
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_orderdate"])
         .map_batches(prep_orders, batch_format="pyarrow"))
-    orders = shuffle_join(orders, cust, key="o_custkey",
-                          right_cols=("c_nationkey",), parts=jp)
-    orders = orders.select_columns(["l_orderkey", "c_nationkey"])
+    # materialized: the next join reads its schema, which would rerun
+    # this exchange
+    orders = (shuffle_join(orders, cust, key="o_custkey",
+                           right_cols=("c_nationkey",), parts=jp)
+              .select_columns(["l_orderkey", "c_nationkey"]).materialize())
 
     supp = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
                          columns=["s_suppkey", "s_nationkey"])
@@ -2228,8 +2236,7 @@ def _lineitem_orders(sf_dir: str):
     aggregate. The scale path when the dimension outgrows broadcast."""
     import os
     import ray
-    from shapefile_rs_ray.stages.relational import (grouped_minmax_count,
-                                                    shuffle_join)
+    from shapefile_rs_ray.stages.relational import shuffle_join
 
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -2243,22 +2250,7 @@ def _lineitem_orders(sf_dir: str):
     joined = shuffle_join(li, orders, key="l_orderkey",
                           right_cols=("o_orderstatus",))
 
-    shifts = (("o_orderstatus", 0),)
-    vals = {"n_rows": "n_rows", "sum_qty": "sum_int",
-            "max_value": "max_value", "min_value": "min_value"}
-
-    def pack(batch: pa.Table) -> pa.Table:
-        return _pack_char_cols(batch, shifts)
-
-    def unpack(batch: pa.Table) -> pa.Table:
-        return _unpack_char_cols(batch, shifts, vals)
-
-    agg = grouped_minmax_count(joined.map_batches(pack,
-                                                  batch_format="pyarrow"),
-                               group_col="grp",
-                               value_col="l_extendedprice",
-                               sum_int_col="l_quantity")
-    return agg.map_batches(unpack, batch_format="pyarrow")
+    return _status_aggregates(joined, (("o_orderstatus", 0),))
 
 
 def _orders_semi(sf_dir: str):
@@ -2540,9 +2532,29 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # oracle changed, then fill the window with driver-green staples;
     # the remainder (all driver-green in earlier rounds) follows.
     return {
-        # -- changed: every keyed aggregate now runs through
-        # stages/combine.combine_by_key --
-        # spatial: cell counts, tiles, zonal, raster zones/regions
+        # -- changed: every co-partition join is one shuffle_join --
+        "tpch_q3": _tpch_q3,
+        "tpch_q5": _tpch_q5,
+        "tpch_q10": _tpch_q10,
+        "lineitem_orders": _lineitem_orders,
+        "orders_semi": _orders_semi,
+        "bloom_semi": _bloom_semi,
+        "cust_no_orders": _cust_no_orders,
+        "orders_lineitem_left": _orders_lineitem_left,
+        "orders_cust_full": _orders_cust_full,
+        "host_join": _host_join,
+        # -- changed: aggregates now through combine_by_key --
+        "orders_by_nation": _orders_by_nation,
+        "lineitem_q1": _lineitem_q1,
+        "chunk_dedup": _chunk_dedup,
+        # -- changed: graph, tf-idf, near-dup joins via shuffle_join --
+        "doc_rank": _doc_rank,
+        "host_triangles": _host_triangles,
+        "dup_clusters": _dup_clusters,
+        "tfidf_terms": _tfidf_terms,
+        "minhash_pairs": _minhash_pairs,
+        "jaccard_pairs": _jaccard_pairs,
+        # -- untouched staples filling the window --
         "hot_cells": _hot_cells,
         "tile_pyramid": _tile_pyramid,
         "zonal_stats": _zonal_stats,
@@ -2552,43 +2564,30 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "rasterize_zones": _rasterize_zones,
         "focal_stats": _focal_stats,
         "vectorize_regions": _vectorize_regions,
-        # relational: TPC-H aggregates, double quantiles
-        "tpch_q3": _tpch_q3,
-        "tpch_q5": _tpch_q5,
-        "tpch_q10": _tpch_q10,
         "tpch_q18": _tpch_q18,
         "value_quantiles": _value_quantiles,
-        # dedup: exact, pair, url/host accounting
         "exact_dedup": _exact_dedup,
         "simhash_pairs": _simhash_pairs,
         "phash_neardup": _phash_neardup,
         "url_canon": _url_canon,
         "blocklist_hosts": _blocklist_hosts,
-        "host_join": _host_join,
-        # graph: components, pagerank, triangles
-        "dup_clusters": _dup_clusters,
-        "doc_rank": _doc_rank,
-        "host_triangles": _host_triangles,
-        # text: BPE, LM, tf-idf, split
         "bpe_merges": _bpe_merges,
         "bpe_encode": _bpe_encode,
         "lm_score": _lm_score,
         "ppl_buckets": _ppl_buckets,
-        "tfidf_terms": _tfidf_terms,
         "inverted_index": _inverted_index,
         "stratified_split": _stratified_split,
-        # events: tumbling/hopping windows, distinct users
         "events_window": _events_window,
         "events_hopping": _events_hopping,
         "window_distinct": _window_distinct,
-        # -- changed: the FLAC twin decodes sample-rate codes 12-14 --
         "flac_decode": _codec_query("flac_decode"),
-        # -- untouched staples filling the window --
         "warc_extract": _warc_extract,
         "robots_gate": _robots_gate,
         "events_pushdown": _events_pushdown,
         "tpch_q6": _tpch_q6,
         "compress_ratio": _compress_ratio,
+        # ---- end of the 50-entry correctness-gate window ----
+        # Every entry below is an UNTOUCHED gate-green staple.
         "quota_sample": _quota_sample,
         "seq_pack": _seq_pack,
         "script_mix": _script_mix,
@@ -2597,11 +2596,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "wkb_export": _wkb_export,
         "kmeans_embed": _kmeans_embed,
         "semantic_neardup": _semantic_neardup,
-        "minhash_pairs": _minhash_pairs,
-        "jaccard_pairs": _jaccard_pairs,
         "bigram_counts": _bigram_counts,
-        # ---- end of the 50-entry correctness-gate window ----
-        # Every entry below is an UNTOUCHED gate-green staple.
         **{name: _codec_query(name) for name in CODECS
            if name != "flac_decode"},
         "trigram_counts": _trigram_counts,
@@ -2613,7 +2608,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "h3_compact": _h3_compact,
         "h3_ring": _h3_ring,
         "cells_multi": _cells_multi,
-        "chunk_dedup": _chunk_dedup,
         "ann_lsh_top1": _ann_lsh_top1,
         "ann_ivf_top1": _ann_ivf_top1,
         "lake_measures": _lake_measures,
@@ -2623,25 +2617,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_late": _events_late,
         "range_join": _range_join,
         "top_events_user": _top_events_user,
-        "orders_by_nation": _orders_by_nation,
-        "lineitem_q1": _lineitem_q1,
         "asof_join": _asof_join,
         "session_windows": _session_windows,
         "top_events": _top_events,
         "pip_join": _pip_join,
         "decode_lakes": _decode_lakes,
         "cust_orders_left": _cust_orders_left,
-        "orders_semi": _orders_semi,
-        "bloom_semi": _bloom_semi,
-        "cust_no_orders": _cust_no_orders,
-        "orders_lineitem_left": _orders_lineitem_left,
-        "orders_cust_full": _orders_cust_full,
         "distinct_langs": _distinct_langs,
         "host_filter": _host_filter,
         "running_max": _running_max,
         "lag_lead": _lag_lead,
         "union_split": _union_split,
-        "lineitem_orders": _lineitem_orders,
         "rollup_orders": _rollup_orders,
         "knn_sites": _knn_sites,
         "webpages": _webpages,

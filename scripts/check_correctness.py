@@ -38,6 +38,17 @@ def digest(df) -> str:
     return hashlib.sha256(df.to_csv(index=False).encode()).hexdigest()
 
 
+def first_diff(got, exp):
+    """Position, in canon() order, of the first row where two equally
+    shaped frames differ (nulls equal nulls), or None."""
+    import numpy as np
+
+    same = (got.values == exp.values) | (got.isna().values
+                                         & exp.isna().values)
+    rows = np.flatnonzero(~same.all(axis=1))
+    return int(rows[0]) if len(rows) else None
+
+
 def main():
     import duckdb
     import ray
@@ -110,6 +121,12 @@ def main():
                 print("   oracle cols:", list(exp.columns))
             elif ok_rows and not ok_vals:
                 print("   ", msg)
+                i = first_diff(got, exp2)
+                if i is not None:
+                    print(f"   first differing row {i}:")
+                    for side, df in (("engine", got), ("oracle", exp2)):
+                        print(f"   {side}:",
+                              df.iloc[i:i + 1].to_dict("records")[0])
     ray.shutdown()
     if failures:
         print("FAILURES:", failures)

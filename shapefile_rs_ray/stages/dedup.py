@@ -68,7 +68,6 @@ def exact_dedup(pages, *, id_col: str = "page_id", text_col: str = "text"):
 def minhash_lsh_pairs(pages, *, id_col: str = "page_id",
                       text_col: str = "text", num_perm: int = 64,
                       bands: int = 16, jaccard_threshold: float = 0.8,
-                      max_driver_candidates: int = 2_000_000,
                       concurrency=(1, 4), checkpoint_dir: str | None = None):
     """Near-duplicate pairs (id_a < id_b, exact word-3-shingle Jaccard >=
     threshold) among LSH candidates. Returns Dataset(id_a, id_b).
@@ -98,8 +97,7 @@ def minhash_lsh_pairs(pages, *, id_col: str = "page_id",
     a coarse pair-hash shuffle, rep membership is a driver-bounded Bloom
     bitmap (false positives only shingle extra pages; the attach join
     drops them), and confirmed-family expansion is a member-hash
-    shuffle. `max_driver_candidates` is retained for API compatibility
-    but no longer chunks anything.
+    shuffle.
     """
     import ray
 
@@ -377,94 +375,51 @@ def _verify_candidates(pages, cand, *, id_col: str, text_col: str,
     """Exact string-shingle Jaccard verification of a deduped candidate
     Dataset (a, b, rep_a, rep_b) — zero driver-held candidate state:
 
-      1. candidate rows split into two (rep, side) routing rows and
-         shuffle by rep-id hash (ints only);
+      1. candidate rows split into two (rep, side) routing rows;
       2. ONE pass over the corpus computes shingles for pages passing the
-         rep Bloom filter and shuffles them to the same key;
-      3. the attach join pairs each routing row with its rep's shingles
-         (a Bloom false positive simply finds no routing row) and
-         re-shuffles by pair hash so both sides co-locate;
+         rep Bloom filter;
+      3. the routing rows left-join the shingle rows on rep
+         (`shuffle_join`; a Bloom false positive simply finds no routing
+         row, a routing row with no page raises) and re-shuffle by pair
+         hash so both sides co-locate;
       4. per-pair exact Jaccard.
 
     Emits (a, b, rep_a, rep_b, jac) for confirmed pairs."""
     import ray
+    from .relational import shuffle_join
 
     bloom_ref, mask = _make_rep_bloom(cand, cand.count())
 
     def rep_rows(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["a"], np.int64)
         b = np.asarray(batch["b"], np.int64)
-        ra = np.asarray(batch["rep_a"], np.int64)
-        rb = np.asarray(batch["rep_b"], np.int64)
         n = len(a)
-        rep = np.concatenate([ra, rb])
         return pa.table({
-            "rk": pa.array(np.ones(2 * n, np.int64), pa.int64()),
-            "rep": pa.array(rep, pa.int64()),
+            "rep": pa.array(np.concatenate([
+                np.asarray(batch["rep_a"], np.int64),
+                np.asarray(batch["rep_b"], np.int64)]), pa.int64()),
             "a": pa.array(np.concatenate([a, a]), pa.int64()),
             "b": pa.array(np.concatenate([b, b]), pa.int64()),
-            "side": pa.array(np.concatenate([np.zeros(n, np.int64),
-                                             np.ones(n, np.int64)]),
-                             pa.int64()),
-            "sh": pa.array([[]] * (2 * n), _EMPTY_SH),
-            "__pr": pa.array(rep % _REP_PARTS, pa.int64())})
+            "side": pa.array(np.repeat(np.arange(2, dtype=np.int64), n))})
 
     def page_rows(batch: pa.Table) -> pa.Table:
         bm = ray.get(bloom_ref)
         ids = np.asarray(batch[id_col], np.int64)
         keep = _bloom_contains(ids, bm, mask)
-        sub_ids = ids[keep]
         texts = batch.filter(pa.array(keep))[text_col].to_pylist()
-        shs = [sorted(hashing.text_shingles(t)) for t in texts]
-        n = len(sub_ids)
-        z = np.zeros(n, np.int64)
         return pa.table({
-            "rk": pa.array(z, pa.int64()),
-            "rep": pa.array(sub_ids, pa.int64()),
-            "a": pa.array(z, pa.int64()),
-            "b": pa.array(z, pa.int64()),
-            "side": pa.array(np.full(n, -1, np.int64), pa.int64()),
-            "sh": pa.array(shs, _EMPTY_SH),
-            "__pr": pa.array(sub_ids % _REP_PARTS, pa.int64())})
+            "rep": pa.array(ids[keep], pa.int64()),
+            "sh": pa.array([sorted(hashing.text_shingles(t))
+                            for t in texts], _EMPTY_SH)})
 
-    def attach(part: pa.Table) -> pa.Table:
-        """Partition = whole rep-id groups: give every routing row its
-        rep's shingle list, key the output by pair hash."""
-        rk = np.asarray(part["rk"], np.int64)
-        rep = np.asarray(part["rep"], np.int64)
-        is_page = rk == 0
-        page_pos = np.nonzero(is_page)[0]
-        order = np.argsort(rep[page_pos], kind="stable")
-        page_pos = page_pos[order]
-        sorted_ids = rep[page_pos]
-        rr = np.nonzero(~is_page)[0]
-        if len(rr) == 0:
-            return pa.table({
-                "a": pa.array([], pa.int64()),
-                "b": pa.array([], pa.int64()),
-                "side": pa.array([], pa.int64()),
-                "rep": pa.array([], pa.int64()),
-                "sh": pa.array([], _EMPTY_SH),
-                "__pp": pa.array([], pa.int64())})
-        rrep = rep[rr]
-        pos = np.searchsorted(sorted_ids, rrep)
-        if (pos >= len(sorted_ids)).any() or \
-                (sorted_ids[np.minimum(pos, max(0, len(sorted_ids) - 1))]
-                 != rrep).any():
+    def by_pair(batch: pa.Table) -> pa.Table:
+        if batch["sh"].null_count:
             raise ValueError(
                 "minhash/jaccard verify: rep id absent from the corpus — "
                 "upstream dataset changed between passes")
-        take = pa.array(page_pos[pos], pa.int64())
-        a = np.asarray(part["a"], np.int64)[rr]
-        b = np.asarray(part["b"], np.int64)[rr]
-        return pa.table({
-            "a": pa.array(a, pa.int64()),
-            "b": pa.array(b, pa.int64()),
-            "side": pa.array(np.asarray(part["side"], np.int64)[rr],
-                             pa.int64()),
-            "rep": pa.array(rrep, pa.int64()),
-            "sh": pc.take(part["sh"].combine_chunks(), take),
-            "__pp": pa.array(_pair_part(a, b), pa.int64())})
+        return batch.append_column("__pp", pa.array(_pair_part(
+            np.asarray(batch["a"], np.int64),
+            np.asarray(batch["b"], np.int64)), pa.int64()))
 
     def verify(part: pa.Table) -> pa.Table:
         a = np.asarray(part["a"], np.int64)
@@ -502,19 +457,33 @@ def _verify_candidates(pages, cand, *, id_col: str, text_col: str,
             "jac": pa.array(oj, pa.float64())})
 
     routed = cand.map_batches(rep_rows, batch_format="pyarrow")
-    shingled = pages.map_batches(page_rows, batch_format="pyarrow")
-    return (shingled.union(routed).groupby("__pr")
-            .map_groups(attach, batch_format="pyarrow")
+    # the one corpus pass; materialized so the join's schema read does
+    # not shingle a block a second time (bounded by the rep count)
+    shingled = pages.map_batches(page_rows,
+                                 batch_format="pyarrow").materialize()
+    return (shuffle_join(routed, shingled, key="rep", right_cols=("sh",),
+                         how="left", parts=_REP_PARTS)
+            .map_batches(by_pair, batch_format="pyarrow")
             .groupby("__pp").map_groups(verify, batch_format="pyarrow"))
 
 
 def _expand_members(confirmed, members):
     """Distributed expansion of confirmed FAMILY pairs (a, b text hashes)
     to member id pairs through the (hash, id) member rows: confirmed
-    pairs split into per-hash routing rows, co-partition with member
-    rows on hash, then co-partition the (pair, side, member) rows on
-    pair hash and emit the per-pair cross products. Ints only end to
-    end; no driver state."""
+    pairs split into per-hash routing rows, inner-join the member rows
+    on hash (`shuffle_join`, one row per member), then co-partition the
+    (pair, side, member) rows on pair hash and emit the per-pair cross
+    products. Ints only end to end; no driver state."""
+    import ray
+    from .relational import shuffle_join
+
+    # materialized (bounded by confirmed pairs): the join reads its
+    # schema, which would otherwise rerun the whole verify exchange
+    confirmed = confirmed.materialize()
+    if confirmed.count() == 0:
+        return ray.data.from_arrow(pa.table({
+            "id_a": pa.array([], pa.int64()),
+            "id_b": pa.array([], pa.int64())}))
 
     def conf_rows(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -524,64 +493,19 @@ def _expand_members(confirmed, members):
             a = np.asarray(batch["a"], np.int64)
             b = np.asarray(batch["b"], np.int64)
         n = len(a)
-        h = np.concatenate([a, b])
         return pa.table({
-            "mk": pa.array(np.ones(2 * n, np.int64), pa.int64()),
-            "h": pa.array(h, pa.int64()),
+            "h": pa.array(np.concatenate([a, b]), pa.int64()),
             "a": pa.array(np.concatenate([a, a]), pa.int64()),
             "b": pa.array(np.concatenate([b, b]), pa.int64()),
-            "side": pa.array(np.concatenate([np.zeros(n, np.int64),
-                                             np.ones(n, np.int64)]),
-                             pa.int64()),
-            "member": pa.array(np.zeros(2 * n, np.int64), pa.int64()),
-            "__ph": pa.array(h % PAIR_PARTS, pa.int64())})
+            "side": pa.array(np.repeat(np.arange(2, dtype=np.int64), n))})
 
     def member_rows(batch: pa.Table) -> pa.Table:
-        h = np.asarray(batch["a"], np.int64)
-        n = len(h)
-        z = np.zeros(n, np.int64)
-        return pa.table({
-            "mk": pa.array(z, pa.int64()),
-            "h": pa.array(h, pa.int64()),
-            "a": pa.array(z, pa.int64()),
-            "b": pa.array(z, pa.int64()),
-            "side": pa.array(np.full(n, -1, np.int64), pa.int64()),
-            "member": pa.array(np.asarray(batch["b"], np.int64),
-                               pa.int64()),
-            "__ph": pa.array(h % PAIR_PARTS, pa.int64())})
+        return pa.table({"h": batch["a"], "member": batch["b"]})
 
-    def join_members(part: pa.Table) -> pa.Table:
-        mk = np.asarray(part["mk"], np.int64)
-        h = np.asarray(part["h"], np.int64)
-        is_m = mk == 0
-        mh = h[is_m]
-        mid = np.asarray(part["member"], np.int64)[is_m]
-        o = np.argsort(mh, kind="stable")
-        mh, mid = mh[o], mid[o]
-        cr = np.nonzero(~is_m)[0]
-        ch = h[cr]
-        lo = np.searchsorted(mh, ch, side="left")
-        hi = np.searchsorted(mh, ch, side="right")
-        counts = hi - lo
-        tot = int(counts.sum())
-        if tot == 0:
-            z = pa.array([], pa.int64())
-            return pa.table({"a": z, "b": z, "side": z, "member": z,
-                             "__pp": z})
-        starts = np.repeat(lo, counts)
-        offs = np.arange(tot, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts)
-        idx = starts + offs
-        a = np.repeat(np.asarray(part["a"], np.int64)[cr], counts)
-        b = np.repeat(np.asarray(part["b"], np.int64)[cr], counts)
-        return pa.table({
-            "a": pa.array(a, pa.int64()),
-            "b": pa.array(b, pa.int64()),
-            "side": pa.array(np.repeat(
-                np.asarray(part["side"], np.int64)[cr], counts),
-                pa.int64()),
-            "member": pa.array(mid[idx], pa.int64()),
-            "__pp": pa.array(_pair_part(a, b), pa.int64())})
+    def by_pair(batch: pa.Table) -> pa.Table:
+        return batch.append_column("__pp", pa.array(_pair_part(
+            np.asarray(batch["a"], np.int64),
+            np.asarray(batch["b"], np.int64)), pa.int64()))
 
     def expand(part: pa.Table) -> pa.Table:
         a = np.asarray(part["a"], np.int64)
@@ -614,8 +538,9 @@ def _expand_members(confirmed, members):
     conf = confirmed.select_columns(["a", "b"]).map_batches(
         conf_rows, batch_format="pyarrow")
     mem = members.map_batches(member_rows, batch_format="pyarrow")
-    return (mem.union(conf).groupby("__ph")
-            .map_groups(join_members, batch_format="pyarrow")
+    return (shuffle_join(conf, mem, key="h", right_cols=("member",),
+                         parts=PAIR_PARTS)
+            .map_batches(by_pair, batch_format="pyarrow")
             .groupby("__pp").map_groups(expand, batch_format="pyarrow"))
 
 
@@ -637,8 +562,8 @@ def chunk_dedup(docs, *, id_col: str = "doc_id", text_col: str = "text",
     sha digest of the chunk string (full digest: a 64-bit key would
     birthday-collide at 10^12 chunks), one coarse hash shuffle decides
     winners per partition-local distinct chunk, per-doc kept partials
-    plus map-side (doc, n_chunks) marker rows reduce in one doc-hash
-    shuffle. Docs with no full chunk still emit (doc, 0, 0)."""
+    plus map-side (doc, n_chunks) marker rows sum per doc in
+    `combine_by_key`. Docs with no full chunk still emit (doc, 0, 0)."""
     from .ngrams import _doc_ngrams
 
     def _chunk_heads(batch: pa.Table):
@@ -664,10 +589,9 @@ def chunk_dedup(docs, *, id_col: str = "doc_id", text_col: str = "text",
         if pos is not None and len(pos):
             np.add.at(nchunks, owner[pos], 1)
         return pa.table({
-            "doc": pa.array(ids, pa.int64()),
+            "doc_id": pa.array(ids, pa.int64()),
             "nc": pa.array(nchunks, pa.int64()),
-            "nk": pa.array(np.zeros(batch.num_rows, np.int64), pa.int64()),
-            "__dp": pa.array(ids % dparts, pa.int64())})
+            "nk": pa.array(np.zeros(batch.num_rows, np.int64), pa.int64())})
 
     def occs_only(batch: pa.Table) -> pa.Table:
         ids, toks, owner, within, pos = _chunk_heads(batch)
@@ -700,29 +624,17 @@ def chunk_dedup(docs, *, id_col: str = "doc_id", text_col: str = "text",
         win_doc = doc[order][first]
         u, cnt = np.unique(win_doc, return_counts=True)
         return pa.table({
-            "doc": pa.array(u, pa.int64()),
-            "nc": pa.array(np.zeros(len(u), np.int64), pa.int64()),
-            "nk": pa.array(cnt.astype(np.int64), pa.int64()),
-            "__dp": pa.array(u % dparts, pa.int64())})
-
-    def per_doc(part: pa.Table) -> pa.Table:
-        doc = np.asarray(part["doc"], np.int64)
-        nc = np.asarray(part["nc"], np.int64)
-        nk = np.asarray(part["nk"], np.int64)
-        u, inv = np.unique(doc, return_inverse=True)
-        return pa.table({
             "doc_id": pa.array(u, pa.int64()),
-            "n_chunks": pa.array(np.bincount(inv, weights=nc)
-                                 .astype(np.int64), pa.int64()),
-            "n_kept": pa.array(np.bincount(inv, weights=nk)
-                               .astype(np.int64), pa.int64())})
+            "nc": pa.array(np.zeros(len(u), np.int64), pa.int64()),
+            "nk": pa.array(cnt.astype(np.int64), pa.int64())})
 
     markers = docs.map_batches(markers_only, batch_format="pyarrow")
     kept = (docs.map_batches(occs_only, batch_format="pyarrow")
             .groupby("__p").map_groups(kept_partials,
                                        batch_format="pyarrow"))
-    return (markers.union(kept).groupby("__dp")
-            .map_groups(per_doc, batch_format="pyarrow"))
+    return combine_by_key(markers.union(kept), "doc_id",
+                          {"n_chunks": ("nc", "sum"),
+                           "n_kept": ("nk", "sum")}, parts=dparts)
 
 
 def simhash_pairs(pages, *, id_col: str = "page_id", text_col: str = "text",
@@ -902,8 +814,7 @@ def embedding_neardup_pairs(queries_ds, corpus, *,
 
 
 def jaccard_similarity_join(pages, *, id_col: str = "page_id",
-                            text_col: str = "text", threshold: float = 0.8,
-                            max_driver_candidates: int = 2_000_000):
+                            text_col: str = "text", threshold: float = 0.8):
     """EXACT word-3-shingle n-gram Jaccard similarity self-join: every
     pair of DISTINCT texts with J >= threshold, as (id_a, id_b, jac)
     over min-id representatives (id_a < id_b). Unlike `minhash_lsh_pairs`
@@ -923,8 +834,7 @@ def jaccard_similarity_join(pages, *, id_col: str = "page_id",
     verification recomputes exact STRING-shingle Jaccard on the
     Bloom-rep-filtered corpus in ONE pass (the shared minhash pass-2
     machinery) and emits the jac value; no candidate row ever lands on
-    the driver. `max_driver_candidates` is retained for API
-    compatibility but no longer chunks anything.
+    the driver.
 
     At-scale caveats (documented, immaterial at gate scale): prefix
     membership uses random hash order, so one extremely frequent

@@ -155,11 +155,12 @@ def min_label_components(pairs, *, a_col: str = "id_a", b_col: str = "id_b",
         # skip the two joins (the input pair list has no self-loops)
         if _round > 0 and edges.count() > 0:
             # 1. contract: relabel src, then dst, through current labels
+            # (e1 materializes: the dst join reads its schema)
             e1 = shuffle_join(
                 edges,
                 labels.map_batches(lbl_as_src, batch_format="pyarrow"),
                 key="src", right_cols=("lbl",), parts=parts
-            ).map_batches(take_src_lbl, batch_format="pyarrow")
+            ).map_batches(take_src_lbl, batch_format="pyarrow").materialize()
             edges = (shuffle_join(
                 e1, labels.map_batches(lbl_as_dst, batch_format="pyarrow"),
                 key="dst", right_cols=("lbl",), parts=parts)
@@ -213,74 +214,34 @@ def pagerank(edges, nodes, *, src_col: str = "src", dst_col: str = "dst",
     replayability contract as the integer k-means: the oracle re-runs
     the rounds in SQL with BIGINT `//`).
 
-    Distributed shape per round: ONE tag-union co-partition exchange
-    joins scores to edges by src (coarse prime modulus, vectorized
-    searchsorted lookup), `combine_by_key` sums contributions per dst,
-    one tag-union exchange attaches them back to the node set (absent ->
-    base mass). Loop
-    state re-materializes at a constant block count each round (the
-    geometric-blocks trap). Scale note: T_i < total mass = N * SCALE;
-    shrink PR_SCALE for node counts beyond ~4e6 to stay inside int64.
+    Distributed shape per round: one `shuffle_join` attaches scores to
+    edges by src, `combine_by_key` sums contributions per dst, one
+    left `shuffle_join` attaches them back to the node set (absent ->
+    base mass). Loop state re-materializes at a constant block count
+    each round (the geometric-blocks trap). Scale note: T_i < total
+    mass = N * SCALE; shrink PR_SCALE for node counts beyond ~4e6 to
+    stay inside int64.
 
     edges must be DISTINCT (src, dst) rows with integer weight w;
     nodes is Dataset(node) of every rank-carrying id (docs with no
-    inbound links still emit base mass). Dangling nodes (no outbound)
-    simply leak their mass each round — the standard simplification;
-    the synthetic doc graph has none."""
+    inbound links still emit base mass); an edge whose src is not a
+    node raises ValueError. Dangling nodes (no outbound) simply leak
+    their mass each round — the standard simplification; the
+    synthetic doc graph has none."""
+    from .relational import shuffle_join
 
-    def _tag(key: np.ndarray, extra: dict, kind: int):
-        n = len(key)
-        cols = {"key": pa.array(key, pa.int64())}
-        for name, v in extra.items():
-            cols[name] = pa.array(v, pa.int64())
-        cols["kind"] = pa.array(np.full(n, kind, np.int64), pa.int64())
-        cols["__p"] = pa.array(key % parts, pa.int64())
-        return pa.table(cols)
-
-    # loop-invariant: per-src out-weight attached to every edge
-    def src_w(batch: pa.Table) -> pa.Table:
+    def as_edges(batch: pa.Table) -> pa.Table:
         return pa.table({"src": batch[src_col].cast(pa.int64()),
+                         "dst": batch[dst_col].cast(pa.int64()),
                          "w": batch[w_col].cast(pa.int64())})
 
-    outw = combine_by_key(edges.map_batches(src_w, batch_format="pyarrow"),
-                          "src", {"outw": ("w", "sum")}, parts=parts)
-
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        src = np.asarray(batch[src_col], np.int64)
-        return _tag(src,
-                    {"dst": np.asarray(batch[dst_col], np.int64),
-                     "w": np.asarray(batch[w_col], np.int64),
-                     "v": np.zeros(len(src), np.int64)}, 0)
-
-    def outw_rows(batch: pa.Table) -> pa.Table:
-        src = np.asarray(batch["src"], np.int64)
-        z = np.zeros(len(src), np.int64)
-        return _tag(src,
-                    {"dst": z, "w": z,
-                     "v": np.asarray(batch["outw"], np.int64)}, 1)
-
-    def attach_outw(part: pa.Table) -> pa.Table:
-        kind = np.asarray(part["kind"], np.int64)
-        key = np.asarray(part["key"], np.int64)
-        em = kind == 0
-        osrc = key[~em]
-        oval = np.asarray(part["v"], np.int64)[~em]
-        o = np.argsort(osrc)
-        osrc, oval = osrc[o], oval[o]
-        src = key[em]
-        idx = np.searchsorted(osrc, src)
-        return pa.table({
-            "src": pa.array(src, pa.int64()),
-            "dst": pa.array(np.asarray(part["dst"], np.int64)[em],
-                            pa.int64()),
-            "w": pa.array(np.asarray(part["w"], np.int64)[em],
-                          pa.int64()),
-            "outw": pa.array(oval[idx], pa.int64())})
-
-    edges_o = (edges.map_batches(edge_rows, batch_format="pyarrow")
-               .union(outw.map_batches(outw_rows, batch_format="pyarrow"))
-               .groupby("__p")
-               .map_groups(attach_outw, batch_format="pyarrow")
+    # loop-invariant: per-src out-weight attached to every edge (edges
+    # materializes once: both the out-weight sum and the join read it)
+    edges = edges.map_batches(as_edges, batch_format="pyarrow").materialize()
+    outw = combine_by_key(edges, "src", {"outw": ("w", "sum")},
+                          parts=parts).materialize()
+    edges_o = (shuffle_join(edges, outw, key="src", right_cols=("outw",),
+                            parts=parts)
                .repartition(n_blocks).materialize())
 
     def init_scores(batch: pa.Table) -> pa.Table:
@@ -290,79 +251,39 @@ def pagerank(edges, nodes, *, src_col: str = "src", dst_col: str = "dst",
             "s": pa.array(np.full(len(node), PR_SCALE, np.int64),
                           pa.int64())})
 
+    def score_by_src(batch: pa.Table) -> pa.Table:
+        return pa.table({"src": batch["node"], "s": batch["s"]})
+
+    def to_contrib(batch: pa.Table) -> pa.Table:
+        if batch["s"].null_count:
+            raise ValueError("pagerank: edge src missing from nodes")
+        w = np.asarray(batch["w"], np.int64)
+        s = np.asarray(batch["s"], np.int64)
+        ow = np.asarray(batch["outw"], np.int64)
+        return pa.table({"node": batch["dst"],
+                         "t": pa.array((w * s) // ow, pa.int64())})
+
+    def to_score(batch: pa.Table) -> pa.Table:
+        t = np.asarray(batch["t"].fill_null(0), np.int64)
+        return pa.table({"node": batch["node"],
+                         "s": pa.array(PR_BASE + (85 * t) // 100,
+                                       pa.int64())})
+
     nodes = nodes.materialize()
     scores = (nodes.map_batches(init_scores, batch_format="pyarrow")
               .repartition(n_blocks).materialize())
-
-    def eo_rows(batch: pa.Table) -> pa.Table:
-        src = np.asarray(batch["src"], np.int64)
-        return _tag(src,
-                    {"a": np.asarray(batch["dst"], np.int64),
-                     "b": np.asarray(batch["w"], np.int64),
-                     "c": np.asarray(batch["outw"], np.int64)}, 0)
-
-    def score_rows(batch: pa.Table) -> pa.Table:
-        node = np.asarray(batch["node"], np.int64)
-        z = np.zeros(len(node), np.int64)
-        return _tag(node,
-                    {"a": z, "b": z,
-                     "c": np.asarray(batch["s"], np.int64)}, 1)
-
-    def contribs(part: pa.Table) -> pa.Table:
-        kind = np.asarray(part["kind"], np.int64)
-        key = np.asarray(part["key"], np.int64)
-        em = kind == 0
-        snode = key[~em]
-        sval = np.asarray(part["c"], np.int64)[~em]
-        o = np.argsort(snode)
-        snode, sval = snode[o], sval[o]
-        src = key[em]
-        dst = np.asarray(part["a"], np.int64)[em]
-        w = np.asarray(part["b"], np.int64)[em]
-        ow = np.asarray(part["c"], np.int64)[em]
-        s = sval[np.searchsorted(snode, src)]
-        return pa.table({"node": pa.array(dst, pa.int64()),
-                         "t": pa.array((w * s) // ow, pa.int64())})
-
-    def node_rows(batch: pa.Table) -> pa.Table:
-        node = np.asarray(batch["node"], np.int64)
-        return _tag(node,
-                    {"t": np.zeros(len(node), np.int64)}, 0)
-
-    def t_rows(batch: pa.Table) -> pa.Table:
-        node = np.asarray(batch["node"], np.int64)
-        return _tag(node,
-                    {"t": np.asarray(batch["t"], np.int64)}, 1)
-
-    def new_scores(part: pa.Table) -> pa.Table:
-        kind = np.asarray(part["kind"], np.int64)
-        key = np.asarray(part["key"], np.int64)
-        t = np.asarray(part["t"], np.int64)
-        node = key[kind == 0]
-        cn = key[kind == 1]
-        ct = t[kind == 1]
-        o = np.argsort(cn)
-        cn, ct = cn[o], ct[o]
-        idx = np.searchsorted(cn, node)
-        hit = (idx < len(cn))
-        idx2 = np.minimum(idx, max(len(cn) - 1, 0))
-        hit &= (cn[idx2] == node) if len(cn) else False
-        tv = np.where(hit, ct[idx2] if len(cn) else 0, 0)
-        s = PR_BASE + (85 * tv) // 100
-        return pa.table({"node": pa.array(node, pa.int64()),
-                         "s": pa.array(s, pa.int64())})
-
     for _ in range(rounds):
         t_ds = combine_by_key(
-            edges_o.map_batches(eo_rows, batch_format="pyarrow")
-            .union(scores.map_batches(score_rows, batch_format="pyarrow"))
-            .groupby("__p").map_groups(contribs, batch_format="pyarrow"),
-            "node", {"t": ("t", "sum")}, parts=parts)
-        scores = (nodes.map_batches(node_rows, batch_format="pyarrow")
-                  .union(t_ds.map_batches(t_rows,
-                                          batch_format="pyarrow"))
-                  .groupby("__p")
-                  .map_groups(new_scores, batch_format="pyarrow")
+            shuffle_join(edges_o,
+                         scores.map_batches(score_by_src,
+                                            batch_format="pyarrow"),
+                         key="src", right_cols=("s",), how="left",
+                         parts=parts)
+            .map_batches(to_contrib, batch_format="pyarrow"),
+            "node", {"t": ("t", "sum")}, parts=parts).materialize()
+        scores = (shuffle_join(nodes, t_ds, key="node", right_cols=("t",),
+                               how="left", parts=parts)
+                  .map_batches(to_score, batch_format="pyarrow")
                   .repartition(n_blocks).materialize())
     return scores
 
@@ -380,22 +301,23 @@ def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
 
       1. normalize + DISTINCT the edge list ((min,max), self-loops
          dropped) — per-batch collapse, one coarse shuffle;
-      2. degrees by coarse partition reduce; attach deg to each
-         endpoint via two tag-union co-partition joins (never a
-         per-distinct-key groupby);
+      2. degrees by `combine_by_key`; attach deg to each endpoint with
+         two left `shuffle_join`s (never a per-distinct-key groupby);
       3. orient every edge low->(deg, id)-high: each triangle now has
          exactly ONE apex (its lowest-ranked vertex), and out-degrees
          are bounded by O(sqrt(2m)) — the wedge blow-up cap;
       4. wedge-generate per apex (vectorized all-pairs within groups:
          offset arithmetic, no Python loop) partitioned by apex;
-      5. membership-join wedges against the edge set (tag-union
-         co-partition by the id-ordered pair key, searchsorted match);
+      5. membership: a semi `shuffle_join` of the wedges' closing pair
+         key against the edge set;
       6. matched wedge = one triangle -> +1 to apex and both legs;
-         coarse partition sum -> (node, n_tri).
+         `combine_by_key` count -> (node, n_tri).
 
     Node ids must fit 31 bits (pair keys pack as (lo<<32)|hi, the same
     int64-packing contract doc_rank uses); raises loudly otherwise.
     """
+    from .relational import shuffle_join
+
     def norm_edges(batch: pa.Table) -> pa.Table:
         x = np.asarray(batch[a_col], np.int64)
         y = np.asarray(batch[b_col], np.int64)
@@ -419,56 +341,23 @@ def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
                        "node", {"deg": ("node", "count")},
                        parts=parts).materialize()
 
-    # --- attach deg to an endpoint column via tag-union co-partition
+    # --- attach deg to an endpoint column; materialized, so the second
+    # attach reads the first one's schema without rerunning it
     def attach(e_ds, col, out_name):
-        def e_rows(batch: pa.Table) -> pa.Table:
-            k = np.asarray(batch[col], np.int64)
-            t = pa.table({c: batch[c] for c in batch.column_names
-                          if c != "__p"})
-            t = t.append_column("__k", pa.array(k, pa.int64()))
-            t = t.append_column("__kind", pa.array(
-                np.ones(len(k), np.int64)))
-            return t.append_column("__p", pa.array(k % parts, pa.int64()))
+        def deg_as(batch: pa.Table) -> pa.Table:
+            return pa.table({col: batch["node"], out_name: batch["deg"]})
 
-        def d_rows(batch: pa.Table) -> pa.Table:
-            n = np.asarray(batch["node"], np.int64)
-            cols = {c: pa.nulls(len(n), e_schema.field(c).type)
-                    for c in e_names}
-            cols["__k"] = pa.array(n, pa.int64())
-            cols["__kind"] = pa.array(np.zeros(len(n), np.int64))
-            cols["__p"] = pa.array(n % parts, pa.int64())
-            cols["__deg"] = batch["deg"]     # same column ORDER as e_rows2
-            return pa.table(cols)
-
-        e_schema = e_ds.schema().base_schema
-        e_names = [c for c in e_schema.names if c != "__p"]
-
-        def e_rows2(batch: pa.Table) -> pa.Table:
-            t = e_rows(batch)
-            return t.append_column("__deg", pa.nulls(t.num_rows,
-                                                     pa.int64()))
-
-        def join(part: pa.Table) -> pa.Table:
-            kind = np.asarray(part["__kind"], np.int64)
-            k = np.asarray(part["__k"], np.int64)
-            dn = k[kind == 0]
-            dv = np.asarray(part["__deg"], np.int64)[kind == 0]
-            o = np.argsort(dn)
-            dn, dv = dn[o], dv[o]
-            em = kind == 1
-            ek = k[em]
-            idx = np.searchsorted(dn, ek)
-            if len(dn) == 0 or not np.all(dn[np.minimum(idx, len(dn) - 1)]
-                                          == ek):
+        def check(batch: pa.Table) -> pa.Table:
+            if batch[out_name].null_count:
                 raise ValueError("triangle_counts: endpoint missing from "
                                  "degree table")
-            out = {c: part[c].filter(pa.array(em)) for c in e_names}
-            out[out_name] = pa.array(dv[idx], pa.int64())
-            return pa.table(out)
+            return batch
 
-        return (e_ds.map_batches(e_rows2, batch_format="pyarrow")
-                .union(D.map_batches(d_rows, batch_format="pyarrow"))
-                .groupby("__p").map_groups(join, batch_format="pyarrow"))
+        return (shuffle_join(e_ds, D.map_batches(deg_as,
+                                                 batch_format="pyarrow"),
+                             key=col, right_cols=(out_name,), how="left",
+                             parts=parts)
+                .map_batches(check, batch_format="pyarrow").materialize())
 
     Ed = attach(attach(E, "lo", "deg_lo"), "hi", "deg_hi")
 
@@ -486,6 +375,7 @@ def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
                          "__p": pa.array(src % parts, pa.int64())})
 
     def wedges(part: pa.Table) -> pa.Table:
+        """(apex, key) per wedge: key = (lo<<32)|hi of its open pair."""
         src = np.asarray(part["src"], np.int64)
         dst = np.asarray(part["dst"], np.int64)
         o = np.lexsort((dst, src))
@@ -496,11 +386,6 @@ def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
         lens = np.diff(np.append(starts, len(src)))
         npairs = lens * (lens - 1) // 2
         total = int(npairs.sum())
-        if total == 0:
-            return pa.table({"apex": pa.array([], pa.int64()),
-                             "lo": pa.array([], pa.int64()),
-                             "hi": pa.array([], pa.int64()),
-                             "__p": pa.array([], pa.int64())})
         # for each group g and each i<j in [0,len): emit (nbr[i], nbr[j])
         grp = np.repeat(np.arange(len(lens)), npairs)
         within = np.arange(total) - np.repeat(
@@ -517,53 +402,29 @@ def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
         base = np.repeat(starts, npairs)
         u = dst[base + i]
         w = dst[base + j]
-        lo = np.minimum(u, w)
-        hi = np.maximum(u, w)
-        apex = src[base]
-        return pa.table({"apex": pa.array(apex, pa.int64()),
-                         "lo": pa.array(lo, pa.int64()),
-                         "hi": pa.array(hi, pa.int64()),
-                         "__p": pa.array(lo % parts, pa.int64())})
+        return pa.table({
+            "apex": pa.array(src[base], pa.int64()),
+            "key": pa.array((np.minimum(u, w) << 32) | np.maximum(u, w),
+                            pa.int64())})
 
     W = (Ed.map_batches(orient, batch_format="pyarrow")
-         .groupby("__p").map_groups(wedges, batch_format="pyarrow"))
+         .groupby("__p").map_groups(wedges, batch_format="pyarrow")
+         .materialize())
 
-    # --- membership join: wedge (lo,hi) in E?
+    # --- membership: a wedge whose closing pair is an edge is a triangle
     def e_keyed(batch: pa.Table) -> pa.Table:
         lo = np.asarray(batch["lo"], np.int64)
         hi = np.asarray(batch["hi"], np.int64)
-        return pa.table({"apex": pa.array(np.full(len(lo), -1, np.int64)),
-                         "key": pa.array((lo << 32) | hi, pa.int64()),
-                         "__p": pa.array(lo % parts, pa.int64())})
+        return pa.table({"key": pa.array((lo << 32) | hi, pa.int64())})
 
-    def w_keyed(batch: pa.Table) -> pa.Table:
-        lo = np.asarray(batch["lo"], np.int64)
-        hi = np.asarray(batch["hi"], np.int64)
-        return pa.table({"apex": batch["apex"],
-                         "key": pa.array((lo << 32) | hi, pa.int64()),
-                         "__p": batch["__p"]})
-
-    def match(part: pa.Table) -> pa.Table:
-        apex = np.asarray(part["apex"], np.int64)
-        key = np.asarray(part["key"], np.int64)
-        ek = np.sort(key[apex == -1])
-        wm = apex != -1
-        wk = key[wm]
-        wa = apex[wm]
-        idx = np.searchsorted(ek, wk)
-        hit = (idx < len(ek))
-        if len(ek):
-            hit &= ek[np.minimum(idx, len(ek) - 1)] == wk
-        else:
-            hit[:] = False
-        tri_key = wk[hit]
-        tri_apex = wa[hit]
+    def credit(batch: pa.Table) -> pa.Table:
         # one matched wedge = one triangle: credit apex + both legs
+        apex = np.asarray(batch["apex"], np.int64)
+        key = np.asarray(batch["key"], np.int64)
         return pa.table({"node": pa.array(np.concatenate([
-            tri_apex, tri_key >> 32, tri_key & 0xFFFFFFFF]), pa.int64())})
+            apex, key >> 32, key & 0xFFFFFFFF]), pa.int64())})
 
-    return combine_by_key(
-        E.map_batches(e_keyed, batch_format="pyarrow")
-        .union(W.map_batches(w_keyed, batch_format="pyarrow"))
-        .groupby("__p").map_groups(match, batch_format="pyarrow"),
-        "node", {"n_tri": ("node", "count")}, parts=parts)
+    tri = shuffle_join(W, E.map_batches(e_keyed, batch_format="pyarrow"),
+                       key="key", right_cols=(), how="semi", parts=parts)
+    return combine_by_key(tri.map_batches(credit, batch_format="pyarrow"),
+                          "node", {"n_tri": ("node", "count")}, parts=parts)

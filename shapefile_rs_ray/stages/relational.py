@@ -1,18 +1,25 @@
-"""Relational operators over the driver's TPC-H-style tables: broadcast
-equi-join + grouped aggregates, Ray-Data-first.
+"""Relational operators over the driver's TPC-H-style tables: the two
+equi-joins + grouped aggregates, Ray-Data-first.
 
-The join is the canonical small-side pattern (CLAUDE.md / SURVEY §2.6):
-the dimension table ships ONCE via ray.put, every map_batches task answers
-its probe batch with one vectorized np.searchsorted over the sorted key
-column — no shuffle at all. The fact side streams. Aggregates follow the
-partial-before-shuffle shape used everywhere else in the engine: per-batch
-vectorized collapse to one row per group, then a tiny groupby over group
-partials (group cardinality — nations, flag/status pairs — is bounded, so
-the final groupby is NOT the per-distinct-key anti-pattern).
+A two-sided equi-join is one of exactly two operators here; no stage
+hand-writes its own tag-union join:
 
-Float caution: SUM over f64 is merge-order-sensitive, so oracle-checked
-aggregates stick to COUNT / MIN / MAX plus integer SUMs (l_quantity is
-integral by construction; the cast is exact on both engine and oracle).
+- `broadcast_join`, the small-side pattern (SURVEY §2.6):
+  the dimension table ships ONCE via ray.put, every map_batches task
+  answers its probe batch with one vectorized np.searchsorted over the
+  sorted key column — no shuffle at all. The fact side streams.
+- `shuffle_join`, the large-large pattern: both sides tag, union and
+  take ONE coarse `__p` exchange, then each partition matches with a
+  sort + searchsorted. Integer or string keys, inner / left / full /
+  semi / anti, null keys never match. Every co-partition lookup in the
+  engine (TPC-H joins, label relabels, pagerank, triangle attach and
+  wedge membership, the TF-IDF big-vocab path, near-dup verify and
+  member expansion) is a call to it plus a row-local projection.
+
+Keyed aggregates go through `combine_by_key`. Float caution: SUM over
+f64 is merge-order-sensitive, so oracle-checked aggregates stick to
+COUNT / MIN / MAX plus integer SUMs (l_quantity is integral by
+construction; the cast is exact on both engine and oracle).
 """
 
 from __future__ import annotations
@@ -21,8 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import crc32_str
-from .combine import combine_by_key
+from .combine import _key_partition, combine_by_key
 
 
 def _match_ranges(lo: np.ndarray, counts: np.ndarray):
@@ -136,7 +142,15 @@ def parts_for(n_rows: int) -> int:
     return JOIN_PARTS
 
 
-NULL_KEY_SENTINEL = np.int64(-(2 ** 63))   # INT64_MIN
+def _key_codes(col) -> np.ndarray:
+    """int64 match codes of a key column: an integer key is its own
+    code; a string key gets dense dictionary codes (true string
+    equality, no reliance on hash collision-freedom). Null slots get an
+    arbitrary code — callers mask them with the key's validity."""
+    if pa.types.is_integer(col.type):
+        return np.asarray(col.fill_null(0), np.int64)
+    enc = pc.dictionary_encode(col.combine_chunks())
+    return np.asarray(enc.indices.fill_null(0), np.int64)
 
 
 def shuffle_join(left, right, *, key: str, right_cols: tuple[str, ...],
@@ -148,11 +162,19 @@ def shuffle_join(left, right, *, key: str, right_cols: tuple[str, ...],
     dimension side outgrows broadcast; `broadcast_join` is the
     zero-shuffle fast path otherwise.
 
+    The key is an integer or a string column (read from the input
+    schemas). Integer keys come out as int64 and partition as
+    `key % parts`; string keys partition as `crc32(key) % parts` and
+    match on partition-local dictionary codes. A null key never
+    matches: the key column's own validity carries it through the
+    exchange, so no key value is reserved.
+
     Duplicate right keys multi-match (one output row per left x right
     match — the run-length np.repeat gather). `how="left"` emits
     unmatched left rows (including null-key left rows) once with null
     `right_cols`; inner drops them. Right-side null keys drop except
-    under `how="full"`. Output: all left columns + `right_cols`.
+    under `how="full"`. Output: the key, all other left columns, then
+    `right_cols`.
 
     `how="full"` additionally emits each unmatched RIGHT row once with
     null left columns; the key column carries COALESCE(left, right) key
@@ -164,199 +186,98 @@ def shuffle_join(left, right, *, key: str, right_cols: tuple[str, ...],
     exists on the right (SQL EXISTS; null keys drop), anti keeps rows
     with no right match (SQL NOT EXISTS; null keys keep, matching SQL's
     never-equal null semantics).
+
+    Both inputs' `.schema()` is read up front: an input whose plan ends
+    in a shuffle would run that whole exchange once just for the
+    types, so materialize such an input before passing it here.
     """
     assert how in ("inner", "left", "full", "semi", "anti")
     assert how not in ("semi", "anti") or not right_cols
 
-    def tag(side: int, keep: tuple[str, ...]):
-        def fn(batch: pa.Table) -> pa.Table:
-            drops_nulls = (how in ("inner", "semi")
-                           or (side == 1 and how != "full"))
-            if drops_nulls:
-                batch = batch.filter(pc.is_valid(batch[key]))
-                k = np.asarray(batch[key], np.int64)
-                genuine = k
-            else:
-                # outer sides keep null-key rows: sentinel key (can
-                # never equal a genuine key — guarded below) routes them
-                # through the shuffle and out unmatched
-                k = np.asarray(pc.fill_null(batch[key],
-                                            int(NULL_KEY_SENTINEL)),
-                               np.int64)
-                genuine = k[np.asarray(pc.is_valid(batch[key]), bool)]
-            if (side == 1 and len(genuine)
-                    and (genuine == NULL_KEY_SENTINEL).any()):
-                raise ValueError(
-                    f"right key {key!r} uses the INT64_MIN null-key "
-                    f"sentinel; remap it before shuffle_join")
-            out = {key: pa.array(k, pa.int64()),
-                   "__side": pa.array(np.full(len(k), side, np.int64)),
-                   "__p": pa.array(k % parts, pa.int64())}
-            for c in keep:
-                out[c] = batch[c]
-            return pa.table(out)
-        return fn
-
-    # schemas come from the INPUT datasets (parquet metadata / upstream
-    # inference, already resolved) — asking the tagged map_batches outputs
-    # would force eager execution of a block per side just to re-read
-    # types tag() passes through unchanged
     l_base = left.schema().base_schema
     r_base = right.schema().base_schema
+    ltype, rtype = l_base.field(key).type, r_base.field(key).type
+    if pa.types.is_integer(ltype) and pa.types.is_integer(rtype):
+        ktype = pa.int64()
+    elif pa.types.is_string(ltype) and pa.types.is_string(rtype):
+        ktype = pa.string()
+    else:
+        raise TypeError(f"shuffle_join: key {key!r} must be integer or "
+                        f"string on both sides, got {ltype} / {rtype}")
     left_cols = [c for c in l_base.names if c != key]
-    tagged_l = left.map_batches(tag(0, tuple(left_cols)),
-                                batch_format="pyarrow")
-    tagged_r = right.map_batches(tag(1, tuple(right_cols)),
-                                 batch_format="pyarrow")
+    types = {c: l_base.field(c).type for c in left_cols}
+    types.update({c: r_base.field(c).type for c in right_cols})
 
-    # union of differing schemas: pad each side with the other's columns
-    # as nulls so blocks concatenate cleanly
-    def pad(cols_missing: tuple[str, ...], types: dict):
+    def tag(side: int, base: pa.Schema, own: tuple[str, ...]):
+        # outer sides keep their null-key rows; the others drop them here
+        drops_nulls = how in ("inner", "semi") or (side == 1
+                                                   and how != "full")
+
         def fn(batch: pa.Table) -> pa.Table:
-            for c in cols_missing:
-                batch = batch.append_column(
-                    c, pa.nulls(batch.num_rows, types[c]))
-            return batch
+            if batch.num_columns == 0:
+                # a fully-empty upstream groupby can emit schema-less blocks
+                batch = base.empty_table()
+            k = batch[key].cast(ktype)
+            if drops_nulls:
+                valid = pc.is_valid(k)
+                batch, k = batch.filter(valid), k.filter(valid)
+            n = batch.num_rows
+            out = {key: k,
+                   "__side": pa.array(np.full(n, side, np.int64)),
+                   "__p": pa.array(_key_partition(pa.table({key: k}),
+                                                  [key], parts), pa.int64())}
+            # pad with the other side's columns as nulls so the two
+            # sides' blocks concatenate cleanly
+            for c in (*left_cols, *right_cols):
+                out[c] = batch[c] if c in own else pa.nulls(n, types[c])
+            return pa.table(out)
         return fn
-
-    l_schema = {c: l_base.field(c).type for c in left_cols}
-    r_schema = {c: r_base.field(c).type for c in right_cols}
-    tagged_l = tagged_l.map_batches(pad(tuple(right_cols), r_schema),
-                                    batch_format="pyarrow")
-    tagged_r = tagged_r.map_batches(pad(tuple(left_cols), l_schema),
-                                    batch_format="pyarrow")
-    ordered = [key, "__side", "__p", *left_cols, *right_cols]
-    tagged_l = tagged_l.select_columns(ordered)
-    tagged_r = tagged_r.select_columns(ordered)
 
     def local_join(part: pa.Table) -> pa.Table:
         side = np.asarray(part["__side"], np.int64)
-        keys = np.asarray(part[key], np.int64)
+        valid = np.asarray(pc.is_valid(part[key]), bool)
+        codes = _key_codes(part[key])
         l_idx = np.nonzero(side == 0)[0]
-        r_idx = np.nonzero(side == 1)[0]
-        rk = keys[r_idx]
-        order = np.argsort(rk, kind="stable")
-        rk = rk[order]
-        r_idx = r_idx[order]
-        lk = keys[l_idx]
-        if ((len(lk) == 0 and how != "full")
-                or (len(rk) == 0 and how in ("inner", "semi"))):
-            # a residue class can hold left rows with no right rows (or
-            # vice versa): a valid inner join with zero matches here
-            out = {key: pa.array([], pa.int64())}
-            for c in left_cols + list(right_cols):
-                out[c] = part[c].slice(0, 0)
-            return pa.table(out)
-        if how == "full":
-            # sentinel (INT64_MIN) right rows sort first; exclude them
-            # from the probe domain so null keys never match
-            nn = int(np.searchsorted(rk, NULL_KEY_SENTINEL, "right"))
-            rk_valid, rv_idx = rk[nn:], r_idx[nn:]
-        else:
-            nn, rk_valid, rv_idx = 0, rk, r_idx
-        lo = np.searchsorted(rk_valid, lk, "left")
-        hi = np.searchsorted(rk_valid, lk, "right")
-        counts = hi - lo
+        r_idx = np.nonzero((side == 1) & valid)[0]
+        r_idx = r_idx[np.argsort(codes[r_idx], kind="stable")]
+        rk = codes[r_idx]
+        lk = codes[l_idx]
+        lo = np.searchsorted(rk, lk, "left")
+        counts = (np.searchsorted(rk, lk, "right") - lo) * valid[l_idx]
+        left_out = part.select([key, *left_cols])
         if how in ("semi", "anti"):
-            keep = counts > 0 if how == "semi" else counts == 0
-            lsel = l_idx[keep]
-            ok = keys[lsel]
-            if how == "anti":
-                knull = ok == NULL_KEY_SENTINEL
-                out = {key: pa.array(np.where(knull, 0, ok), pa.int64(),
-                                     mask=knull)}
-            else:
-                out = {key: pa.array(ok, pa.int64())}
-            for c in left_cols:
-                out[c] = pc.take(part[c], pa.array(lsel))
-            return pa.table(out)
-        outer_left = how in ("left", "full")
-        ecounts = np.maximum(counts, 1) if outer_left else counts
-        lsel = l_idx[np.repeat(np.arange(len(lk)), ecounts)]
+            return left_out.take(l_idx[counts > 0 if how == "semi"
+                                       else counts == 0])
+        ecounts = counts if how == "inner" else np.maximum(counts, 1)
         rng = _match_ranges(lo, counts)
-        out_keys = keys[lsel]
-        if outer_left:
-            key_null = keys[lsel] == NULL_KEY_SENTINEL
-            out_keys = np.where(key_null, 0, out_keys)
-            out = {key: pa.array(out_keys, pa.int64(), mask=key_null)}
+        if how == "inner":
+            take_r = pa.array(r_idx[rng])
         else:
-            out = {key: pa.array(out_keys, pa.int64())}
-        for c in left_cols:
-            out[c] = pc.take(part[c], pa.array(lsel))
-        if outer_left:
             matched = np.repeat(counts > 0, ecounts)
-            full = np.zeros(len(lsel), np.int64)
-            full[matched] = rv_idx[rng] if len(rng) else rng
+            full = np.zeros(len(matched), np.int64)
+            full[matched] = r_idx[rng]
             take_r = pa.array(full, mask=~matched)
-        else:
-            take_r = pa.array(rv_idx[rng] if len(rng) else rng)
+        res = left_out.take(np.repeat(l_idx, ecounts))
         for c in right_cols:
-            out[c] = pc.take(part[c], take_r)
-        res = pa.table(out)
+            res = res.append_column(c, pc.take(part[c], take_r))
         if how != "full":
             return res
-        # full outer: append unmatched right rows (null-key sentinels
-        # plus valid keys no left row probed) with null left columns
-        hit = np.zeros(len(rk_valid), bool)
-        if len(rng):
-            hit[rng] = True
-        un_idx = np.concatenate([r_idx[:nn], rv_idx[~hit]])
-        if len(un_idx) == 0:
-            return res
-        rkeys = keys[un_idx]
-        rnull = rkeys == NULL_KEY_SENTINEL
-        r_out = {key: pa.array(np.where(rnull, 0, rkeys), pa.int64(),
-                               mask=rnull)}
-        for c in left_cols:
-            r_out[c] = pa.nulls(len(un_idx), part.schema.field(c).type)
-        take_un = pa.array(un_idx)
-        for c in right_cols:
-            r_out[c] = pc.take(part[c], take_un)
-        return pa.concat_tables(
-            [res, pa.table(r_out).cast(res.schema)])
+        # full outer: append unmatched right rows (null keys plus valid
+        # keys no left row probed); their left columns are the nulls
+        # tag() padded them with
+        hit = np.zeros(len(r_idx), bool)
+        hit[rng] = True
+        un_idx = np.concatenate([np.nonzero((side == 1) & ~valid)[0],
+                                 r_idx[~hit]])
+        return pa.concat_tables([
+            res, part.select(res.column_names).take(un_idx)])
 
+    tagged_l = left.map_batches(tag(0, l_base, tuple(left_cols)),
+                                batch_format="pyarrow")
+    tagged_r = right.map_batches(tag(1, r_base, tuple(right_cols)),
+                                 batch_format="pyarrow")
     return (tagged_l.union(tagged_r)
             .groupby("__p").map_groups(local_join, batch_format="pyarrow"))
-
-
-def grouped_minmax_count(ds, *, group_col: str, value_col: str,
-                         sum_int_col: str | None = None):
-    """Per-group (n_rows, max_value, min_value[, sum_int]) with the
-    partial-before-shuffle shape: one vectorized collapse per batch, then a
-    bounded-cardinality groupby merge. All aggregates are merge-order-free
-    (COUNT/MIN/MAX/int-SUM), so the result is bit-identical to SQL."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = np.asarray(batch[group_col], np.int64)
-        v = np.asarray(batch[value_col], np.float64)
-        order = np.argsort(g, kind="stable")
-        gs, vs = g[order], v[order]
-        uniq, start = np.unique(gs, return_index=True)
-        bounds = np.append(start, len(gs))
-        out = {
-            group_col: pa.array(uniq, pa.int64()),
-            "n_rows": pa.array(bounds[1:] - bounds[:-1], pa.int64()),
-            "max_value": pa.array(np.maximum.reduceat(vs, start)
-                                  if len(gs) else np.empty(0), pa.float64()),
-            "min_value": pa.array(np.minimum.reduceat(vs, start)
-                                  if len(gs) else np.empty(0), pa.float64()),
-        }
-        if sum_int_col is not None:
-            s = np.asarray(batch[sum_int_col], np.float64).astype(
-                np.int64)[order]
-            out["sum_int"] = pa.array(np.add.reduceat(s, start)
-                                      if len(gs) else np.empty(0, np.int64),
-                                      pa.int64())
-        return pa.table(out)
-
-    aggs = [Sum("n_rows", alias_name="n_rows"),
-            Max("max_value", alias_name="max_value"),
-            Min("min_value", alias_name="min_value")]
-    if sum_int_col is not None:
-        aggs.append(Sum("sum_int", alias_name="sum_int"))
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(group_col).aggregate(*aggs))
 
 
 def grouped_exact_quantiles(ds, *, group_col: str, value_col: str,
@@ -503,113 +424,6 @@ def exact_double_quantiles(ds, *, id_col: str, value_col: str,
         before = int(cum[bkt - 1]) if bkt > 0 else 0
         out[name] = pa.array([inb[k - before - 1]], pa.float64())
     return ray.data.from_arrow(pa.table(out))
-
-
-def shuffle_join_str(left, right, *, key: str, right_cols: tuple[str, ...],
-                     how: str = "inner", parts: int = JOIN_PARTS):
-    """Large-large equi-join on a STRING key: both sides shuffle ONCE
-    into coarse crc32(key)-mod-prime partitions carrying the key
-    string; each partition dictionary-encodes its key strings locally
-    into dense int codes (true string equality — NO reliance on hash
-    collision-freedom) and then runs the same sort + searchsorted
-    range-expansion kernel as shuffle_join. `how`: "inner" or "left"
-    (left emits unmatched and null-key left rows once with null
-    right_cols; inner drops them; right-side null keys always drop).
-    The per-batch crc32 loop runs over DISTINCT keys only."""
-    assert how in ("inner", "left")
-
-    def _crc_parts(strs: np.ndarray) -> np.ndarray:
-        uniq, inv = np.unique(strs, return_inverse=True)
-        ph = crc32_str(uniq) % parts
-        return ph[inv]
-
-    def tag(side: int, keep: tuple[str, ...]):
-        def fn(batch: pa.Table) -> pa.Table:
-            valid = pc.is_valid(batch[key])
-            if side == 1 or how == "inner":
-                batch = batch.filter(valid)
-                knull = np.zeros(batch.num_rows, bool)
-            else:
-                knull = ~np.asarray(valid, bool)
-            k = np.asarray(batch[key].fill_null(""), dtype=object)
-            p = np.where(knull, 0, _crc_parts(k.astype(str)))
-            out = {key: pa.array(k, pa.string()),
-                   "__knull": pa.array(knull),
-                   "__side": pa.array(np.full(len(k), side, np.int64)),
-                   "__p": pa.array(p, pa.int64())}
-            for c in keep:
-                out[c] = batch[c]
-            return pa.table(out)
-        return fn
-
-    l_base = left.schema().base_schema
-    r_base = right.schema().base_schema
-    left_cols = [c for c in l_base.names if c != key]
-    tagged_l = left.map_batches(tag(0, tuple(left_cols)),
-                                batch_format="pyarrow")
-    tagged_r = right.map_batches(tag(1, tuple(right_cols)),
-                                 batch_format="pyarrow")
-
-    def pad(cols_missing: tuple[str, ...], types: dict):
-        def fn(batch: pa.Table) -> pa.Table:
-            for c in cols_missing:
-                batch = batch.append_column(
-                    c, pa.nulls(batch.num_rows, types[c]))
-            return batch
-        return fn
-
-    l_schema = {c: l_base.field(c).type for c in left_cols}
-    r_schema = {c: r_base.field(c).type for c in right_cols}
-    tagged_l = tagged_l.map_batches(pad(tuple(right_cols), r_schema),
-                                    batch_format="pyarrow")
-    tagged_r = tagged_r.map_batches(pad(tuple(left_cols), l_schema),
-                                    batch_format="pyarrow")
-    ordered = [key, "__knull", "__side", "__p", *left_cols, *right_cols]
-    tagged_l = tagged_l.select_columns(ordered)
-    tagged_r = tagged_r.select_columns(ordered)
-
-    def local_join(part: pa.Table) -> pa.Table:
-        side = np.asarray(part["__side"], np.int64)
-        knull = np.asarray(part["__knull"], bool)
-        strs = np.asarray(part[key], dtype=object).astype(str)
-        codes = np.unique(strs, return_inverse=True)[1]
-        l_idx = np.nonzero((side == 0) & ~knull)[0]
-        ln_idx = np.nonzero((side == 0) & knull)[0]      # left-null rows
-        r_idx = np.nonzero(side == 1)[0]
-        rk = codes[r_idx]
-        order = np.argsort(rk, kind="stable")
-        rk, r_idx = rk[order], r_idx[order]
-        lk = codes[l_idx]
-        lo = np.searchsorted(rk, lk, "left")
-        hi = np.searchsorted(rk, lk, "right")
-        counts = hi - lo
-        ecounts = np.maximum(counts, 1) if how == "left" else counts
-        lsel = l_idx[np.repeat(np.arange(len(lk)), ecounts)]
-        rng = _match_ranges(lo, counts)
-        if how == "left":
-            lsel = np.concatenate([lsel, ln_idx])
-        key_null = knull[lsel]
-        kvals = strs[lsel].astype(object)
-        kvals[key_null] = None
-        out = {key: pa.array(kvals.tolist(), pa.string())}
-        take_l = pa.array(lsel)
-        for c in left_cols:
-            out[c] = pc.take(part[c], take_l)
-        if how == "left":
-            matched = np.concatenate([
-                np.repeat(counts > 0, ecounts),
-                np.zeros(len(ln_idx), bool)])
-            full = np.zeros(len(lsel), np.int64)
-            full[matched] = r_idx[rng] if len(rng) else rng
-            take_r = pa.array(full, mask=~matched)
-        else:
-            take_r = pa.array(r_idx[rng] if len(rng) else rng)
-        for c in right_cols:
-            out[c] = pc.take(part[c], take_r)
-        return pa.table(out)
-
-    return (tagged_l.union(tagged_r)
-            .groupby("__p").map_groups(local_join, batch_format="pyarrow"))
 
 
 def rollup_two_level(ds, *, col_a: str, col_b: str, cents_col: str):

@@ -13,10 +13,9 @@ Pass 2 (scoring) picks its shape from the measured vocabulary size:
     is ray.put ONCE and every scoring task looks df up map-side with a
     single searchsorted — one corpus pass, zero extra shuffles;
   * bigger vocabularies never touch the driver: (doc, term, tf) pairs
-    and the df partials are co-partitioned on the SAME crc32(term) key
-    in one shuffle, joined locally per partition, then a second coarse
-    doc-hash shuffle runs the vectorized per-doc top-k. Driver state is
-    zero in this path.
+    left-join the df table on the string term (`shuffle_join`, one
+    exchange), then a second coarse doc-hash shuffle runs the
+    vectorized per-doc top-k. Driver state is zero in this path.
 
 Scores use the ln-free rational IDF: for a FIXED corpus size N,
 tf*(N/df) ranks identically to tf/df, and the division is a single
@@ -31,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.hashing import crc32_str
 from .combine import combine_by_key
 from .ngrams import _doc_ngrams
 
@@ -60,10 +58,6 @@ def _batch_doc_term_tf(batch: pa.Table, id_col: str, text_col: str):
     tf = np.diff(np.append(starts, len(t_s))).astype(np.int64)
     ids = np.asarray(batch[id_col], np.int64)[o_s[starts]]
     return ids, t_s[starts], tf
-
-
-def _term_part(terms: np.ndarray, parts: int) -> np.ndarray:
-    return crc32_str(terms) % parts
 
 
 def _topk_table(ids, terms, tf, df, k: int) -> pa.Table:
@@ -135,7 +129,6 @@ def inverted_index(docs, *, id_col: str = "doc_id",
 
 def tfidf_top_terms(docs, *, id_col: str = "doc_id",
                     text_col: str = "text", k: int = 3,
-                    parts: int = TERM_PARTS, doc_parts: int = DOC_PARTS,
                     broadcast_vocab_max: int = BROADCAST_VOCAB_MAX):
     """(doc_id, rank, term, tf, df, score): each document's top-k terms
     by tf/df (score desc, term asc ties), df over the whole corpus."""
@@ -144,7 +137,7 @@ def tfidf_top_terms(docs, *, id_col: str = "doc_id",
     df_ds = combine_by_key(
         docs.map_batches(lambda b: _doc_terms(b, id_col, text_col),
                          batch_format="pyarrow"), "term",
-        {"df": ("term", "count")}, parts=parts).materialize()
+        {"df": ("term", "count")}, parts=TERM_PARTS).materialize()
     n_vocab = df_ds.count()
 
     if n_vocab <= broadcast_vocab_max:
@@ -175,10 +168,11 @@ def tfidf_top_terms(docs, *, id_col: str = "doc_id",
 
         return docs.map_batches(score_topk, batch_format="pyarrow")
 
-    # -- big-vocab path: co-partition join on crc32(term), no driver state.
-    # df rows (side 0) and pair rows (side 1) compute the same key, so one
-    # union + groupby co-locates each term's df with every (doc, term, tf)
-    # that needs it.
+    # -- big-vocab path: (doc, term, tf) rows left-join the df table on
+    # the string term (one exchange, no driver state), then a coarse
+    # doc-hash shuffle runs the vectorized per-doc top-k.
+    from .relational import shuffle_join
+
     def pair_rows(batch: pa.Table) -> pa.Table:
         ids, terms, tf = _batch_doc_term_tf(batch, id_col, text_col)
         if ids is None:
@@ -188,45 +182,16 @@ def tfidf_top_terms(docs, *, id_col: str = "doc_id",
         return pa.table({
             "doc_id": pa.array(ids, pa.int64()),
             "term": pa.array(terms.tolist(), pa.string()),
-            "n": pa.array(tf, pa.int64()),
-            "__side": pa.array(np.ones(len(ids), np.int64), pa.int64()),
-            "__p": pa.array(_term_part(terms, parts), pa.int64())})
+            "tf": pa.array(tf, pa.int64())})
 
-    def df_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": pa.array(np.full(batch.num_rows, -1, np.int64),
-                               pa.int64()),
-            "term": batch["term"],
-            "n": batch["df"],
-            "__side": pa.array(np.zeros(batch.num_rows, np.int64),
-                               pa.int64()),
-            "__p": pa.array(_term_part(batch["term"], parts), pa.int64())})
-
-    def join_local(part: pa.Table) -> pa.Table:
-        side = np.asarray(part["__side"], np.int64)
-        terms = np.asarray(part["term"], dtype=str)
-        n = np.asarray(part["n"], np.int64)
-        is_df = side == 0
-        v_terms, v_df = terms[is_df], n[is_df]
-        vorder = np.argsort(v_terms, kind="stable")
-        v_terms, v_df = v_terms[vorder], v_df[vorder]
-        p_ids = np.asarray(part["doc_id"], np.int64)[~is_df]
-        p_terms, p_tf = terms[~is_df], n[~is_df]
-        pos = np.searchsorted(v_terms, p_terms)
-        if len(p_terms) and (
-                (pos >= len(v_terms)).any() or
-                (v_terms[np.minimum(pos, len(v_terms) - 1)]
-                 != p_terms).any()):
+    def doc_part(batch: pa.Table) -> pa.Table:
+        # same failure as the broadcast path's vocabulary miss
+        if batch["df"].null_count:
             raise ValueError(
                 "tfidf_top_terms: term absent from the df vocabulary "
                 "— upstream dataset changed between the two passes")
-        return pa.table({
-            "doc_id": pa.array(p_ids, pa.int64()),
-            "term": pa.array(p_terms.tolist(), pa.string()),
-            "tf": pa.array(p_tf, pa.int64()),
-            "df": pa.array(v_df[pos] if len(p_terms)
-                           else np.empty(0, np.int64), pa.int64()),
-            "__dp": pa.array(p_ids % doc_parts, pa.int64())})
+        return batch.append_column("__dp", pa.array(
+            np.asarray(batch["doc_id"], np.int64) % DOC_PARTS, pa.int64()))
 
     def topk_local(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
@@ -236,9 +201,8 @@ def tfidf_top_terms(docs, *, id_col: str = "doc_id",
                            np.asarray(part["tf"], np.int64),
                            np.asarray(part["df"], np.int64), k)
 
-    pairs = docs.map_batches(pair_rows, batch_format="pyarrow")
-    dfr = df_ds.map_batches(df_rows, batch_format="pyarrow")
-    joined = (pairs.union(dfr).groupby("__p")
-              .map_groups(join_local, batch_format="pyarrow"))
-    return joined.groupby("__dp").map_groups(topk_local,
-                                             batch_format="pyarrow")
+    joined = shuffle_join(docs.map_batches(pair_rows, batch_format="pyarrow"),
+                          df_ds, key="term", right_cols=("df",), how="left",
+                          parts=TERM_PARTS)
+    return (joined.map_batches(doc_part, batch_format="pyarrow")
+            .groupby("__dp").map_groups(topk_local, batch_format="pyarrow"))

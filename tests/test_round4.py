@@ -64,8 +64,8 @@ def test_minhash_verify_is_single_corpus_pass(ray_session, tmp_path):
     n_blocks = 4
     pages = (ray.data.from_arrow(_near_dup_corpus()).repartition(n_blocks)
              .materialize().map_batches(tap, batch_format="pyarrow"))
-    # the old design at this cap ran >= 3 chunked verify scans
-    out = minhash_lsh_pairs(pages, max_driver_candidates=25).to_pandas()
+    # the old chunked design ran one verify scan per driver-sized chunk
+    out = minhash_lsh_pairs(pages).to_pandas()
     assert len(out) > 50
     scans = len(marker.read_text().splitlines())
     assert scans == 2 * n_blocks, f"expected 2 corpus passes, saw {scans/n_blocks}"

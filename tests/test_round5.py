@@ -671,6 +671,22 @@ def test_pagerank_matches_scalar_twin(ray_session):
     assert len(set(s_t.values())) > 10   # ranks genuinely separate
 
 
+def test_pagerank_rejects_edge_src_missing_from_nodes(ray_session):
+    """An edge whose src is not a node has no score to spread: it must
+    raise, not borrow a neighbouring node's score (src 1 between nodes
+    0 and 2) or index past the score table (src 9)."""
+    import ray.data
+    from shapefile_rs_ray.stages.graph import pagerank
+
+    nds = ray.data.from_items([{"node": 0}, {"node": 2}])
+    for bad_src in (1, 9):
+        eds = ray.data.from_items([{"src": 0, "dst": 2, "w": 1},
+                                   {"src": 2, "dst": 0, "w": 1},
+                                   {"src": bad_src, "dst": 0, "w": 1}])
+        with pytest.raises(Exception, match="edge src missing from nodes"):
+            pagerank(eds, nds, rounds=1, parts=3, n_blocks=2).materialize()
+
+
 def test_substring_clean_matches_brute_force(ray_session):
     """substring_dedup_clean vs an O(n^2) scalar twin: keep-first
     marking, island excision, exact cleaned strings."""

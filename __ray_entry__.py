@@ -811,11 +811,12 @@ def _events_pushdown(sf_dir: str):
     (click, view) AND value > 50) pushed into the scan — only matching
     row groups/rows and 4 of 6 columns leave storage, the difference
     between scanning 100 TB and scanning the 3% you need. Downstream is
-    one partial+reduce aggregate (COUNT/MIN/MAX/integer-SUM only, per
-    the float-determinism rule)."""
+    one `combine_by_key` (COUNT/MIN/MAX/integer-SUM only, per the
+    float-determinism rule)."""
     import os
     import ray
     import pyarrow.dataset as pds
+    from shapefile_rs_ray.stages.combine import combine_by_key
 
     expr = (pds.field("event_type").isin(["click", "view"])
             & (pds.field("value") > 50.0))
@@ -823,28 +824,11 @@ def _events_pushdown(sf_dir: str):
         os.path.join(sf_dir, "events.parquet"),
         columns=["event_id", "event_type", "user_id", "value"],
         filter=expr)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["event_type"]).aggregate(
-            [("event_id", "count"), ("event_id", "min"),
-             ("event_id", "max"), ("user_id", "sum")])
-        return g.rename_columns(["event_type", "n", "min_id", "max_id",
-                                 "sum_users"])
-
-    def reduce_(part: pa.Table) -> pa.Table:
-        g = part.group_by(["event_type"]).aggregate(
-            [("n", "sum"), ("min_id", "min"), ("max_id", "max"),
-             ("sum_users", "sum")])
-        return pa.table({
-            "event_type": g["event_type"],
-            "n": g["n_sum"].cast(pa.int64()),
-            "min_id": g["min_id_min"].cast(pa.int64()),
-            "max_id": g["max_id_max"].cast(pa.int64()),
-            "sum_users": g["sum_users_sum"].cast(pa.int64())})
-
-    return (ev.map_batches(partial, batch_format="pyarrow")
-            .repartition(1)
-            .map_batches(reduce_, batch_format="pyarrow"))
+    return combine_by_key(ev, "event_type",
+                          {"n": ("event_id", "count"),
+                           "min_id": ("event_id", "min"),
+                           "max_id": ("event_id", "max"),
+                           "sum_users": ("user_id", "sum")})
 
 
 _BPE_MERGE_CACHE: dict[str, list] = {}
@@ -1137,10 +1121,11 @@ def _text_fidelity(sf_dir: str):
 def _warc_extract(sf_dir: str):
     """WARC/WET container roundtrip — the format Common-Crawl data
     actually ships in (ISO 28500; one gzip member per record). The page
-    table exports to `*.warc.wet.gz` shards via a distributed
-    groupby(shard).map_groups writer, then `read_wet` parses them back
+    table exports to `*.warc.wet.gz` shards via the distributed
+    `by_partition` shard writer, then `read_wet` parses them back
     (one shard file = one parse task, stdlib-zlib member splitting,
-    Content-Length payload slicing). The returned (url, warc_ts, text)
+    Content-Length payload slicing). The parsed rows are materialized
+    and the shard directory removed, so a run leaves no files behind. The returned (url, warc_ts, text)
     must match the direct synthesis SQL byte-for-byte — the input_hint's
     per-row fidelity invariant proven THROUGH the container format.
     (warc_ts survives exactly because WARC-Date is second-resolution and
@@ -1160,7 +1145,10 @@ def _warc_extract(sf_dir: str):
     pages = (read_webpages(sf_dir, with_html=False)
              .select_columns(["page_id", "url", "warc_ts", "text"]))
     write_wet_shards(pages, out, n_shards=16)
-    return read_wet(out)
+    try:
+        return read_wet(out).materialize()
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
 
 
 def _langid(sf_dir: str):

@@ -29,6 +29,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.combine import by_partition
+
 _CRLF = b"\r\n"
 
 
@@ -92,7 +94,8 @@ def build_wet_shard(shard: int, urls, ts_us, texts) -> bytes:
 def write_wet_shards(pages, out_dir: str, n_shards: int = 16,
                      id_col: str = "page_id") -> int:
     """Distributed WET export of a page Dataset: rows hash to shards by
-    page_id, each shard is assembled and written by ONE map_groups task
+    page_id (`by_partition` with `parts=n_shards`, so shard = id %
+    n_shards), each shard is assembled and written by ONE call
     (rows lexsorted by id inside the shard so shard bytes are
     deterministic at any parallelism). Returns the shard count.
 
@@ -101,13 +104,8 @@ def write_wet_shards(pages, out_dir: str, n_shards: int = 16,
     ~1 GB like CC does, never bigger."""
     os.makedirs(out_dir, exist_ok=True)
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch[id_col], np.int64)
-        return batch.append_column(
-            "__shard", pa.array(ids % n_shards, pa.int64()))
-
     def write_shard(part: pa.Table) -> pa.Table:
-        shard = int(part["__shard"][0].as_py())
+        shard = int(part["__p"][0].as_py())
         order = np.argsort(np.asarray(part[id_col], np.int64),
                            kind="stable")
         urls = pc.take(part["url"], pa.array(order)).to_pylist()
@@ -124,10 +122,8 @@ def write_wet_shards(pages, out_dir: str, n_shards: int = 16,
         return pa.table({"shard": pa.array([shard], pa.int64()),
                          "records": pa.array([len(urls)], pa.int64())})
 
-    out = (pages.map_batches(add_shard, batch_format="pyarrow")
-           .groupby("__shard").map_groups(write_shard,
-                                          batch_format="pyarrow"))
-    return int(out.count())
+    return int(by_partition(pages, id_col, write_shard,
+                            parts=n_shards).count())
 
 
 def split_gzip_members(blob: bytes) -> list[bytes]:

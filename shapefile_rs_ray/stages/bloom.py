@@ -30,6 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import splitmix64
+from .combine import by_partition
 
 BLOOM_BITS = 1 << 20         # 128 KiB bitmap
 _WORD_PARTS = 31
@@ -44,8 +45,7 @@ def _probes(keys: np.ndarray, m_bits: int) -> tuple[np.ndarray, np.ndarray]:
         ((h >> np.uint64(26)) & mask).astype(np.int64)
 
 
-def build_bloom(keys_ds, *, key: str, m_bits: int = BLOOM_BITS,
-                parts: int = _WORD_PARTS) -> np.ndarray:
+def build_bloom(keys_ds, *, key: str, m_bits: int = BLOOM_BITS) -> np.ndarray:
     """uint64[m_bits/64] Bloom bitmap of an int64 key column (nulls
     skipped). Per-batch partial bitmaps collapse to their nonzero
     (word_idx, word) pairs; one coarse word-partition OR-reduce; the
@@ -66,7 +66,6 @@ def build_bloom(keys_ds, *, key: str, m_bits: int = BLOOM_BITS,
         return pa.table({
             "word_idx": pa.array(nz.astype(np.int64), pa.int64()),
             "word": pa.array(words[nz].view(np.int64), pa.int64()),
-            "__p": pa.array(nz % parts, pa.int64()),
         })
 
     def or_reduce(part: pa.Table) -> pa.Table:
@@ -78,9 +77,9 @@ def build_bloom(keys_ds, *, key: str, m_bits: int = BLOOM_BITS,
         return pa.table({"word_idx": pa.array(uniq, pa.int64()),
                          "word": pa.array(acc.view(np.int64), pa.int64())})
 
-    merged = (keys_ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("__p").map_groups(or_reduce, batch_format="pyarrow")
-              ).take_all()                     # <= n_words tiny rows
+    merged = by_partition(keys_ds.map_batches(partial, batch_format="pyarrow"),
+                          "word_idx", or_reduce, parts=_WORD_PARTS
+                          ).take_all()           # <= n_words tiny rows
     bitmap = np.zeros(n_words, np.uint64)
     if merged:
         idxs = np.array([r["word_idx"] for r in merged], np.int64)

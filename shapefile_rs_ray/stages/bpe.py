@@ -36,7 +36,7 @@ import re
 import numpy as np
 import pyarrow as pa
 
-from .combine import combine_by_key
+from .combine import by_partition, combine_by_key
 
 WORD_RE = re.compile("[a-z0-9]+")
 EOW = "</w>"                 # Sennrich end-of-word sentinel
@@ -73,8 +73,7 @@ def merge_word(syms: list[str], left: str, right: str) -> list[str]:
     return out
 
 
-def bpe_train(hist, n_merges: int, *, parts: int = BPE_PARTS,
-              n_blocks: int = 16):
+def bpe_train(hist, n_merges: int, *, n_blocks: int = 16):
     """Learn `n_merges` BPE merges from Dataset(word, cnt) ->
     list[(rank, left, right, count)] (the merge table, driver-side by
     definition: it IS the model, n_merges rows)."""
@@ -94,7 +93,6 @@ def bpe_train(hist, n_merges: int, *, parts: int = BPE_PARTS,
 
     for rank in range(n_merges):
         def pair_partial(batch: pa.Table) -> pa.Table:
-            from ..functions.hashing import crc32_str
             cnts = np.asarray(batch["cnt"], np.int64)
             agg: dict[tuple[str, str], int] = {}
             for syms, c in zip(batch["syms"].to_pylist(), cnts):
@@ -103,15 +101,12 @@ def bpe_train(hist, n_merges: int, *, parts: int = BPE_PARTS,
             if not agg:
                 return pa.table({"l": pa.array([], pa.string()),
                                  "r": pa.array([], pa.string()),
-                                 "c": pa.array([], pa.int64()),
-                                 "__p": pa.array([], pa.int64())})
+                                 "c": pa.array([], pa.int64())})
             ls, rs = zip(*agg.keys())
-            key = [a + "\x00" + b for a, b in agg.keys()]
             return pa.table({
                 "l": pa.array(list(ls), pa.string()),
                 "r": pa.array(list(rs), pa.string()),
-                "c": pa.array(list(agg.values()), pa.int64()),
-                "__p": pa.array(crc32_str(key) % parts, pa.int64())})
+                "c": pa.array(list(agg.values()), pa.int64())})
 
         def pair_top1(part: pa.Table) -> pa.Table:
             ls = part["l"].to_pylist()
@@ -127,10 +122,9 @@ def bpe_train(hist, n_merges: int, *, parts: int = BPE_PARTS,
             return pa.table({"l": pa.array([l]), "r": pa.array([r]),
                              "c": pa.array([c], pa.int64())})
 
-        cands = (state.map_batches(pair_partial, batch_format="pyarrow")
-                 .groupby("__p").map_groups(pair_top1,
-                                            batch_format="pyarrow")
-                 .take_all())
+        cands = by_partition(
+            state.map_batches(pair_partial, batch_format="pyarrow"),
+            ["l", "r"], pair_top1, parts=BPE_PARTS).take_all()
         if not cands:
             break
         best = min(cands, key=lambda row: (-row["c"], row["l"], row["r"]))

@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import hashing
-from .combine import combine_by_key
+from .combine import by_partition, combine_by_key
 
 
 PAIR_PARTS = 61   # prime: survives any power-of-two key packing upstream
@@ -211,14 +211,8 @@ def minhash_lsh_pairs(pages, *, id_col: str = "page_id",
             "rep_b": pa.array(np.concatenate(out_rb), pa.int64()),
         })
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch["band_key"], np.int64)
-        return batch.append_column(
-            "__p", pa.array(keys % PAIR_PARTS, pa.int64()))
-
-    exploded = pages.map_batches(signatures, batch_format="pyarrow")
-    mixed = (exploded.map_batches(add_part, batch_format="pyarrow")
-             .groupby("__p").map_groups(detect, batch_format="pyarrow"))
+    mixed = by_partition(pages.map_batches(signatures, batch_format="pyarrow"),
+                         "band_key", detect, parts=PAIR_PARTS)
     # pairs/candidates/member ids — ints only, O(corpus) rows consumed by
     # THREE downstream branches. Checkpoint to parquet when a directory is
     # given (at 10^12 docs these rows belong on disk, not pinned in the
@@ -282,26 +276,12 @@ def _splitmix(x: np.ndarray, seed: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _pair_part(a: np.ndarray, b: np.ndarray,
-               parts: int = PAIR_PARTS) -> np.ndarray:
-    mix = _splitmix(a.view(np.uint64) ^
-                    (b.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)),
-                    0x517CC1)
-    return (mix % np.uint64(parts)).astype(np.int64)
-
-
 def _dedup_cand(cand_ds):
     """Distributed global dedup of candidate rows on (a, b): one coarse
     pair-hash shuffle, one lexsort + first-of-run per partition. The rep
     columns are a pure function of (a, b) (each family's global min id
     — identical texts share every band/prefix bucket), so keeping the
     first run member keeps consistent reps."""
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch["a"], np.int64)
-        b = np.asarray(batch["b"], np.int64)
-        return batch.append_column("__pc",
-                                   pa.array(_pair_part(a, b), pa.int64()))
 
     def local(part: pa.Table) -> pa.Table:
         cols = [np.asarray(part[c], np.int64)
@@ -316,8 +296,7 @@ def _dedup_cand(cand_ds):
         return pa.table({c: pa.array(x[first], pa.int64()) for c, x in
                          zip(("a", "b", "rep_a", "rep_b"), cols)})
 
-    return (cand_ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("__pc").map_groups(local, batch_format="pyarrow"))
+    return by_partition(cand_ds, ["a", "b"], local, parts=PAIR_PARTS)
 
 
 def _bloom_positions(ids: np.ndarray, mask: np.uint64):
@@ -412,14 +391,12 @@ def _verify_candidates(pages, cand, *, id_col: str, text_col: str,
             "sh": pa.array([sorted(hashing.text_shingles(t))
                             for t in texts], _EMPTY_SH)})
 
-    def by_pair(batch: pa.Table) -> pa.Table:
+    def check(batch: pa.Table) -> pa.Table:
         if batch["sh"].null_count:
             raise ValueError(
                 "minhash/jaccard verify: rep id absent from the corpus — "
                 "upstream dataset changed between passes")
-        return batch.append_column("__pp", pa.array(_pair_part(
-            np.asarray(batch["a"], np.int64),
-            np.asarray(batch["b"], np.int64)), pa.int64()))
+        return batch
 
     def verify(part: pa.Table) -> pa.Table:
         a = np.asarray(part["a"], np.int64)
@@ -461,10 +438,11 @@ def _verify_candidates(pages, cand, *, id_col: str, text_col: str,
     # not shingle a block a second time (bounded by the rep count)
     shingled = pages.map_batches(page_rows,
                                  batch_format="pyarrow").materialize()
-    return (shuffle_join(routed, shingled, key="rep", right_cols=("sh",),
-                         how="left", parts=_REP_PARTS)
-            .map_batches(by_pair, batch_format="pyarrow")
-            .groupby("__pp").map_groups(verify, batch_format="pyarrow"))
+    return by_partition(
+        shuffle_join(routed, shingled, key="rep", right_cols=("sh",),
+                     how="left", parts=_REP_PARTS
+                     ).map_batches(check, batch_format="pyarrow"),
+        ["a", "b"], verify, parts=PAIR_PARTS)
 
 
 def _expand_members(confirmed, members):
@@ -502,11 +480,6 @@ def _expand_members(confirmed, members):
     def member_rows(batch: pa.Table) -> pa.Table:
         return pa.table({"h": batch["a"], "member": batch["b"]})
 
-    def by_pair(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__pp", pa.array(_pair_part(
-            np.asarray(batch["a"], np.int64),
-            np.asarray(batch["b"], np.int64)), pa.int64()))
-
     def expand(part: pa.Table) -> pa.Table:
         a = np.asarray(part["a"], np.int64)
         b = np.asarray(part["b"], np.int64)
@@ -538,10 +511,10 @@ def _expand_members(confirmed, members):
     conf = confirmed.select_columns(["a", "b"]).map_batches(
         conf_rows, batch_format="pyarrow")
     mem = members.map_batches(member_rows, batch_format="pyarrow")
-    return (shuffle_join(conf, mem, key="h", right_cols=("member",),
-                         parts=PAIR_PARTS)
-            .map_batches(by_pair, batch_format="pyarrow")
-            .groupby("__pp").map_groups(expand, batch_format="pyarrow"))
+    return by_partition(shuffle_join(conf, mem, key="h",
+                                     right_cols=("member",),
+                                     parts=PAIR_PARTS),
+                        ["a", "b"], expand, parts=PAIR_PARTS)
 
 
 CHUNK_WORDS = 8
@@ -549,8 +522,7 @@ _CHUNK_DPARTS = 127
 
 
 def chunk_dedup(docs, *, id_col: str = "doc_id", text_col: str = "text",
-                chunk_words: int = CHUNK_WORDS, parts: int = PAIR_PARTS,
-                dparts: int = _CHUNK_DPARTS):
+                chunk_words: int = CHUNK_WORDS):
     """C4-style cross-document chunk dedup accounting: split each doc's
     token stream into consecutive `chunk_words`-token chunks (tail
     shorter than the window is kept verbatim — never deduped), keep the
@@ -597,8 +569,7 @@ def chunk_dedup(docs, *, id_col: str = "doc_id", text_col: str = "text",
         ids, toks, owner, within, pos = _chunk_heads(batch)
         if pos is None or not len(pos):
             z = pa.array([], pa.int64())
-            return pa.table({"h1": z, "h2": z, "doc": z, "cidx": z,
-                             "__p": z})
+            return pa.table({"h1": z, "h2": z, "doc": z, "cidx": z})
         pieces = [pc.take(toks, pa.array(pos + w, pa.int64()))
                   for w in range(chunk_words)]
         chunks = pc.binary_join_element_wise(*pieces, " ")
@@ -608,8 +579,7 @@ def chunk_dedup(docs, *, id_col: str = "doc_id", text_col: str = "text",
             "h1": pa.array(dg[:, 0], pa.int64()),
             "h2": pa.array(dg[:, 1], pa.int64()),
             "doc": pa.array(ids[own], pa.int64()),
-            "cidx": pa.array(within[pos] // chunk_words, pa.int64()),
-            "__p": pa.array(dg[:, 0] % parts, pa.int64())})
+            "cidx": pa.array(within[pos] // chunk_words, pa.int64())})
 
     def kept_partials(part: pa.Table) -> pa.Table:
         h1 = np.asarray(part["h1"], np.int64)
@@ -629,12 +599,11 @@ def chunk_dedup(docs, *, id_col: str = "doc_id", text_col: str = "text",
             "nk": pa.array(cnt.astype(np.int64), pa.int64())})
 
     markers = docs.map_batches(markers_only, batch_format="pyarrow")
-    kept = (docs.map_batches(occs_only, batch_format="pyarrow")
-            .groupby("__p").map_groups(kept_partials,
-                                       batch_format="pyarrow"))
+    kept = by_partition(docs.map_batches(occs_only, batch_format="pyarrow"),
+                        "h1", kept_partials, parts=PAIR_PARTS)
     return combine_by_key(markers.union(kept), "doc_id",
                           {"n_chunks": ("nc", "sum"),
-                           "n_kept": ("nk", "sum")}, parts=dparts)
+                           "n_kept": ("nk", "sum")}, parts=_CHUNK_DPARTS)
 
 
 def simhash_pairs(pages, *, id_col: str = "page_id", text_col: str = "text",
@@ -781,15 +750,8 @@ def hamming64_band_pairs(sigs, *, id_col: str, sig_col: str = "sig",
                          "id_b": pa.array(np.concatenate(out_b), pa.int64()),
                          "hamming": pa.array(np.concatenate(out_h), pa.int64())})
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch["band_key"], np.int64)
-        return batch.append_column(
-            "__p", pa.array(keys % PAIR_PARTS, pa.int64()))
-
-    exploded = sigs.map_batches(explode, batch_format="pyarrow")
-    grouped = (exploded.map_batches(add_part, batch_format="pyarrow")
-               .groupby("__p").map_groups(process_partition,
-                                          batch_format="pyarrow"))
+    grouped = by_partition(sigs.map_batches(explode, batch_format="pyarrow"),
+                           "band_key", process_partition, parts=PAIR_PARTS)
     return _dedup_pairs(grouped, extra_col="hamming")
 
 
@@ -863,11 +825,6 @@ def jaccard_similarity_join(pages, *, id_col: str = "page_id",
             "id": pa.array(ids[rep], pa.int64()),
         })
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        ph = np.asarray(batch["ph"], np.int64)
-        return batch.append_column(
-            "__p", pa.array(ph % PAIR_PARTS, pa.int64()))
-
     def detect(part: pa.Table) -> pa.Table:
         """Partition = whole prefix-hash buckets. Families (same bucket,
         same text hash) collapse to their min id; buckets holding >1
@@ -916,10 +873,9 @@ def jaccard_similarity_join(pages, *, id_col: str = "page_id",
             "rep_b": pa.array(crb[first], pa.int64()),
         })
 
-    cand_ds = (pages.map_batches(prefix_rows, batch_format="pyarrow")
-               .map_batches(add_part, batch_format="pyarrow")
-               .groupby("__p").map_groups(detect, batch_format="pyarrow")
-               ).materialize()
+    cand_ds = by_partition(pages.map_batches(prefix_rows,
+                                             batch_format="pyarrow"),
+                           "ph", detect, parts=PAIR_PARTS).materialize()
     empty = pa.table({"id_a": pa.array([], pa.int64()),
                       "id_b": pa.array([], pa.int64()),
                       "jac": pa.array([], pa.float64())})

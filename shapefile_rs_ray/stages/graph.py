@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .combine import combine_by_key
+from .combine import by_partition, combine_by_key
 
 CC_PARTS = 251
 
@@ -289,7 +289,7 @@ def pagerank(edges, nodes, *, src_col: str = "src", dst_col: str = "dst",
 
 
 def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
-                    parts: int = 61, n_blocks: int = 32):
+                    n_blocks: int = 32):
     """Per-node triangle counts over an undirected graph — the classic
     web-graph cohesion operator (host-graph clustering coefficients,
     link-farm detection). Exact integer counts, order-free at any
@@ -317,6 +317,8 @@ def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
     int64-packing contract doc_rank uses); raises loudly otherwise.
     """
     from .relational import shuffle_join
+
+    parts = 61        # prime partition count of all six exchanges
 
     def norm_edges(batch: pa.Table) -> pa.Table:
         x = np.asarray(batch[a_col], np.int64)
@@ -361,7 +363,7 @@ def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
 
     Ed = attach(attach(E, "lo", "deg_lo"), "hi", "deg_hi")
 
-    # --- orient by (deg, id) rank; partition by apex
+    # --- orient by (deg, id) rank; partition by apex (src)
     def orient(batch: pa.Table) -> pa.Table:
         lo = np.asarray(batch["lo"], np.int64)
         hi = np.asarray(batch["hi"], np.int64)
@@ -371,8 +373,7 @@ def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
         src = np.where(lo_first, lo, hi)
         dst = np.where(lo_first, hi, lo)
         return pa.table({"src": pa.array(src, pa.int64()),
-                         "dst": pa.array(dst, pa.int64()),
-                         "__p": pa.array(src % parts, pa.int64())})
+                         "dst": pa.array(dst, pa.int64())})
 
     def wedges(part: pa.Table) -> pa.Table:
         """(apex, key) per wedge: key = (lo<<32)|hi of its open pair."""
@@ -407,9 +408,8 @@ def triangle_counts(edges, *, a_col: str = "a", b_col: str = "b",
             "key": pa.array((np.minimum(u, w) << 32) | np.maximum(u, w),
                             pa.int64())})
 
-    W = (Ed.map_batches(orient, batch_format="pyarrow")
-         .groupby("__p").map_groups(wedges, batch_format="pyarrow")
-         .materialize())
+    W = by_partition(Ed.map_batches(orient, batch_format="pyarrow"), "src",
+                     wedges, parts=parts).materialize()
 
     # --- membership: a wedge whose closing pair is an edge is a triangle
     def e_keyed(batch: pa.Table) -> pa.Table:

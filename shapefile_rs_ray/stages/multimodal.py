@@ -638,8 +638,7 @@ def synth_phash_bmp_bytes(doc_id: int) -> bytes:
 
 
 def phash_neardup(images, *, id_col: str = "doc_id",
-                  bytes_col: str = "bmp", max_hamming: int = 7,
-                  dparts: int = 127):
+                  bytes_col: str = "bmp", max_hamming: int = 7):
     """Image near-duplicate detection: pHash every image (actor pool),
     find ALL pairs within `max_hamming` bits EXACTLY via 8x8-bit band
     blocking (pigeonhole: <=7 differing bits leave >=1 of 8 bands
@@ -647,9 +646,11 @@ def phash_neardup(images, *, id_col: str = "doc_id",
     per image: (id, phash, n_near).
 
     Scale shape: images never shuffle — only (id, phash) int pairs do.
-    The count attach is a tag-union co-partition (hash rows pos=-1,
-    pair sides pos=1) on a coarse id-hash, local np.unique reduce; no
+    The count attach is ONE `by_partition` exchange of the hash rows
+    (cnt=-1) and the pair sides (cnt=1) on a coarse id-hash, then a
+    local np.unique reduce: counting and lookup share it. No
     per-distinct-key groupby and no driver state."""
+    from .combine import by_partition
     from .dedup import hamming64_band_pairs
 
     sigs = images.map_batches(PhashStage, batch_format="pyarrow",
@@ -665,8 +666,7 @@ def phash_neardup(images, *, id_col: str = "doc_id",
         return pa.table({
             "doc": pa.array(ids, pa.int64()),
             "phash": batch["phash"],
-            "cnt": pa.array(np.full(len(ids), -1, np.int64), pa.int64()),
-            "__dp": pa.array(ids % dparts, pa.int64())})
+            "cnt": pa.array(np.full(len(ids), -1, np.int64), pa.int64())})
 
     def pair_sides(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["id_a"], np.int64)
@@ -675,8 +675,7 @@ def phash_neardup(images, *, id_col: str = "doc_id",
         return pa.table({
             "doc": pa.array(doc, pa.int64()),
             "phash": pa.array(np.zeros(len(doc), np.int64), pa.int64()),
-            "cnt": pa.array(np.ones(len(doc), np.int64), pa.int64()),
-            "__dp": pa.array(doc % dparts, pa.int64())})
+            "cnt": pa.array(np.ones(len(doc), np.int64), pa.int64())})
 
     def attach(part: pa.Table) -> pa.Table:
         doc = np.asarray(part["doc"], np.int64)
@@ -697,10 +696,9 @@ def phash_neardup(images, *, id_col: str = "doc_id",
             "phash": pa.array(hph, pa.int64()),
             "n_near": pa.array(n, pa.int64())})
 
-    hrows = sigs.map_batches(hash_rows, batch_format="pyarrow")
-    prows = pairs.map_batches(pair_sides, batch_format="pyarrow")
-    return (hrows.union(prows).groupby("__dp")
-            .map_groups(attach, batch_format="pyarrow"))
+    return by_partition([sigs.map_batches(hash_rows, batch_format="pyarrow"),
+                         pairs.map_batches(pair_sides, batch_format="pyarrow")],
+                        "doc", attach, parts=127)
 
 
 # -- REAL GIF decode (LZW, GIF87a/89a) -----------------------------------

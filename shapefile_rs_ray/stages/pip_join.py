@@ -32,7 +32,7 @@ from ..geometry.pip import PIPIndex
 from ..geometry.rings import (SimplePolygon, group_multipatch_rings,
                               group_rings)
 from ..geometry.shp import MULTIPATCH, read_shp
-from .combine import combine_by_key
+from .combine import by_partition, combine_by_key
 
 
 def load_polygons(paths: list[str] | str,
@@ -175,13 +175,7 @@ def _cell_shuffle_pip(ds, polys, *, cell_fn, cover_pairs, hot,
                 m = cell == hc
                 salt[m] = ids[m] % ns
         key = cell * 1024 + salt  # cell_salt shuffle key (<=1024 salts)
-        batch = batch.append_column("cell_salt", pa.array(key, pa.int64()))
-        # coarse shuffle partitions: one Ray group per ~1/251st of the key
-        # space, per-cell joins delimited locally (a group per CELL pays a
-        # scheduler round-trip per mostly-tiny cell). 251 is prime: a
-        # power-of-two modulus would cancel against the *1024 packing and
-        # collapse every salt-0 row into one partition.
-        return batch.append_column("__p", pa.array(key % 251, pa.int64()))
+        return batch.append_column("cell_salt", pa.array(key, pa.int64()))
 
     class CellJoin:
         """One shuffle partition = many whole cell_salt groups. The polygon
@@ -231,9 +225,14 @@ def _cell_shuffle_pip(ds, polys, *, cell_fn, cover_pairs, hot,
                 return pa.table(empty)
             return pa.concat_tables(outs)
 
-    keyed = ds.map_batches(add_cell, batch_format="pyarrow")
-    return keyed.groupby("__p").map_groups(
-        CellJoin, batch_format="pyarrow", concurrency=(1, 4))
+    # coarse shuffle partitions: one Ray group per ~1/251st of the key
+    # space, per-cell joins delimited locally (a group per CELL pays a
+    # scheduler round-trip per mostly-tiny cell). 251 is prime: a
+    # power-of-two modulus would cancel against the *1024 packing and
+    # collapse every salt-0 row into one partition.
+    return by_partition(ds.map_batches(add_cell, batch_format="pyarrow"),
+                        "cell_salt", CellJoin, parts=251,
+                        concurrency=(1, 4))
 
 
 def cell_partitioned_pip(ds, polys: list[SimplePolygon], *, zoom: int = 7,

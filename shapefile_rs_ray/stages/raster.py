@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .combine import combine_by_key
+from .combine import by_partition, combine_by_key
 
 
 def grid_params(boxes: np.ndarray, w: int, h: int
@@ -172,16 +172,10 @@ def vectorize_regions(raster_ds, *, w: int, tile_rows: int = 256,
     root map for a one-pass distributed relabel + per-region reduce."""
     import ray
 
-    def tag(batch: pa.Table) -> pa.Table:
-        iy = np.asarray(batch["iy"], np.int64)
-        return batch.append_column(
-            "__tile", pa.array(iy // tile_rows, pa.int64()))
-
-    labeled = (raster_ds.map_batches(tag, batch_format="pyarrow")
-               .groupby("__tile")
-               .map_groups(lambda t: _label_tile(t, w),
-                           batch_format="pyarrow")
-               .materialize())     # consumed twice: boundary + relabel
+    labeled = by_partition(
+        raster_ds, lambda b: np.asarray(b["iy"], np.int64) // tile_rows,
+        lambda t: _label_tile(t, w)
+    ).materialize()     # consumed twice: boundary + relabel
 
     def boundary_rows(batch: pa.Table) -> pa.Table:
         iy = np.asarray(batch["iy"], np.int64)
@@ -249,7 +243,7 @@ def focal_sum(raster_ds, *, w: int, tile_rows: int = 256):
     Output: (pix, n_nb, sum_nb) — exact integers, bit-exact vs the SQL
     9-offset self-join restatement."""
 
-    def tag(batch: pa.Table) -> pa.Table:
+    def halo(batch: pa.Table) -> pa.Table:
         iy = np.asarray(batch["iy"], np.int64)
         band = iy // tile_rows
         row_in = iy % tile_rows
@@ -301,5 +295,5 @@ def focal_sum(raster_ds, *, w: int, tile_rows: int = 256):
             "sum_nb": pa.array(s_nb, pa.int64()),
         })
 
-    return (raster_ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("__band").map_groups(local, batch_format="pyarrow"))
+    return by_partition(raster_ds.map_batches(halo, batch_format="pyarrow"),
+                        lambda b: np.asarray(b["__band"], np.int64), local)

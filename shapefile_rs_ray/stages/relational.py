@@ -8,17 +8,19 @@ hand-writes its own tag-union join:
   the dimension table ships ONCE via ray.put, every map_batches task
   answers its probe batch with one vectorized np.searchsorted over the
   sorted key column — no shuffle at all. The fact side streams.
-- `shuffle_join`, the large-large pattern: both sides tag, union and
-  take ONE coarse `__p` exchange, then each partition matches with a
-  sort + searchsorted. Integer or string keys, inner / left / full /
-  semi / anti, null keys never match. Every co-partition lookup in the
-  engine (TPC-H joins, label relabels, pagerank, triangle attach and
-  wedge membership, the TF-IDF big-vocab path, near-dup verify and
-  member expansion) is a call to it plus a row-local projection.
+- `shuffle_join`, the large-large pattern: both sides pad to one
+  schema and take ONE coarse `combine.by_partition` exchange on the
+  key, then each partition matches with a sort + searchsorted. Integer
+  or string keys, inner / left / full / semi / anti, null keys never
+  match. Every co-partition lookup in the engine (TPC-H joins, label
+  relabels, pagerank, triangle attach and wedge membership, the TF-IDF
+  big-vocab path, near-dup verify and member expansion) is a call to it
+  plus a row-local projection.
 
-Keyed aggregates go through `combine_by_key`. Float caution: SUM over
-f64 is merge-order-sensitive, so oracle-checked aggregates stick to
-COUNT / MIN / MAX plus integer SUMs (l_quantity is integral by
+Keyed aggregates go through `combine_by_key`, and any other wide step
+through `by_partition` (both in `stages/combine.py`). Float caution:
+SUM over f64 is merge-order-sensitive, so oracle-checked aggregates
+stick to COUNT / MIN / MAX plus integer SUMs (l_quantity is integral by
 construction; the cast is exact on both engine and oracle).
 """
 
@@ -28,7 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .combine import _key_partition, combine_by_key
+from .combine import by_partition, combine_by_key
 
 
 def _match_ranges(lo: np.ndarray, counts: np.ndarray):
@@ -156,7 +158,7 @@ def _key_codes(col) -> np.ndarray:
 def shuffle_join(left, right, *, key: str, right_cols: tuple[str, ...],
                  how: str = "inner", parts: int = JOIN_PARTS):
     """Large-large equi-join: BOTH sides shuffle once into `parts`
-    coarse key-hash partitions (tagged union, one exchange), then each
+    coarse key-hash partitions (one `by_partition` exchange), then each
     partition joins locally with one sort + a searchsorted left/right
     range expansion — no per-key groups, no broadcast. Use when the
     dimension side outgrows broadcast; `broadcast_join` is the
@@ -208,7 +210,7 @@ def shuffle_join(left, right, *, key: str, right_cols: tuple[str, ...],
     types = {c: l_base.field(c).type for c in left_cols}
     types.update({c: r_base.field(c).type for c in right_cols})
 
-    def tag(side: int, base: pa.Schema, own: tuple[str, ...]):
+    def pad(side: int, base: pa.Schema, own: tuple[str, ...]):
         # outer sides keep their null-key rows; the others drop them here
         drops_nulls = how in ("inner", "semi") or (side == 1
                                                    and how != "full")
@@ -222,10 +224,7 @@ def shuffle_join(left, right, *, key: str, right_cols: tuple[str, ...],
                 valid = pc.is_valid(k)
                 batch, k = batch.filter(valid), k.filter(valid)
             n = batch.num_rows
-            out = {key: k,
-                   "__side": pa.array(np.full(n, side, np.int64)),
-                   "__p": pa.array(_key_partition(pa.table({key: k}),
-                                                  [key], parts), pa.int64())}
+            out = {key: k, "__side": pa.array(np.full(n, side, np.int64))}
             # pad with the other side's columns as nulls so the two
             # sides' blocks concatenate cleanly
             for c in (*left_cols, *right_cols):
@@ -264,7 +263,7 @@ def shuffle_join(left, right, *, key: str, right_cols: tuple[str, ...],
             return res
         # full outer: append unmatched right rows (null keys plus valid
         # keys no left row probed); their left columns are the nulls
-        # tag() padded them with
+        # pad() filled them with
         hit = np.zeros(len(r_idx), bool)
         hit[rng] = True
         un_idx = np.concatenate([np.nonzero((side == 1) & ~valid)[0],
@@ -272,12 +271,12 @@ def shuffle_join(left, right, *, key: str, right_cols: tuple[str, ...],
         return pa.concat_tables([
             res, part.select(res.column_names).take(un_idx)])
 
-    tagged_l = left.map_batches(tag(0, l_base, tuple(left_cols)),
-                                batch_format="pyarrow")
-    tagged_r = right.map_batches(tag(1, r_base, tuple(right_cols)),
-                                 batch_format="pyarrow")
-    return (tagged_l.union(tagged_r)
-            .groupby("__p").map_groups(local_join, batch_format="pyarrow"))
+    return by_partition(
+        [left.map_batches(pad(0, l_base, tuple(left_cols)),
+                          batch_format="pyarrow"),
+         right.map_batches(pad(1, r_base, tuple(right_cols)),
+                           batch_format="pyarrow")],
+        key, local_join, parts=parts)
 
 
 def grouped_exact_quantiles(ds, *, group_col: str, value_col: str,

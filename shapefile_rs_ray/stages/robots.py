@@ -31,6 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .combine import by_partition
+
 
 def parse_robots(text: str):
     """robots.txt -> list of groups: (agents, rules, crawl_delay) where
@@ -161,7 +163,7 @@ def decide_batch(rules, paths: np.ndarray) -> np.ndarray:
 
 def robots_gate(pages, robots, *, agent: str = "graftbot",
                 host_col: str = "host", path_col: str = "path",
-                id_col: str = "page_id", parts: int = 61):
+                id_col: str = "page_id"):
     """Dataset(host, n_allowed, n_blocked, sum_blocked): every page
     checked against its host's policy. `robots` is Dataset(host,
     robots_txt) — co-partitioned with pages by host hash, parsed once
@@ -173,8 +175,7 @@ def robots_gate(pages, robots, *, agent: str = "graftbot",
             "page_id": batch[id_col],
             "path": batch[path_col],
             "robots_txt": pa.nulls(len(h), pa.string()),
-            "__kind": pa.array(np.ones(len(h), np.int64)),
-            "__p": pa.array(h % parts, pa.int64())})
+            "__kind": pa.array(np.ones(len(h), np.int64))})
 
     def r_rows(batch: pa.Table) -> pa.Table:
         h = np.asarray(batch[host_col], np.int64)
@@ -183,8 +184,7 @@ def robots_gate(pages, robots, *, agent: str = "graftbot",
             "page_id": pa.nulls(len(h), pa.int64()),
             "path": pa.nulls(len(h), pa.string()),
             "robots_txt": batch["robots_txt"],
-            "__kind": pa.array(np.zeros(len(h), np.int64)),
-            "__p": pa.array(h % parts, pa.int64())})
+            "__kind": pa.array(np.zeros(len(h), np.int64))})
 
     def gate(part: pa.Table) -> pa.Table:
         kind = np.asarray(part["__kind"], np.int64)
@@ -218,9 +218,9 @@ def robots_gate(pages, robots, *, agent: str = "graftbot",
             "n_blocked": pa.array(out_b, pa.int64()),
             "sum_blocked": pa.array(out_s, pa.int64())})
 
-    return (pages.map_batches(p_rows, batch_format="pyarrow")
-            .union(robots.map_batches(r_rows, batch_format="pyarrow"))
-            .groupby("__p").map_groups(gate, batch_format="pyarrow"))
+    return by_partition([pages.map_batches(p_rows, batch_format="pyarrow"),
+                         robots.map_batches(r_rows, batch_format="pyarrow")],
+                        "host", gate, parts=61)
 
 
 def synth_robots_txt(host: int) -> str:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .combine import combine_by_key
+from .combine import by_partition, combine_by_key
 from .ngrams import _doc_ngrams
 
 TERM_PARTS = 251
@@ -184,14 +184,13 @@ def tfidf_top_terms(docs, *, id_col: str = "doc_id",
             "term": pa.array(terms.tolist(), pa.string()),
             "tf": pa.array(tf, pa.int64())})
 
-    def doc_part(batch: pa.Table) -> pa.Table:
+    def check(batch: pa.Table) -> pa.Table:
         # same failure as the broadcast path's vocabulary miss
         if batch["df"].null_count:
             raise ValueError(
                 "tfidf_top_terms: term absent from the df vocabulary "
                 "— upstream dataset changed between the two passes")
-        return batch.append_column("__dp", pa.array(
-            np.asarray(batch["doc_id"], np.int64) % DOC_PARTS, pa.int64()))
+        return batch
 
     def topk_local(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
@@ -204,5 +203,5 @@ def tfidf_top_terms(docs, *, id_col: str = "doc_id",
     joined = shuffle_join(docs.map_batches(pair_rows, batch_format="pyarrow"),
                           df_ds, key="term", right_cols=("df",), how="left",
                           parts=TERM_PARTS)
-    return (joined.map_batches(doc_part, batch_format="pyarrow")
-            .groupby("__dp").map_groups(topk_local, batch_format="pyarrow"))
+    return by_partition(joined.map_batches(check, batch_format="pyarrow"),
+                        "doc_id", topk_local, parts=DOC_PARTS)

@@ -1076,6 +1076,29 @@ def test_wet_roundtrip_over_ray(ray_session, tmp_path):
     assert got == want
 
 
+def test_warc_extract_removes_its_shards(ray_session, tmp_path):
+    """The warc_extract query writes WET shards, reads them back and
+    removes the shard directory: rows round-trip, no directory remains."""
+    import glob
+    import pyarrow.parquet as pq
+    import __ray_entry__ as m
+    from shapefile_rs_ray.sources.webpages import webpages_table
+    n = 12
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": pa.array([f"doc {i} words w{i % 3} more" for i in range(n)]),
+        "lang": pa.array(["en"] * n),
+    }), tmp_path / "documents.parquet")
+    back = m._warc_extract(str(tmp_path)).take_all()
+    pages = webpages_table(str(tmp_path))
+    got = sorted((r["url"], r["warc_ts"], r["text"]) for r in back)
+    want = sorted(zip(pages["url"].to_pylist(), pages["warc_ts"].to_pylist(),
+                      pages["text"].to_pylist()))
+    assert len(got) == pages.num_rows > 0
+    assert got == want
+    assert glob.glob(f"/tmp/graft_wet_shards_*_{tmp_path.name}") == []
+
+
 # ------------------------------------------------------------------- FLAC
 
 

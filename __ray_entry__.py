@@ -26,10 +26,10 @@ import numpy as np
 import pyarrow as pa
 
 from shapefile_rs_ray.pipelines import oracles
+from shapefile_rs_ray.pipelines.oracles import LAKES
 from shapefile_rs_ray.stages import avi, flac, jpeg, mp3
 from shapefile_rs_ray.stages import multimodal as mm
 
-LAKES = "/root/reference/tests/data/ne_10m_lakes_north_america.shp"
 HOT_CELL_THRESHOLD = 200
 
 
@@ -2520,7 +2520,39 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # oracle changed, then fill the window with driver-green staples;
     # the remainder (all driver-green in earlier rounds) follows.
     return {
-        # -- changed: every co-partition join is one shuffle_join --
+        # -- changed: every wide step through stages/combine.py --
+        "top_events_user": _top_events_user,
+        "events_late": _events_late,
+        "asof_join": _asof_join,
+        "range_join": _range_join,
+        "session_windows": _session_windows,
+        "lag_lead": _lag_lead,
+        "running_max": _running_max,
+        "ann_lsh_top1": _ann_lsh_top1,
+        "ann_ivf_top1": _ann_ivf_top1,
+        "quality_corpus": _quality_corpus,
+        "quota_sample": _quota_sample,
+        "seq_pack": _seq_pack,
+        "substring_dedup": _substring_dedup,
+        "substring_clean": _substring_clean,
+        "knn_cellpart": _knn_cellpart,
+        "bbox_join": _bbox_join,
+        "h3_compact": _h3_compact,
+        "bigram_counts": _bigram_counts,
+        "trigram_counts": _trigram_counts,
+        "host_docs": _host_docs,
+        "semantic_neardup": _semantic_neardup,
+        "rollup_orders": _rollup_orders,
+        "hll_users": _hll_users,
+        "hll_window_users": _hll_window_users,
+        "cms_users": _cms_users,
+        "value_histogram": _value_histogram,
+        "token_quantiles": _token_quantiles,
+        "text_fidelity": _text_fidelity,
+        # -- untouched gate-green staples filling the window --
+        "flac_decode": _codec_query("flac_decode"),
+        "tpch_q6": _tpch_q6,
+        "compress_ratio": _compress_ratio,
         "tpch_q3": _tpch_q3,
         "tpch_q5": _tpch_q5,
         "tpch_q10": _tpch_q10,
@@ -2531,18 +2563,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "orders_lineitem_left": _orders_lineitem_left,
         "orders_cust_full": _orders_cust_full,
         "host_join": _host_join,
-        # -- changed: aggregates now through combine_by_key --
         "orders_by_nation": _orders_by_nation,
         "lineitem_q1": _lineitem_q1,
         "chunk_dedup": _chunk_dedup,
-        # -- changed: graph, tf-idf, near-dup joins via shuffle_join --
         "doc_rank": _doc_rank,
         "host_triangles": _host_triangles,
         "dup_clusters": _dup_clusters,
         "tfidf_terms": _tfidf_terms,
         "minhash_pairs": _minhash_pairs,
         "jaccard_pairs": _jaccard_pairs,
-        # -- untouched staples filling the window --
+        # ---- end of the 50-entry correctness-gate window ----
+        # Every entry below is an UNTOUCHED gate-green staple.
         "hot_cells": _hot_cells,
         "tile_pyramid": _tile_pyramid,
         "zonal_stats": _zonal_stats,
@@ -2568,76 +2599,43 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_window": _events_window,
         "events_hopping": _events_hopping,
         "window_distinct": _window_distinct,
-        "flac_decode": _codec_query("flac_decode"),
         "warc_extract": _warc_extract,
         "robots_gate": _robots_gate,
         "events_pushdown": _events_pushdown,
-        "tpch_q6": _tpch_q6,
-        "compress_ratio": _compress_ratio,
-        # ---- end of the 50-entry correctness-gate window ----
-        # Every entry below is an UNTOUCHED gate-green staple.
-        "quota_sample": _quota_sample,
-        "seq_pack": _seq_pack,
         "script_mix": _script_mix,
-        "substring_dedup": _substring_dedup,
-        "substring_clean": _substring_clean,
         "wkb_export": _wkb_export,
         "kmeans_embed": _kmeans_embed,
-        "semantic_neardup": _semantic_neardup,
-        "bigram_counts": _bigram_counts,
         **{name: _codec_query(name) for name in CODECS
            if name != "flac_decode"},
-        "trigram_counts": _trigram_counts,
         "decontaminate": _decontaminate,
-        "host_docs": _host_docs,
         "pii_scrub": _pii_scrub,
         "gopher_quality": _gopher_quality,
         "h3_polyfill": _h3_polyfill,
-        "h3_compact": _h3_compact,
         "h3_ring": _h3_ring,
         "cells_multi": _cells_multi,
-        "ann_lsh_top1": _ann_lsh_top1,
-        "ann_ivf_top1": _ann_ivf_top1,
         "lake_measures": _lake_measures,
         "simplify_lakes": _simplify_lakes,
         "clip_lakes": _clip_lakes,
         "html_extract": _html_extract,
-        "events_late": _events_late,
-        "range_join": _range_join,
-        "top_events_user": _top_events_user,
-        "asof_join": _asof_join,
-        "session_windows": _session_windows,
         "top_events": _top_events,
         "pip_join": _pip_join,
         "decode_lakes": _decode_lakes,
         "cust_orders_left": _cust_orders_left,
         "distinct_langs": _distinct_langs,
         "host_filter": _host_filter,
-        "running_max": _running_max,
-        "lag_lead": _lag_lead,
         "union_split": _union_split,
-        "rollup_orders": _rollup_orders,
         "knn_sites": _knn_sites,
         "webpages": _webpages,
         "ann_top1": _ann_top1,
         "tile_cells": _tile_cells,
-        "bbox_join": _bbox_join,
         "nearest_polygon": _nearest_polygon,
-        "knn_cellpart": _knn_cellpart,
         "radius_join": _radius_join,
         "embed_neardup": _embed_neardup,
         "token_stats": _token_stats,
-        "token_quantiles": _token_quantiles,
-        "text_fidelity": _text_fidelity,
         "langid": _langid,
         "hex_cells": _hex_cells,
-        "quality_corpus": _quality_corpus,
-        "hll_users": _hll_users,
-        "hll_window_users": _hll_window_users,
-        "cms_users": _cms_users,
         "sample_pages": _sample_pages,
         "stratified_sample": _stratified_sample,
-        "value_histogram": _value_histogram,
         "fingerprints": _fingerprints,
     }
 

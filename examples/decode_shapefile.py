@@ -18,6 +18,7 @@ import ray
 
 from shapefile_rs_ray.geometry.wkb import (geoarrow_from_geometry,
                                            wkb_from_geometry)
+from shapefile_rs_ray.pipelines.oracles import LAKES
 from shapefile_rs_ray.sources.shapefile import read_shapefile_dataset
 
 
@@ -35,5 +36,4 @@ def main(path: str) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else
-         "/root/reference/tests/data/ne_10m_lakes_north_america.shp")
+    main(sys.argv[1] if len(sys.argv) > 1 else LAKES)

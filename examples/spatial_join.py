@@ -16,6 +16,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(
 import ray
 
 from shapefile_rs_ray.pipelines.flagship import add_grid_cell
+from shapefile_rs_ray.pipelines.oracles import LAKES
 from shapefile_rs_ray.sources.webpages import read_webpages
 from shapefile_rs_ray.stages.pip_join import broadcast_pip_join, load_polygons
 
@@ -33,5 +34,4 @@ def main(sf_dir: str, lakes: str) -> None:
 
 if __name__ == "__main__":
     main(sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001",
-         sys.argv[2] if len(sys.argv) > 2 else
-         "/root/reference/tests/data/ne_10m_lakes_north_america.shp")
+         sys.argv[2] if len(sys.argv) > 2 else LAKES)

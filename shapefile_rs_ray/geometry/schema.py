@@ -25,29 +25,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .shp import NO_DATA, ShapeTable, has_m, has_z, MULTIPATCH
+from .shp import ShapeTable, has_m, has_z, MULTIPATCH
 
 BBOX_FIELDS = ["xmin", "ymin", "xmax", "ymax", "zmin", "zmax", "mmin", "mmax"]
-
-
-def geometry_schema(attrs_schema: pa.Schema | None = None) -> pa.Schema:
-    fields = [
-        pa.field("geom_id", pa.int64()),
-        pa.field("shape_type", pa.int32()),
-        pa.field("xy", pa.list_(pa.list_(pa.list_(pa.float64(), 2)))),
-        pa.field("z", pa.list_(pa.list_(pa.float64()))),
-        pa.field("m", pa.list_(pa.list_(pa.float64()))),
-        pa.field("m_present", pa.bool_()),
-        pa.field("part_roles", pa.list_(pa.int8())),
-        pa.field("bbox", pa.struct([pa.field(n, pa.float64())
-                                    for n in BBOX_FIELDS])),
-        pa.field("is_null", pa.bool_()),
-    ]
-    if attrs_schema is not None:
-        fields.append(pa.field(
-            "attrs", pa.struct([attrs_schema.field(i)
-                                for i in range(len(attrs_schema))])))
-    return pa.schema(fields)
 
 
 def shape_table_to_arrow(st: ShapeTable,

@@ -83,13 +83,6 @@ def has_m(shape_type: int) -> bool:
     )
 
 
-def is_multipart(shape_type: int) -> bool:
-    """src/lib.rs:249-259."""
-    return shape_type not in (
-        POINT, POINT_M, POINT_Z, MULTIPOINT, MULTIPOINT_M, MULTIPOINT_Z,
-    )
-
-
 class ShapefileError(Exception):
     pass
 

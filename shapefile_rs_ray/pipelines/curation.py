@@ -18,13 +18,13 @@ import pyarrow.compute as pc
 
 from ..functions import hashing
 from ..functions.text import LangId, token_stats
-from ..stages.combine import combine_by_key
+from ..stages.combine import by_partition, combine_by_key
 
 DEDUP_PARTS = 251   # prime (CLAUDE.md partition-modulus rule)
 
 
 def curate_corpus(pages, *, lang: str = "en", id_col: str = "page_id",
-                  text_col: str = "text", parts: int = DEDUP_PARTS):
+                  text_col: str = "text"):
     """pages -> Dataset(page_id, url, n_tokens): quality pages in `lang`,
     one per distinct text (the min page_id of each surviving clone family).
 
@@ -49,7 +49,6 @@ def curate_corpus(pages, *, lang: str = "en", id_col: str = "page_id",
             "url": batch["url"],
             "n_tokens": batch["n_tokens"],
             "__h": pa.array(h, pa.int64()),
-            "__p": pa.array(h % parts, pa.int64()),
         })
 
     def keep_min(part: pa.Table) -> pa.Table:
@@ -78,7 +77,7 @@ def curate_corpus(pages, *, lang: str = "en", id_col: str = "page_id",
 
     langed = pages.map_batches(langid_batch, batch_format="pyarrow")
     gated = langed.map_batches(gate, batch_format="pyarrow")
-    return gated.groupby("__p").map_groups(keep_min, batch_format="pyarrow")
+    return by_partition(gated, "__h", keep_min, parts=DEDUP_PARTS)
 
 
 def stratified_split(pages, *, train_pct: int = 80, val_pct: int = 10,
@@ -191,25 +190,17 @@ def quota_sample(pages, *, quotas: dict | None = None,
             "rank": pa.array(rank, pa.int64()),
             id_col: pa.array(pid, pa.int64())})
 
-    def add_lp(batch: pa.Table) -> pa.Table:
-        # partition the mid-merge by crc hash (NOT by lang — one lang's
-        # candidates would still pile into one partition): per-lang
-        # top-k over any partitioning of the candidates is exact
-        c = np.asarray(batch["crc"], np.int64)
-        return batch.append_column("__p", pa.array(c % 61, pa.int64()))
-
-    return (pages.map_batches(partial, batch_format="pyarrow")
-            .map_batches(add_lp, batch_format="pyarrow")
-            .groupby("__p").map_groups(
-                lambda p: mid(p.drop_columns(["__p"])),
-                batch_format="pyarrow")
+    # partition the mid-merge by crc hash (NOT by lang — one lang's
+    # candidates would still pile into one partition): per-lang top-k over
+    # any partitioning of the candidates is exact
+    return (by_partition(pages.map_batches(partial, batch_format="pyarrow"),
+                         "crc", mid, parts=61)
             .repartition(1)
             .map_batches(final, batch_format="pyarrow"))
 
 
 def seq_pack(docs, *, cap: int = 64, group: int = 32,
-             id_col: str = "doc_id", text_col: str = "text",
-             parts: int = 61):
+             id_col: str = "doc_id", text_col: str = "text"):
     """Sequence packing — the pretraining batch-prep stage: documents
     pack greedily (first-fit in doc order) into fixed-capacity token
     sequences; a doc that alone exceeds `cap` takes its own sequence
@@ -234,8 +225,7 @@ def seq_pack(docs, *, cap: int = 64, group: int = 32,
         return pa.table({
             "grp": pa.array(grp, pa.int64()),
             id_col: pa.array(ids, pa.int64()),
-            "n": pc.cast(n, pa.int64()),
-            "__p": pa.array(grp % parts, pa.int64())})
+            "n": pc.cast(n, pa.int64())})
 
     def pack(part: pa.Table) -> pa.Table:
         grp = np.asarray(part["grp"], np.int64)
@@ -284,5 +274,5 @@ def seq_pack(docs, *, cap: int = 64, group: int = 32,
             "n_overflow": pa.array(ovf, pa.int64()),
             "padding": pa.array(padding, pa.int64())})
 
-    return (docs.map_batches(partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(pack, batch_format="pyarrow"))
+    return by_partition(docs.map_batches(partial, batch_format="pyarrow"),
+                        "grp", pack, parts=61)

@@ -18,10 +18,9 @@ from ..functions.text import token_stats
 from ..sources.webpages import read_webpages
 from ..stages.combine import combine_by_key
 from ..stages.pip_join import broadcast_pip_join, load_polygons
-from ..stages.zonal import zonal_stats
 from ..state.lineage import write_partitioned
+from .oracles import LAKES
 
-LAKES = "/root/reference/tests/data/ne_10m_lakes_north_america.shp"
 GRID_ZOOM = 12
 
 
@@ -52,11 +51,6 @@ def flagship(sf_dir: str, *, out_dir: str | None = None, repl: int | None = None
         write_partitioned(joined, out_dir, key_col="page_id",
                           text_col="text", url_col="url").materialize()
     return joined
-
-
-def flagship_zonal(sf_dir: str, **kw):
-    joined = flagship(sf_dir, **kw)
-    return zonal_stats(joined, measure_col="n_chars", zone_col="geom_id")
 
 
 PYRAMID_ZOOMS = (4, 6, 8, 10, 12)

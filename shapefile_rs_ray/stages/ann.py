@@ -25,6 +25,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .combine import by_partition
+
+ANN_PARTS = 61   # prime: survives any power-of-two key packing upstream
+
 
 def _matrix(tbl: pa.Table, id_col: str) -> tuple[np.ndarray, np.ndarray]:
     ids = np.asarray(tbl[id_col], np.int64)
@@ -229,7 +233,7 @@ class NearDupPairs:
 
 
 def lsh_topk(embeddings, *, k: int = 1, planes: int = 4, bands: int = 16,
-             seed: int = 99, id_col: str = "vec_id", parts: int = 61):
+             seed: int = 99, id_col: str = "vec_id"):
     """Approximate self-join top-k via multi-band random-hyperplane LSH.
 
     Each band is an independent set of `planes` hyperplanes; a vector lands
@@ -267,7 +271,6 @@ def lsh_topk(embeddings, *, k: int = 1, planes: int = 4, bands: int = 16,
             id_col: pa.array(np.asarray(ids)[rep], pa.int64()),
             "embedding": pc.take(batch["embedding"].combine_chunks(),
                                  pa.array(rep)),
-            "__p": pa.array(keys.ravel() % parts, pa.int64()),
         })
         return out
 
@@ -308,10 +311,6 @@ def lsh_topk(embeddings, *, k: int = 1, planes: int = 4, bands: int = 16,
             "nn_id": pa.array(np.concatenate(out_c), pa.int64()),
             "cos": pa.array(np.concatenate(out_cos), pa.float64())})
 
-    def add_vpart(batch: pa.Table) -> pa.Table:
-        v = np.asarray(batch[id_col], np.int64)
-        return batch.append_column("__p", pa.array(v % parts, pa.int64()))
-
     def merge(part: pa.Table) -> pa.Table:
         """Per-vector merge across bands: de-dup (vec, cand), then
         (cos desc, id asc) top-k per vec — all run-detection vectorized."""
@@ -343,11 +342,10 @@ def lsh_topk(embeddings, *, k: int = 1, planes: int = 4, bands: int = 16,
             "nn_id": pa.array(c[m], pa.int64()),
             "cos": pa.array(cos[m], pa.float64())})
 
-    cands = (embeddings.map_batches(add_sig, batch_format="pyarrow")
-             .groupby("__p").map_groups(bucket_candidates,
-                                        batch_format="pyarrow"))
-    return (cands.map_batches(add_vpart, batch_format="pyarrow")
-            .groupby("__p").map_groups(merge, batch_format="pyarrow"))
+    cands = by_partition(embeddings.map_batches(add_sig,
+                                                batch_format="pyarrow"),
+                         "bucket", bucket_candidates, parts=ANN_PARTS)
+    return by_partition(cands, id_col, merge, parts=ANN_PARTS)
 
 
 def _centroid_d2(M: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -358,12 +356,9 @@ def _centroid_d2(M: np.ndarray, C: np.ndarray) -> np.ndarray:
             + (C * C).sum(axis=1)[None, :])
 
 
-IVF_PARTS = 61   # prime (CLAUDE.md partition-modulus rule)
-
-
 def ivf_topk(embeddings, corpus, *, k: int = 1, n_centroids: int = 16,
              nprobe: int = 4, seed: int = 7, sample_rows: int = 4096,
-             id_col: str = "vec_id", parts: int = IVF_PARTS):
+             id_col: str = "vec_id"):
     """IVF-style approximate top-k: the second scale path next to lsh_topk.
 
     Train: seeded Lloyd k-means on a bounded driver-side SAMPLE of the
@@ -429,8 +424,7 @@ def ivf_topk(embeddings, corpus, *, k: int = 1, n_centroids: int = 16,
             "__c": pa.array(a, pa.int64()),
             id_col: pa.array(ids, pa.int64()),
             "embedding": batch["embedding"].combine_chunks(),
-            "__side": pa.array(np.zeros(len(ids), np.int64)),
-            "__p": pa.array(a % parts, pa.int64())})
+            "__side": pa.array(np.zeros(len(ids), np.int64))})
 
     def query_tag(batch: pa.Table) -> pa.Table:
         ids, M = _matrix(batch, id_col)
@@ -444,8 +438,7 @@ def ivf_topk(embeddings, corpus, *, k: int = 1, n_centroids: int = 16,
             id_col: pa.array(ids[rep], pa.int64()),
             "embedding": pc.take(batch["embedding"].combine_chunks(),
                                  pa.array(rep)),
-            "__side": pa.array(np.ones(len(flat), np.int64)),
-            "__p": pa.array(flat % parts, pa.int64())})
+            "__side": pa.array(np.ones(len(flat), np.int64))})
 
     def search(part: pa.Table) -> pa.Table:
         """One partition = several whole centroids' lists + their probes.
@@ -489,10 +482,6 @@ def ivf_topk(embeddings, corpus, *, k: int = 1, n_centroids: int = 16,
             "nn_id": pa.array(np.concatenate(out_n), pa.int64()),
             "cos": pa.array(np.concatenate(out_cos), pa.float64())})
 
-    def add_qp(batch: pa.Table) -> pa.Table:
-        q = np.asarray(batch[id_col], np.int64)
-        return batch.append_column("__p", pa.array(q % parts, pa.int64()))
-
     def merge(part: pa.Table) -> pa.Table:
         """Per-query global (cos desc, id asc) top-k over the candidate
         rows (disjoint lists -> no dedup needed)."""
@@ -515,12 +504,11 @@ def ivf_topk(embeddings, corpus, *, k: int = 1, n_centroids: int = 16,
             "nn_id": pa.array(nn[m], pa.int64()),
             "cos": pa.array(cos[m], pa.float64())})
 
-    tagged_c = corpus_ds.map_batches(corpus_tag, batch_format="pyarrow")
-    tagged_q = embeddings.map_batches(query_tag, batch_format="pyarrow")
-    cands = (tagged_c.union(tagged_q)
-             .groupby("__p").map_groups(search, batch_format="pyarrow"))
-    return (cands.map_batches(add_qp, batch_format="pyarrow")
-            .groupby("__p").map_groups(merge, batch_format="pyarrow"))
+    cands = by_partition(
+        [corpus_ds.map_batches(corpus_tag, batch_format="pyarrow"),
+         embeddings.map_batches(query_tag, batch_format="pyarrow")],
+        "__c", search, parts=ANN_PARTS)
+    return by_partition(cands, id_col, merge, parts=ANN_PARTS)
 
 
 # ---------------------------------------------------------------------------

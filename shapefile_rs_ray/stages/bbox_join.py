@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .combine import by_partition
 from .relational import _match_ranges
 
 GRID_N = 64
@@ -81,7 +82,6 @@ def bbox_overlap_join(rects, boxes: pa.Table, *, id_col: str,
         cell = (np.repeat(iy0, cnt) + dj) * grid_n + np.repeat(ix0, cnt) + di
         return pa.table({
             "cell": pa.array(cell, pa.int64()),
-            "__p": pa.array(cell % parts, pa.int64()),
             "__side": pa.array(np.full(total, side, np.int64)),
             "id": pa.array(ids[rsel], pa.int64()),
             "xmin": pa.array(xmin[rsel], pa.float64()),
@@ -140,5 +140,4 @@ def bbox_overlap_join(rects, boxes: pa.Table, *, id_col: str,
                 pa.float64()),
         })
 
-    return (tagged_r.union(tagged_b)
-            .groupby("__p").map_groups(local, batch_format="pyarrow"))
+    return by_partition([tagged_r, tagged_b], "cell", local, parts=parts)

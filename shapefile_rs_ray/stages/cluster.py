@@ -25,6 +25,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .combine import by_partition
+
 QUANT_SHIFT = 2.0
 QUANT_SCALE = 524288.0          # 2^19
 
@@ -232,8 +234,7 @@ def _cluster_pairs(cid: np.ndarray, CQ: np.ndarray, thr_num: int,
 def semantic_neardup(embeddings, *, id_col: str = "vec_id",
                      vec_col: str = "embedding", k: int = 8,
                      rounds: int = 5, thr_num: int = 81,
-                     thr_den: int = 100, parts: int = 61,
-                     cluster_cap: int = 100_000):
+                     thr_den: int = 100, cluster_cap: int = 100_000):
     """Semantic near-duplicate pairs with k-means cluster BLOCKING: only
     same-cluster pairs pay the exact cosine check (the classic semantic
     dedup shape — brute all-pairs is quadratic in the corpus, blocking
@@ -273,8 +274,7 @@ def semantic_neardup(embeddings, *, id_col: str = "vec_id",
         return pa.table({
             "vec_id": pa.array(ids, pa.int64()),
             "cluster": pa.array(a, pa.int64()),
-            "q": pa.array(list(Q), pa.list_(pa.int64())),
-            "__pc": pa.array(a % parts, pa.int64())})
+            "q": pa.array(list(Q), pa.list_(pa.int64()))})
 
     def pairs(part: pa.Table) -> pa.Table:
         ids = np.asarray(part["vec_id"], np.int64)
@@ -305,8 +305,8 @@ def semantic_neardup(embeddings, *, id_col: str = "vec_id",
             "id_b": pa.array(np.concatenate(out_b), pa.int64()),
             "dot_q": pa.array(np.concatenate(out_d), pa.int64())})
 
-    return (embeddings.map_batches(rows, batch_format="pyarrow")
-            .groupby("__pc").map_groups(pairs, batch_format="pyarrow"))
+    return by_partition(embeddings.map_batches(rows, batch_format="pyarrow"),
+                        "cluster", pairs, parts=61)
 
 
 def semantic_neardup_sql(k: int = 8, rounds: int = 5, dim: int = 64,

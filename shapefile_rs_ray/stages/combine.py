@@ -7,9 +7,11 @@ so the number of `fn` calls is the coarse `parts`, never the number of
 distinct keys (one group call per key collapses once keys number in the
 millions). Ray's `repartition(keys=...)` took 4.1-5.0 s against
 0.29-0.32 s for this sort exchange (400k rows, 13 partitions), and
-`Dataset.join` hangs on aggregator memory, so no stage writes its own
-tag + groupby: `combine_by_key` below, `relational.shuffle_join` and
-every other wide step call `by_partition`.
+`Dataset.join` hangs on aggregator memory, so this module holds the
+engine's only `.groupby(` call: `combine_by_key` below,
+`relational.shuffle_join` and every other wide step call `by_partition`,
+and no stage uses Ray's built-in `groupby(col).aggregate`
+(`tests/test_combine.py` fails on a `.groupby(` anywhere else).
 
 `combine_by_key` is the keyed aggregate. Every stage that reduces rows
 per key projects its key and value columns and calls it, which

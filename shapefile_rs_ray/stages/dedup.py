@@ -937,9 +937,7 @@ def _rolling_hashes(texts: list[str], L: int
 
 
 def substring_dedup(docs, *, id_col: str = "doc_id",
-                    text_col: str = "text", L: int = 40,
-                    parts: int = PAIR_PARTS,
-                    dparts: int = _CHUNK_DPARTS):
+                    text_col: str = "text", L: int = 40):
     """Exact duplicated-substring accounting, the distributed form of
     the suffix-array dedup in "Deduplicating Training Data Makes
     Language Models Better" (Lee et al. 2021): a substring of >= `L`
@@ -953,14 +951,14 @@ def substring_dedup(docs, *, id_col: str = "doc_id",
     Distributed shape (two coarse prime-modulus shuffles, ints only —
     text never leaves the scan stage, and the input is scanned ONCE):
       1. map: rolling 64-bit polynomial hash of every window ->
-         (h, doc, pos, __p = h % parts); one marker row per doc
-         (pos = -1, keyed doc % parts) rides the SAME scan/table so
-         docs with no duplicate still report zeros without a second
-         upstream execution.
-      2. groupby __p: sort by h, keep positions of hashes seen >= 2
-         times; marker rows pass straight through ->
-         (doc, pos, __dp = doc % dparts).
-      3. groupby __dp: per-doc island merge, fully vectorized — rows
+         (h, doc, pos); one marker row per doc (pos = -1, h = doc)
+         rides the SAME scan/table so docs with no duplicate still
+         report zeros without a second upstream execution.
+      2. by_partition on h (PAIR_PARTS): sort by h, keep positions of
+         hashes seen >= 2 times; marker rows pass straight through ->
+         (doc, pos).
+      3. by_partition on doc (_CHUNK_DPARTS): per-doc island merge,
+         fully vectorized — rows
          lexsorted by (doc-rank, pos); all intervals have equal length
          L, so window ends are monotone within a doc and the running
          max of earlier ends is simply the previous row's end: a
@@ -979,15 +977,12 @@ def substring_dedup(docs, *, id_col: str = "doc_id",
         h, owner, pos = _rolling_hashes(texts, L)
         hi = h.view(np.int64)
         return pa.table({
-            "h": pa.array(np.concatenate([hi, np.zeros(len(ids),
-                                                       np.int64)]),
-                          pa.int64()),
+            # a marker's h is its doc id: it only picks the partition
+            "h": pa.array(np.concatenate([hi, ids]), pa.int64()),
             "doc": pa.array(np.concatenate([ids[owner], ids]),
                             pa.int64()),
             "pos": pa.array(np.concatenate(
-                [pos, np.full(len(ids), -1, np.int64)]), pa.int64()),
-            "__p": pa.array(np.concatenate([hi % parts, ids % parts]),
-                            pa.int64())})
+                [pos, np.full(len(ids), -1, np.int64)]), pa.int64())})
 
     def dup_positions(part: pa.Table) -> pa.Table:
         h = np.asarray(part["h"], np.int64)
@@ -1005,8 +1000,7 @@ def substring_dedup(docs, *, id_col: str = "doc_id",
         keep = np.concatenate([hs_order[dup_sorted], np.nonzero(~real)[0]])
         return pa.table({
             "doc": pa.array(doc[keep], pa.int64()),
-            "pos": pa.array(pos[keep], pa.int64()),
-            "__dp": pa.array(doc[keep] % dparts, pa.int64())})
+            "pos": pa.array(pos[keep], pa.int64())})
 
     def per_doc(part: pa.Table) -> pa.Table:
         doc = np.asarray(part["doc"], np.int64)
@@ -1035,17 +1029,13 @@ def substring_dedup(docs, *, id_col: str = "doc_id",
             "n_dup_intervals": pa.array(n_int, pa.int64()),
             "dup_chars": pa.array(n_chars, pa.int64())})
 
-    return (docs.map_batches(windows, batch_format="pyarrow")
-            .groupby("__p")
-            .map_groups(dup_positions, batch_format="pyarrow")
-            .groupby("__dp")
-            .map_groups(per_doc, batch_format="pyarrow"))
+    marked = by_partition(docs.map_batches(windows, batch_format="pyarrow"),
+                          "h", dup_positions, parts=PAIR_PARTS)
+    return by_partition(marked, "doc", per_doc, parts=_CHUNK_DPARTS)
 
 
 def substring_dedup_clean(docs, *, id_col: str = "doc_id",
-                          text_col: str = "text", L: int = 40,
-                          parts: int = PAIR_PARTS,
-                          dparts: int = _CHUNK_DPARTS):
+                          text_col: str = "text", L: int = 40):
     """The corpus-REWRITING form of substring_dedup (what Lee et al.'s
     pipeline actually ships): every length-L window whose content
     already occurred at a strictly smaller (doc, pos) is duplicated
@@ -1069,8 +1059,7 @@ def substring_dedup_clean(docs, *, id_col: str = "doc_id",
         return pa.table({
             "h": pa.array(hi, pa.int64()),
             "doc": pa.array(ids[owner], pa.int64()),
-            "pos": pa.array(pos, pa.int64()),
-            "__p": pa.array(hi % parts, pa.int64())})
+            "pos": pa.array(pos, pa.int64())})
 
     def dup_positions(part: pa.Table) -> pa.Table:
         h = np.asarray(part["h"], np.int64)
@@ -1085,22 +1074,14 @@ def substring_dedup_clean(docs, *, id_col: str = "doc_id",
         return pa.table({
             "doc": pa.array(doc[keep], pa.int64()),
             "pos": pa.array(pos[keep], pa.int64()),
-            "__dp": pa.array(doc[keep] % dparts, pa.int64())})
+            "txt": pa.array([None] * len(keep), pa.string())})
 
     def text_rows(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch[id_col], np.int64)
         return pa.table({
             "doc": pa.array(ids, pa.int64()),
             "pos": pa.array(np.full(len(ids), -1, np.int64), pa.int64()),
-            "txt": batch[text_col],
-            "__dp": pa.array(ids % dparts, pa.int64())})
-
-    def pos_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc": batch["doc"],
-            "pos": batch["pos"],
-            "txt": pa.array([None] * batch.num_rows, pa.string()),
-            "__dp": batch["__dp"]})
+            "txt": batch[text_col]})
 
     def rebuild(part: pa.Table) -> pa.Table:
         doc = np.asarray(part["doc"], np.int64)
@@ -1145,10 +1126,8 @@ def substring_dedup_clean(docs, *, id_col: str = "doc_id",
             "clean_text": pa.array(out_txt, pa.string()),
             "removed_chars": pa.array(out_rm, pa.int64())})
 
-    marked = (docs.map_batches(windows, batch_format="pyarrow")
-              .groupby("__p")
-              .map_groups(dup_positions, batch_format="pyarrow")
-              .map_batches(pos_rows, batch_format="pyarrow"))
-    texts_ds = docs.map_batches(text_rows, batch_format="pyarrow")
-    return (texts_ds.union(marked).groupby("__dp")
-            .map_groups(rebuild, batch_format="pyarrow"))
+    marked = by_partition(docs.map_batches(windows, batch_format="pyarrow"),
+                          "h", dup_positions, parts=PAIR_PARTS)
+    return by_partition(
+        [docs.map_batches(text_rows, batch_format="pyarrow"), marked],
+        "doc", rebuild, parts=_CHUNK_DPARTS)

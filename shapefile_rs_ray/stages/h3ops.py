@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import h3
+from .combine import by_partition
 
 
 class CenterInPolygon:
@@ -79,10 +80,6 @@ def compact_by_group(ds, *, id_col: str = "poly_id",
     set per group (h3 compactCells semantics, pentagon-aware).
     """
 
-    def tag(batch: pa.Table) -> pa.Table:
-        gid = np.asarray(batch[id_col], np.int64)
-        return batch.append_column("__p", pa.array(gid % parts, pa.int64()))
-
     def merge(part: pa.Table) -> pa.Table:
         gid = np.asarray(part[id_col], np.int64)
         cells = np.asarray(part[cell_col], np.int64)
@@ -112,5 +109,4 @@ def compact_by_group(ds, *, id_col: str = "poly_id",
         cols["res"] = pa.array(h3.get_resolution(cell_arr), pa.int64())
         return pa.table(cols)
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("__p").map_groups(merge, batch_format="pyarrow"))
+    return by_partition(ds, id_col, merge, parts=parts)

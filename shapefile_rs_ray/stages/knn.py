@@ -18,6 +18,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .combine import by_partition
+
 
 class GridKnnIndex:
     """Uniform-grid bucket index over sites with expanding-ring search.
@@ -258,8 +260,7 @@ def knn_join_cellpart(ds, sites: tuple[np.ndarray, np.ndarray, np.ndarray],
     def add_cell(batch: pa.Table) -> pa.Table:
         c = grid_cell(np.asarray(batch[lon_col], np.float64),
                       np.asarray(batch[lat_col], np.float64), zoom)
-        batch = batch.append_column("__cell", pa.array(c, pa.int64()))
-        return batch.append_column("__p", pa.array(c % parts, pa.int64()))
+        return batch.append_column("__cell", pa.array(c, pa.int64()))
 
     cell_w = 360.0 / z2
     cell_h = 180.0 / z2
@@ -338,9 +339,8 @@ def knn_join_cellpart(ds, sites: tuple[np.ndarray, np.ndarray, np.ndarray],
             out["dist2"] = pa.array(pd2.ravel(), pa.float64())
             return pa.table(out)
 
-    keyed = ds.map_batches(add_cell, batch_format="pyarrow")
-    return keyed.groupby("__p").map_groups(
-        CellKnn, batch_format="pyarrow", concurrency=(1, 4))
+    return by_partition(ds.map_batches(add_cell, batch_format="pyarrow"),
+                        "__cell", CellKnn, parts=parts, concurrency=(1, 4))
 
 
 class NearestPolygon:

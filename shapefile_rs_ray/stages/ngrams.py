@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import crc32_str
+from .combine import by_partition
 
 GRAM_PARTS = 251
 
@@ -70,8 +70,7 @@ def _doc_ngrams(texts, n: int):
     return pc.binary_join_element_wise(*pieces, " "), doc_of[idx]
 
 
-def ngram_topk(docs, *, text_col: str = "text", n: int = 2, k: int = 100,
-               parts: int = GRAM_PARTS):
+def ngram_topk(docs, *, text_col: str = "text", n: int = 2, k: int = 100):
     """(gram, cnt): the corpus's k most frequent word n-grams, ties broken
     by gram ascending (byte order; tokens are ASCII [a-z0-9] runs)."""
     assert n >= 2
@@ -83,9 +82,7 @@ def ngram_topk(docs, *, text_col: str = "text", n: int = 2, k: int = 100,
         vc = pc.value_counts(grams)
         uniq = vc.field("values")
         cnt = pc.cast(vc.field("counts"), pa.int64())
-        ph = crc32_str(uniq) % parts
-        return pa.table({"gram": uniq, "cnt": cnt,
-                         "__p": pa.array(ph, pa.int64())})
+        return pa.table({"gram": uniq, "cnt": cnt})
 
     def reduce_topk(part: pa.Table) -> pa.Table:
         grams = np.asarray(part["gram"], dtype=object).astype(str)
@@ -96,8 +93,8 @@ def ngram_topk(docs, *, text_col: str = "text", n: int = 2, k: int = 100,
         return pa.table({"gram": pa.array(uniq[sel].tolist(), pa.string()),
                          "cnt": pa.array(tot[sel], pa.int64())})
 
-    cand = (docs.map_batches(partial, batch_format="pyarrow")
-            .groupby("__p").map_groups(reduce_topk, batch_format="pyarrow"))
+    cand = by_partition(docs.map_batches(partial, batch_format="pyarrow"),
+                        "gram", reduce_topk, parts=GRAM_PARTS)
     # <= parts * k candidate rows — the sort is over a bounded-tiny set
     return cand.sort(["cnt", "gram"], descending=[True, False]).limit(k)
 

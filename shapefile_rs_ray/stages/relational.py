@@ -283,51 +283,42 @@ def grouped_exact_quantiles(ds, *, group_col: str, value_col: str,
                             qs=((1, 2, "p50"), (9, 10, "p90"),
                                 (99, 100, "p99"))):
     """EXACT per-group quantiles of an integer-valued column with NO
-    sort of the data: per-batch vectorized collapse to
-    (group, value, cnt) partials, one bounded-cardinality groupby merge
-    (distinct (group, value) pairs are bounded — token counts, not raw
-    payloads — so this is not the per-distinct-key anti-pattern), then
-    a per-group cumulative pick. Quantile q = a/b is defined as the
+    sort of the data: `combine_by_key` counts each distinct
+    (group, value) pair (bounded — token counts, not raw payloads — so
+    this is not the per-distinct-key anti-pattern), then one
+    `by_partition` on the group runs a cumulative pick over the many
+    whole groups of each partition. Quantile q = a/b is defined as the
     smallest v with cum_count >= ceil(q*n), computed in exact integer
     arithmetic ((a*n + b - 1) // b) — the SQL oracle restates it with a
     window cumsum verbatim, so results are bit-exact at any scale."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = np.asarray(batch[group_col].cast(pa.string()))
-        v = np.asarray(batch[value_col], np.int64)
-        order = np.lexsort((v, g))
-        gs, vs = g[order], v[order]
-        new = np.empty(len(gs), bool)
-        new[0:1] = True
-        new[1:] = (gs[1:] != gs[:-1]) | (vs[1:] != vs[:-1])
-        start = np.nonzero(new)[0]
-        cnt = np.append(start[1:], len(gs)) - start
+    def project(batch: pa.Table) -> pa.Table:
         return pa.table({
-            group_col: pa.array(gs[start], pa.string()),
-            "v": pa.array(vs[start], pa.int64()),
-            "cnt": pa.array(cnt, pa.int64()),
-        })
+            group_col: batch[group_col].cast(pa.string()),
+            "v": pa.array(np.asarray(batch[value_col], np.int64))})
 
-    def pick(group: pa.Table) -> pa.Table:
-        v = np.asarray(group["v"], np.int64)
-        cnt = np.asarray(group["cnt"], np.int64)
-        order = np.argsort(v, kind="stable")
-        v, cnt = v[order], cnt[order]
+    def pick(part: pa.Table) -> pa.Table:
+        g = np.asarray(part[group_col])
+        v = np.asarray(part["v"], np.int64)
+        order = np.lexsort((v, g))
+        g, v = g[order], v[order]
+        cnt = np.asarray(part["cnt"], np.int64)[order]
+        # cum is strictly increasing, so a group's k-th row is found by
+        # one search over the whole partition from the group's base
         cum = np.cumsum(cnt)
-        n = int(cum[-1])
-        out = {group_col: group[group_col].slice(0, 1)}
+        start = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        base = cum[start] - cnt[start]
+        n = np.append(base[1:], cum[-1]) - base
+        out = {group_col: pa.array(g[start], pa.string())}
         for a, b, name in qs:
             k = (a * n + b - 1) // b
-            out[name] = pa.array(
-                [int(v[np.searchsorted(cum, k, "left")])], pa.int64())
+            out[name] = pa.array(v[np.searchsorted(cum, base + k, "left")],
+                                 pa.int64())
         return pa.table(out)
 
-    merged = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby([group_col, "v"]).aggregate(Sum("cnt",
-                                                       alias_name="cnt")))
-    return merged.groupby(group_col).map_groups(pick,
-                                                batch_format="pyarrow")
+    counts = combine_by_key(ds.map_batches(project, batch_format="pyarrow"),
+                            [group_col, "v"], {"cnt": ("v", "count")})
+    return by_partition(counts, group_col, pick, parts=JOIN_PARTS)
 
 
 def exact_double_quantiles(ds, *, id_col: str, value_col: str,
@@ -430,59 +421,31 @@ def rollup_two_level(ds, *, col_a: str, col_b: str, cents_col: str):
     emits the finest (a, b) level, the (a, NULL) subtotal level, and the
     (NULL, NULL) grand total — SQL's ROLLUP lattice.
 
-    Shape: each batch collapses ALL THREE levels locally (lexsort +
-    reduceat on the finest level, then np.unique re-collapse for the
-    subtotal and one scalar for the total), so the shuffle carries a few
-    hundred partial rows per batch regardless of input size; one bounded
-    groupby merges them (the lattice cardinality — |a|x|b| + |a| + 1 —
-    is bounded, so this is NOT the per-distinct-key anti-pattern).
+    Shape: every row emits its key on ALL THREE levels, packed into one
+    int64 rollup key, and `combine_by_key` counts and sums per key (its
+    per-batch collapse leaves a few hundred rows per batch regardless of
+    input size; the lattice cardinality — |a|x|b| + |a| + 1 — is
+    bounded, so this is NOT the per-distinct-key anti-pattern).
     COUNT and integer SUM are merge-order-free: bit-exact vs SQL.
 
     col_a / col_b must be small non-negative ints (asserted < 2**20) —
     they pack into one int64 rollup key for the shuffle.
     """
-    from ray.data.aggregate import Sum
-
     LVL = np.int64(2 ** 42)
     A = np.int64(2 ** 21)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def levels(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch[col_a], np.int64)
         b = np.asarray(batch[col_b], np.int64)
         s = np.asarray(batch[cents_col], np.int64)
         if len(a):
             assert a.min() >= 0 and a.max() < 2 ** 20, col_a
             assert b.min() >= 0 and b.max() < 2 ** 20, col_b
-        keys, ns, sums = [], [], []
-        # level 0: (a, b)
-        k0 = a * A + b
-        order = np.argsort(k0, kind="stable")
-        k0s, ss = k0[order], s[order]
-        uniq, start = np.unique(k0s, return_index=True)
-        cnt = np.append(start[1:], len(k0s)) - start if len(k0s) else start
-        sm = (np.add.reduceat(ss, start) if len(k0s)
-              else np.empty(0, np.int64))
-        keys.append(uniq)
-        ns.append(cnt)
-        sums.append(sm)
-        # level 1: (a, *) — re-collapse the (sorted) level-0 partials
-        # with integer reduceat: exact at any magnitude
-        ua = uniq // A
-        ua_uniq, ua_start = np.unique(ua, return_index=True)
-        keys.append(LVL + ua_uniq * A)
-        ns.append(np.add.reduceat(cnt, ua_start) if len(uniq)
-                  else np.empty(0, np.int64))
-        sums.append(np.add.reduceat(sm, ua_start) if len(uniq)
-                    else np.empty(0, np.int64))
-        # level 2: grand total
-        keys.append(np.array([2 * LVL], np.int64))
-        ns.append(np.array([len(a)], np.int64))
-        sums.append(np.array([int(s.sum())], np.int64))
-        return pa.table({
-            "__rk": pa.array(np.concatenate(keys), pa.int64()),
-            "n_rows": pa.array(np.concatenate(ns), pa.int64()),
-            "sum_cents": pa.array(np.concatenate(sums), pa.int64()),
-        })
+        # (a, b), (a, *) and the grand total (*, *)
+        rk = np.concatenate([a * A + b, LVL + a * A,
+                             np.full(len(a), 2 * LVL, np.int64)])
+        return pa.table({"__rk": pa.array(rk, pa.int64()),
+                         "cents": pa.array(np.tile(s, 3), pa.int64())})
 
     def unpack(batch: pa.Table) -> pa.Table:
         rk = np.asarray(batch["__rk"], np.int64)
@@ -496,8 +459,7 @@ def rollup_two_level(ds, *, col_a: str, col_b: str, cents_col: str):
             "sum_cents": batch["sum_cents"],
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__rk")
-            .aggregate(Sum("n_rows", alias_name="n_rows"),
-                       Sum("sum_cents", alias_name="sum_cents"))
-            .map_batches(unpack, batch_format="pyarrow"))
+    return combine_by_key(ds.map_batches(levels, batch_format="pyarrow"),
+                          "__rk", {"n_rows": ("cents", "count"),
+                                   "sum_cents": ("cents", "sum")}
+                          ).map_batches(unpack, batch_format="pyarrow")

@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import splitmix64
+from .combine import combine_by_key
 
 HLL_M = 64           # registers (2^6); standard error 1.04/sqrt(m) ~ 13%
 _W_BITS = 58         # hash bits left after the 6-bit register index
@@ -37,77 +38,58 @@ def _bit_length_u64(w: np.ndarray) -> np.ndarray:
     return bl
 
 
+def _register_rank(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """HLL register (hash % m) and rank (leading zeros of the remaining
+    58 bits + 1) of each non-negative int64."""
+    h = splitmix64(x.astype(np.uint64))
+    reg = (h % np.uint64(m)).astype(np.int64)
+    return reg, (_W_BITS + 1) - _bit_length_u64(h >> np.uint64(6))
+
+
 def hll_registers(ds, *, col: str, m: int = HLL_M):
     """(register, max_rank) HyperLogLog register table of an int64
     column: register = hash % m (low 6 bits), rank = leading-zero count
     of the remaining 58 bits + 1. Only observed registers emit (matches
-    the SQL GROUP BY). Per batch: one vectorized splitmix64 + a scatter
-    max into m slots; the groupby merges <= m rows per batch."""
-    from ray.data.aggregate import Max
+    the SQL GROUP BY). Per row: one vectorized splitmix64; the
+    `combine_by_key` max leaves <= m rows per batch."""
     assert m == 64, "register arithmetic is specialized to m=64"
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def ranks(batch: pa.Table) -> pa.Table:
         x = np.asarray(batch[col], np.int64)
         if len(x) and x.min() < 0:
             raise ValueError(f"{col} must be non-negative for the "
                              "SQL-parity splitmix input")
-        h = splitmix64(x.astype(np.uint64))
-        reg = (h % np.uint64(m)).astype(np.int64)
-        w = h >> np.uint64(6)
-        rank = (_W_BITS + 1) - _bit_length_u64(w)
-        mx = np.zeros(m, np.int64)
-        np.maximum.at(mx, reg, rank)
-        nz = np.nonzero(mx)[0]
-        return pa.table({
-            "register": pa.array(nz.astype(np.int64), pa.int64()),
-            "max_rank": pa.array(mx[nz], pa.int64()),
-        })
+        reg, rank = _register_rank(x, m)
+        return pa.table({"register": pa.array(reg, pa.int64()),
+                         "rank": pa.array(rank, pa.int64())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("register").aggregate(Max("max_rank",
-                                               alias_name="max_rank")))
+    return combine_by_key(ds.map_batches(ranks, batch_format="pyarrow"),
+                          "register", {"max_rank": ("rank", "max")})
 
 
 def hll_registers_by(ds, *, key_col: str, col: str, m: int = HLL_M):
     """GROUPED HyperLogLog: one register table per key — the mergeable
     sketch-per-group shape (distinct users per window/host/cell) that
-    replaces a per-group exact distinct when groups are hot. Per batch:
-    one splitmix64 + a scatter-max per (key, register) pair; the merge
-    groupby is BOUNDED at #keys x m rows (key must be a bounded-domain
-    int64 like a window index — per-distinct-entity keys would re-create
-    the pathological groupby), packed into one int key for the exchange.
-    Output: (key_col, register, max_rank)."""
-    from ray.data.aggregate import Max
+    replaces a per-group exact distinct when groups are hot. Per row:
+    one splitmix64; the `combine_by_key` max over (key, register) is
+    BOUNDED at #keys x m rows (key must be a bounded-domain int64 like a
+    window index — per-distinct-entity keys would re-create the
+    pathological groupby). Output: (key_col, register, max_rank)."""
     assert m == 64, "register arithmetic is specialized to m=64"
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def ranks(batch: pa.Table) -> pa.Table:
         k = np.asarray(batch[key_col], np.int64)
         x = np.asarray(batch[col], np.int64)
         if len(x) and (x.min() < 0 or k.min() < 0):
             raise ValueError(f"{col}/{key_col} must be non-negative "
-                             "(SQL-parity splitmix input / key packing)")
-        h = splitmix64(x.astype(np.uint64))
-        reg = (h % np.uint64(m)).astype(np.int64)
-        w = h >> np.uint64(6)
-        rank = (_W_BITS + 1) - _bit_length_u64(w)
-        kr = k * m + reg
-        uniq, inv = np.unique(kr, return_inverse=True)
-        mx = np.zeros(len(uniq), np.int64)
-        np.maximum.at(mx, inv, rank)
-        return pa.table({"kr": pa.array(uniq, pa.int64()),
-                         "max_rank": pa.array(mx, pa.int64())})
+                             "(SQL-parity splitmix input / key domain)")
+        reg, rank = _register_rank(x, m)
+        return pa.table({key_col: pa.array(k, pa.int64()),
+                         "register": pa.array(reg, pa.int64()),
+                         "rank": pa.array(rank, pa.int64())})
 
-    def unpack(batch: pa.Table) -> pa.Table:
-        kr = np.asarray(batch["kr"], np.int64)
-        return pa.table({
-            key_col: pa.array(kr // m, pa.int64()),
-            "register": pa.array(kr % m, pa.int64()),
-            "max_rank": batch["max_rank"],
-        })
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("kr").aggregate(Max("max_rank", alias_name="max_rank"))
-            .map_batches(unpack, batch_format="pyarrow"))
+    return combine_by_key(ds.map_batches(ranks, batch_format="pyarrow"),
+                          [key_col, "register"], {"max_rank": ("rank", "max")})
 
 
 CMS_D = 4            # hash rows
@@ -121,38 +103,29 @@ def cms_counters(ds, *, col: str, d: int = CMS_D, w: int = CMS_W):
     the whole table is bit-exact vs the SQL restatement; the sketch is
     approximate w.r.t. true frequencies (one-sided overestimate) but
     EXACT w.r.t. its own definition. Per batch: d vectorized splitmix64
-    evaluations + one np.unique collapse to <= d*w cells; the merge
-    groupby is BOUNDED at d*w rows regardless of input size.
+    evaluations; the `combine_by_key` count is BOUNDED at d*w rows
+    regardless of input size.
 
     Row-seeding: hash_r(x) = splitmix64(x*d + r); x must be in
     [0, 2^61) so x*d + r cannot overflow int64 — DuckDB BIGINT raises on
     overflow while numpy wraps, so the engine enforces the shared domain."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         x = np.asarray(batch[col], np.int64)
         if len(x) and (x.min() < 0 or x.max() >= (1 << 61)):
             raise ValueError(f"{col} must be in [0, 2^61) for the "
                              "SQL-parity row-seeded splitmix input")
-        keys = [splitmix64((x * np.int64(d) + np.int64(r))
+        cols = [splitmix64((x * np.int64(d) + np.int64(r))
                            .astype(np.uint64)) % np.uint64(w)
-                + np.uint64(r * w) for r in range(d)]
-        uniq, cnt = np.unique(np.concatenate(keys).astype(np.int64),
-                              return_counts=True)
-        return pa.table({"cell": pa.array(uniq, pa.int64()),
-                         "n": pa.array(cnt.astype(np.int64), pa.int64())})
-
-    def unpack(batch: pa.Table) -> pa.Table:
-        cell = np.asarray(batch["cell"], np.int64)
+                for r in range(d)]
         return pa.table({
-            "row": pa.array(cell // w, pa.int64()),
-            "col": pa.array(cell % w, pa.int64()),
-            "n": batch["n"],
-        })
+            "row": pa.array(np.repeat(np.arange(d, dtype=np.int64), len(x)),
+                            pa.int64()),
+            "col": pa.array(np.concatenate(cols).astype(np.int64),
+                            pa.int64())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("cell").aggregate(Sum("n", alias_name="n"))
-            .map_batches(unpack, batch_format="pyarrow"))
+    return combine_by_key(ds.map_batches(cells, batch_format="pyarrow"),
+                          ["row", "col"], {"n": ("col", "count")})
 
 
 def cms_estimate(counters, x: int, *, d: int = CMS_D, w: int = CMS_W) -> int:
@@ -226,20 +199,14 @@ def stratified_sample(ds, *, id_col: str, stratum_col: str,
 
 def fixed_width_histogram(ds, *, col: str, width: float):
     """COUNT per floor(col / width) bin — the one-pass distributed
-    histogram: every batch collapses to its occupied bins (np.unique),
-    then one bounded groupby merges (bin cardinality = value range /
-    width, independent of row count). The bin index is a single f64
-    divide + floor, bit-exact vs SQL."""
-    from ray.data.aggregate import Sum
+    histogram: a `combine_by_key` count per bin (bin cardinality = value
+    range / width, independent of row count). The bin index is a single
+    f64 divide + floor, bit-exact vs SQL."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def bins(batch: pa.Table) -> pa.Table:
         v = np.asarray(batch[col], np.float64)
-        b = np.floor(v / width).astype(np.int64)
-        uniq, cnt = np.unique(b, return_counts=True)
-        return pa.table({
-            "bin": pa.array(uniq, pa.int64()),
-            "n_rows": pa.array(cnt.astype(np.int64), pa.int64()),
-        })
+        return pa.table({"bin": pa.array(np.floor(v / width).astype(np.int64),
+                                         pa.int64())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("bin").aggregate(Sum("n_rows", alias_name="n_rows")))
+    return combine_by_key(ds.map_batches(bins, batch_format="pyarrow"),
+                          "bin", {"n_rows": ("bin", "count")})

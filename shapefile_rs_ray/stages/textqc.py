@@ -13,7 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import crc32_str
+from .combine import by_partition
 
 # RE2 syntax, identical semantics in Arrow and DuckDB (both link RE2)
 EMAIL_RE = r"[a-z0-9._%+-]+@[a-z0-9.-]+\.[a-z]{2,}"
@@ -101,7 +101,7 @@ HOST_PARTS = 61
 
 def assemble_host_docs(pages, *, url_col: str = "url",
                        text_col: str = "text", ts_col: str = "warc_ts",
-                       id_col: str = "page_id", parts: int = HOST_PARTS):
+                       id_col: str = "page_id"):
     """Document assembly (the WET -> document reconstruction step): per
     url host, concatenate page texts in (ts, page_id) order and emit
     (host, n_pages, n_chars, doc_sha) — the assembled doc itself is
@@ -119,13 +119,11 @@ def assemble_host_docs(pages, *, url_col: str = "url",
         host = pc.fill_null(pc.struct_field(
             pc.extract_regex(batch[url_col], r"https://(?P<h>[^/]+)/"),
             "h"), "")
-        ph = crc32_str(host) % parts
         return pa.table({
             "host": host,
             "ts": pc.cast(batch[ts_col], pa.int64()),   # timestamp -> us
             "pid": batch[id_col],
-            "text": batch[text_col],
-            "__p": pa.array(ph, pa.int64())})
+            "text": batch[text_col]})
 
     def assemble(part: pa.Table) -> pa.Table:
         host = np.asarray(part["host"], dtype=str)
@@ -153,8 +151,8 @@ def assemble_host_docs(pages, *, url_col: str = "url",
             "n_chars": pa.array(np.array(out_c, np.int64), pa.int64()),
             "doc_sha": pa.array(out_s, pa.string())})
 
-    return (pages.map_batches(rows, batch_format="pyarrow")
-            .groupby("__p").map_groups(assemble, batch_format="pyarrow"))
+    return by_partition(pages.map_batches(rows, batch_format="pyarrow"),
+                        "host", assemble, parts=HOST_PARTS)
 
 
 class CompressionRatioStage:

@@ -109,15 +109,6 @@ def canonicalize_batch(urls: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pc.if_else(pa.array(ok), out, urls)
 
 
-def canonicalize_urls(pages, *, url_col: str = "url",
-                      out_col: str = "canon_url"):
-    """Map-only stage: append the canonical URL column."""
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.append_column(out_col,
-                                   canonicalize_batch(batch[url_col]))
-    return pages.map_batches(fn, batch_format="pyarrow")
-
-
 def url_dedup(pages, *, id_col: str = "page_id", url_col: str = "url"):
     """Canonical-URL dedup accounting: one row per canonical URL with
     (canon_url, n_pages, min_page) — min_page is the kept

@@ -2,10 +2,12 @@
 
 Ray Data has no event-time windows; the engine treats the events table as a
 partitioned log: tumbling windows become (key, time-bucket) pre-aggregates
-(pure map-side, exact, order-free); as-of joins and session windows shuffle
-ONCE into coarse user-hash partitions and run one vectorized lexsort +
-run-detection kernel per partition. The ordering assumption is stated per
-operator.
+through `combine_by_key`; every per-user operator (top-k, watermark,
+as-of and range joins, sessions, lag/lead, running max) is ONE
+`by_partition` on "user_id" into USER_PARTITIONS coarse partitions
+(`user_id % 251`): a partition holds many whole users and runs one
+vectorized lexsort + run-detection kernel, never one group call per
+distinct user. The ordering assumption is stated per operator.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .combine import combine_by_key
+from .combine import by_partition, combine_by_key
 
 WINDOW_SECONDS = 3600
 
@@ -78,7 +80,7 @@ def hopping_window_counts(events, *, window_s: int = WINDOW_SECONDS,
                                   window_col="window")
 
 
-def grouped_topk(events, *, k: int = 3, parts: int = 251):
+def grouped_topk(events, *, k: int = 3):
     """Top-k events per user by (value desc, event_id asc) — the grouped
     top-k operator. One shuffle into coarse user-hash partitions, one
     vectorized lexsort + run-rank kernel per partition (no per-user
@@ -103,12 +105,7 @@ def grouped_topk(events, *, k: int = 3, parts: int = 251):
             "value": pa.array(v[m], pa.float64()),
         })
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        u = np.asarray(batch["user_id"], np.int64)
-        return batch.append_column("__p", pa.array(u % parts, pa.int64()))
-
-    return (events.map_batches(add_part, batch_format="pyarrow")
-            .groupby("__p").map_groups(local, batch_format="pyarrow"))
+    return by_partition(events, "user_id", local, parts=USER_PARTITIONS)
 
 
 def global_topk(ds, *, k: int = 100, value_col: str = "value",
@@ -144,20 +141,6 @@ def global_topk(ds, *, k: int = 100, value_col: str = "value",
 USER_PARTITIONS = 251   # prime (CLAUDE.md: never a power of two near packing)
 
 
-def _partition_by_user(events, parts: int = USER_PARTITIONS):
-    """Coarse hash partition on user_id % P: ONE shuffle into a fixed,
-    scale-free number of partitions; each partition holds many whole users
-    and is processed with one vectorized kernel. This replaces
-    groupby(user_id) (one Python group call per DISTINCT user — the
-    per-key anti-pattern that collapses at 1e8 users)."""
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        u = np.asarray(batch["user_id"], np.int64)
-        return batch.append_column("__p", pa.array(u % parts, pa.int64()))
-
-    return events.map_batches(add_part, batch_format="pyarrow")
-
-
 def _user_ts_sorted(part: pa.Table):
     """lexsort a partition by (user_id, ts, event_id); returns the sorted
     (users, ts_us, event_ids) arrays plus first-row-of-user mask."""
@@ -176,8 +159,7 @@ LATE_US = 6 * 3600 * 1_000_000       # allowed lateness: 6 hours
 
 
 def watermark_window_counts(events, *, window_s: int = WINDOW_SECONDS,
-                            late_us: int = LATE_US,
-                            parts: int = USER_PARTITIONS):
+                            late_us: int = LATE_US):
     """Event-time watermark / late-data semantics (batch interpretation of
     a streaming ingest; VERDICT-r2's "missing #4").
 
@@ -246,18 +228,17 @@ def watermark_window_counts(events, *, window_s: int = WINDOW_SECONDS,
                                  pa.float64()),
         })
 
-    return (_partition_by_user(events.select_columns(
-                ["event_id", "ts", "user_id", "value"]), parts)
-            .groupby("__p").map_groups(local, batch_format="pyarrow"))
+    return by_partition(events.select_columns(
+        ["event_id", "ts", "user_id", "value"]), "user_id", local,
+        parts=USER_PARTITIONS)
 
 
-def asof_self_join(events, *, match_type: str = "purchase",
-                   parts: int = USER_PARTITIONS):
+def asof_self_join(events, *, match_type: str = "purchase"):
     """For every event: the most recent event of `match_type` by the same
     user at or before it (inclusive — ts_match <= ts; a purchase row can
     match itself).
 
-    Shape: one shuffle into `parts` coarse user-hash partitions, then one
+    Shape: one shuffle into coarse user-hash partitions, then one
     vectorized pass per partition — lexsort by (user, ts, event_id), reduce
     rows to (user, ts) runs, per-run max match event_id (the deterministic
     tie-break DuckDB's ASOF needs pre-reduced too), forward-fill the last
@@ -301,11 +282,10 @@ def asof_self_join(events, *, match_type: str = "purchase",
                 mask=ans < 0),
         })
 
-    return (_partition_by_user(events, parts)
-            .groupby("__p").map_groups(local, batch_format="pyarrow"))
+    return by_partition(events, "user_id", local, parts=USER_PARTITIONS)
 
 
-def interval_range_join(events, intervals, *, parts: int = USER_PARTITIONS):
+def interval_range_join(events, intervals):
     """Equi(user_id) + range(ts) join — the classic "range join" Ray Data
     has no operator for: every (interval, event) pair with the same
     user_id and interval.start_us <= event.ts <= interval.end_us
@@ -341,7 +321,6 @@ def interval_range_join(events, intervals, *, parts: int = USER_PARTITIONS):
             "value": pa.array(np.asarray(batch["value"], np.float64),
                               pa.float64()),
             "__iv": pa.array(np.zeros(len(u), np.int64), pa.int64()),
-            "__p": pa.array(u % parts, pa.int64()),
         })
 
     def tag_intervals(batch: pa.Table) -> pa.Table:
@@ -356,7 +335,6 @@ def interval_range_join(events, intervals, *, parts: int = USER_PARTITIONS):
                             pa.int64()),
             "value": pa.array(np.zeros(len(u), np.float64), pa.float64()),
             "__iv": pa.array(np.ones(len(u), np.int64), pa.int64()),
-            "__p": pa.array(u % parts, pa.int64()),
         })
 
     def local(part: pa.Table) -> pa.Table:
@@ -410,17 +388,16 @@ def interval_range_join(events, intervals, *, parts: int = USER_PARTITIONS):
             "value": pa.array(eval_[sel], pa.float64()),
         })
 
-    tagged = (events.map_batches(tag_events, batch_format="pyarrow")
-              .union(intervals.map_batches(tag_intervals,
-                                           batch_format="pyarrow")))
-    return tagged.groupby("__p").map_groups(local, batch_format="pyarrow")
+    return by_partition(
+        [events.map_batches(tag_events, batch_format="pyarrow"),
+         intervals.map_batches(tag_intervals, batch_format="pyarrow")],
+        "user_id", local, parts=USER_PARTITIONS)
 
 
 SESSION_GAP_US = 1800 * 1_000_000
 
 
-def session_windows(events, *, gap_us: int = SESSION_GAP_US,
-                    parts: int = USER_PARTITIONS):
+def session_windows(events, *, gap_us: int = SESSION_GAP_US):
     """Session windows per user: a new session starts at the first event and
     whenever the gap to the previous event exceeds `gap_us`.
 
@@ -447,8 +424,7 @@ def session_windows(events, *, gap_us: int = SESSION_GAP_US,
             "session_idx": pa.array(g - base, pa.int64()),
         })
 
-    return (_partition_by_user(events, parts)
-            .groupby("__p").map_groups(local, batch_format="pyarrow"))
+    return by_partition(events, "user_id", local, parts=USER_PARTITIONS)
 
 
 def lag_lead_delta(events, *, parts: int = USER_PARTITIONS):
@@ -489,12 +465,11 @@ def lag_lead_delta(events, *, parts: int = USER_PARTITIONS):
             "delta_value": pa.array(dv, pa.float64(), mask=new_user),
         })
 
-    return (_partition_by_user(events.select_columns(
-                ["event_id", "ts", "user_id", "value"]), parts)
-            .groupby("__p").map_groups(local, batch_format="pyarrow"))
+    return by_partition(events.select_columns(
+        ["event_id", "ts", "user_id", "value"]), "user_id", local, parts=parts)
 
 
-def running_user_max(events, *, parts: int = USER_PARTITIONS):
+def running_user_max(events):
     """Per-user RUNNING maximum of value in (ts, event_id) order — the
     cumulative windowed aggregate (SQL's MAX OVER PARTITION BY user
     ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING). One shuffle into
@@ -518,9 +493,9 @@ def running_user_max(events, *, parts: int = USER_PARTITIONS):
             "running_max": pa.array(out, pa.float64()),
         })
 
-    return (_partition_by_user(events.select_columns(
-                ["event_id", "ts", "user_id", "value"]), parts)
-            .groupby("__p").map_groups(local, batch_format="pyarrow"))
+    return by_partition(events.select_columns(
+        ["event_id", "ts", "user_id", "value"]), "user_id", local,
+        parts=USER_PARTITIONS)
 
 
 def window_distinct_users(events, *, window_s: int = WINDOW_SECONDS):

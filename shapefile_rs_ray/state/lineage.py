@@ -9,10 +9,12 @@ Output layout (the "resumable output" contract of BASELINE.md):
 
 Partitions are keyed by `key_col // partition_size` — a pure function of the
 data, NOT of block boundaries — so a re-run assigns identical rows to
-identical partitions regardless of execution order, and `resume_filter`
-can skip completed partitions by key range alone. Writes go to a temp file
-then `os.replace` (atomic on POSIX), so a killed run never leaves a
-half-written partition that passes the manifest check.
+identical partitions regardless of execution order, and the resume filter
+can skip completed partitions by key range alone. The exchange is one
+`stages/combine.by_partition` whose callable key gives that partition id
+as it is; each `data.parquet` keeps it as its int64 tag column `__p`.
+Writes go to a temp file then `os.replace` (atomic on POSIX), so a killed
+run never leaves a half-written partition that passes the manifest check.
 
 The per-partition `text_sha256` chains the lineage invariant (byte-identical
 extracted text per url, BASELINE.json input_hint): it hashes (url, text)
@@ -30,6 +32,8 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from ..stages.combine import by_partition
 
 
 def partition_key(ids: np.ndarray, partition_size: int) -> np.ndarray:
@@ -121,27 +125,24 @@ def write_partitioned(ds, out_dir: str, *, key_col: str = "page_id",
     """Write `ds` as resumable keyed partitions; returns the manifest
     Dataset (part, rows, skipped). With resume=True, rows in completed
     partitions are dropped at the map stage (cheap vectorized filter) before
-    the shuffle."""
-    done = completed_partitions(out_dir) if resume else set()
+    the shuffle, which is one `by_partition` on the partition key."""
+    done = list(completed_partitions(out_dir)) if resume else []
 
-    def key_and_filter(batch: pa.Table) -> pa.Table:
-        part = partition_key(np.asarray(batch[key_col], np.int64),
-                             partition_size)
-        batch = batch.append_column("__part", pa.array(part, pa.int64()))
-        if done:
-            mask = ~np.isin(part, list(done))
-            batch = batch.filter(pa.array(mask))
-        return batch
+    def part_of(batch: pa.Table) -> np.ndarray:
+        return partition_key(batch[key_col], partition_size)
 
-    keyed = ds.map_batches(key_and_filter, batch_format="pyarrow")
+    def drop_done(batch: pa.Table) -> pa.Table:
+        return batch.filter(pa.array(~np.isin(part_of(batch), done)))
+
+    if done:
+        ds = ds.map_batches(drop_done, batch_format="pyarrow")
     writer = PartitionWriter(out_dir, key_col=key_col, text_col=text_col,
                              url_col=url_col, partition_size=partition_size)
 
     def write_group(group: pa.Table) -> pa.Table:
         return writer(group)
 
-    return keyed.groupby("__part").map_groups(write_group,
-                                              batch_format="pyarrow")
+    return by_partition(ds, part_of, write_group)
 
 
 def read_manifests(out_dir: str) -> list[dict]:

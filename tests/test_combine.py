@@ -142,53 +142,6 @@ def test_by_partition_two_inputs_meet(ray_session, keys):
     assert both          # the fixture has keys on both sides
 
 
-# (module, top-level function) -> why it may still call `.groupby(`.
-# Every other wide step goes through `stages/combine.py`.
-GROUPBY_ALLOWED = {
-    ("pipelines/curation.py", "curate_corpus"): "below the gate window; next PR",
-    ("pipelines/curation.py", "quota_sample"): "below the gate window; next PR",
-    ("pipelines/curation.py", "seq_pack"): "below the gate window; next PR",
-    ("stages/ann.py", "lsh_topk"): "below the gate window; next PR",
-    ("stages/ann.py", "ivf_topk"): "below the gate window; next PR",
-    ("stages/bbox_join.py", "bbox_overlap_join"):
-        "below the gate window; next PR",
-    ("stages/cluster.py", "semantic_neardup"):
-        "below the gate window; next PR",
-    ("stages/dedup.py", "substring_dedup"): "below the gate window; next PR",
-    ("stages/dedup.py", "substring_dedup_clean"):
-        "below the gate window; next PR",
-    ("stages/h3ops.py", "compact_by_group"): "below the gate window; next PR",
-    ("stages/knn.py", "knn_join_cellpart"): "below the gate window; next PR",
-    ("stages/ngrams.py", "ngram_topk"): "below the gate window; next PR",
-    ("stages/textqc.py", "assemble_host_docs"):
-        "below the gate window; next PR",
-    ("stages/windows.py", "grouped_topk"): "below the gate window; next PR",
-    ("stages/windows.py", "watermark_window_counts"):
-        "below the gate window; next PR",
-    ("stages/windows.py", "asof_self_join"): "below the gate window; next PR",
-    ("stages/windows.py", "interval_range_join"):
-        "below the gate window; next PR",
-    ("stages/windows.py", "session_windows"): "below the gate window; next PR",
-    ("stages/windows.py", "lag_lead_delta"): "below the gate window; next PR",
-    ("stages/windows.py", "running_user_max"):
-        "below the gate window; next PR",
-    ("stages/relational.py", "rollup_two_level"):
-        "built-in Sum aggregate over the bounded rollup lattice; next PR",
-    ("stages/relational.py", "grouped_exact_quantiles"):
-        "built-in Sum aggregate over bounded (group, value) pairs; next PR",
-    ("stages/sketch.py", "hll_registers"):
-        "built-in Max aggregate over a fixed register count; next PR",
-    ("stages/sketch.py", "hll_registers_by"):
-        "built-in Max aggregate over bounded (key, register) pairs; next PR",
-    ("stages/sketch.py", "cms_counters"):
-        "built-in Sum aggregate over a fixed counter grid; next PR",
-    ("stages/sketch.py", "fixed_width_histogram"):
-        "built-in Sum aggregate over a fixed bin count; next PR",
-    ("state/lineage.py", "write_partitioned"):
-        "on the flagship_checkpoint benchmark path; needs a benchmark PR",
-}
-
-
 def _groupby_sites() -> set[tuple[str, str]]:
     """(module, top-level function) of every `.groupby(` call in the
     package and the driver entry, outside `stages/combine.py`."""
@@ -210,8 +163,5 @@ def _groupby_sites() -> set[tuple[str, str]]:
 
 
 def test_wide_steps_go_through_combine():
-    sites = _groupby_sites()
-    assert sites - GROUPBY_ALLOWED.keys() == set(), \
+    assert _groupby_sites() == set(), \
         "write the exchange as by_partition / combine_by_key / shuffle_join"
-    # a ported site leaves the allowlist with its last groupby
-    assert GROUPBY_ALLOWED.keys() - sites == set()

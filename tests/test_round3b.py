@@ -211,3 +211,153 @@ def test_fixed_width_histogram_vs_numpy(ray_session):
                              return_counts=True)
     assert got["bin"].tolist() == bins.tolist()
     assert got["n_rows"].tolist() == counts.tolist()
+
+
+# --------------------------------------------------------------------------
+# exchange ports that only queries() reached: engine vs DuckDB on small
+# randomized inputs split into six blocks, with keys sharing partitions
+# --------------------------------------------------------------------------
+
+_WORDS = {"en": ["the", "and", "of", "to", "river", "lake", "map", "water",
+                 "data", "city"],
+          "de": ["der", "die", "und", "ist", "nicht", "see", "fluss",
+                 "karte", "wasser", "stadt"]}
+
+
+def _six_blocks(t: pa.Table):
+    import ray
+    step = -(-t.num_rows // 6)
+    return ray.data.from_arrow([t.slice(i, step)
+                                for i in range(0, t.num_rows, step)])
+
+
+def _events(n: int = 3000) -> pa.Table:
+    rng = np.random.default_rng(21)
+    return pa.table({
+        "event_id": pa.array(rng.permutation(n).astype(np.int64)),
+        "user_id": pa.array(rng.integers(0, 600, n).astype(np.int64)),
+        # a 5 s grid over ~2 h: equal timestamps and gaps on both sides of
+        # the 30 min session gap
+        "ts": pa.array(rng.integers(0, 1500, n) * 5_000_000).cast(
+            pa.timestamp("us")),
+        "value": pa.array(rng.normal(size=n)),
+    })
+
+
+def _pages(n: int = 1200) -> pa.Table:
+    rng = np.random.default_rng(23)
+    texts = []
+    for i in range(n):
+        lang = "en" if rng.random() < 0.7 else "de"
+        t = " ".join(rng.choice(_WORDS[lang], int(rng.integers(4, 30))))
+        texts.append(t.upper() if rng.random() < 0.05 else t)
+    for i in range(1, n):           # clone families for the dedup keep
+        if rng.random() < 0.2:
+            texts[i] = texts[int(rng.integers(0, i))]
+    hosts = rng.integers(0, 150, n)
+    return pa.table({
+        "page_id": pa.array(rng.permutation(n).astype(np.int64) * 3),
+        "url": pa.array([f"https://h{h}.example/p{i}" if h else
+                         f"ftp://h0.example/p{i}"     # host '' on both sides
+                         for i, h in enumerate(hosts)]),
+        "text": pa.array(texts),
+        "warc_ts": pa.array(rng.integers(0, 50, n) * 1_000_000).cast(
+            pa.timestamp("us")),
+    })
+
+
+def _token_counts(n: int = 4000) -> pa.Table:
+    rng = np.random.default_rng(29)
+    # every one of 600 groups appears, then a skewed tail: 600 string keys
+    # over 251 partitions put >= 3 groups in one pick call
+    g = np.concatenate([np.arange(600),
+                        np.minimum(rng.geometric(0.02, n - 600) - 1, 599)])
+    return pa.table({"lang": pa.array([f"grp{i}" for i in g]),
+                     "n_tok": pa.array(rng.integers(0, 40, n) ** 2)})
+
+
+def _exchange_cases():
+    from shapefile_rs_ray.functions.hashing import content_hash64
+    from shapefile_rs_ray.functions.text import langid_sql, token_stats_sql
+    from shapefile_rs_ray.pipelines.curation import (DEDUP_PARTS,
+                                                     curate_corpus)
+    from shapefile_rs_ray.stages.relational import (JOIN_PARTS,
+                                                    grouped_exact_quantiles)
+    from shapefile_rs_ray.stages.textqc import (HOST_PARTS,
+                                                assemble_host_docs)
+    from shapefile_rs_ray.stages.windows import (USER_PARTITIONS,
+                                                 running_user_max,
+                                                 session_windows)
+    tok = token_stats_sql("text")
+    hosts = lambda t: [u.split("/")[2] if u.startswith("https://") else ""
+                       for u in t["url"].to_pylist()]
+    # name -> (input, engine, oracle SQL over `t`, partition keys, parts,
+    #          keys that must share one partition)
+    return {
+        "session_windows": (_events, session_windows, """
+SELECT event_id,
+       CAST(SUM(CASE WHEN gap IS NULL OR gap > 1800000000 THEN 1 ELSE 0 END)
+            OVER (PARTITION BY user_id ORDER BY ts, event_id
+                  ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_idx
+FROM (SELECT event_id, user_id, ts,
+             epoch_us(ts) - lag(epoch_us(ts))
+               OVER (PARTITION BY user_id ORDER BY ts, event_id) AS gap
+      FROM t)""", lambda t: t["user_id"], USER_PARTITIONS, 2),
+        "running_max": (_events, running_user_max, """
+SELECT event_id,
+       MAX(value) OVER (PARTITION BY user_id ORDER BY ts, event_id
+                        ROWS UNBOUNDED PRECEDING) AS running_max
+FROM t""", lambda t: t["user_id"], USER_PARTITIONS, 2),
+        "host_docs": (_pages, assemble_host_docs, """
+SELECT host, CAST(COUNT(*) AS BIGINT) AS n_pages,
+       CAST(length(string_agg(text, '' ORDER BY warc_ts, page_id))
+            AS BIGINT) AS n_chars,
+       substr(sha256(string_agg(text, '' ORDER BY warc_ts, page_id)),
+              1, 16) AS doc_sha
+FROM (SELECT regexp_extract(url, 'https://([^/]+)/', 1) AS host, * FROM t)
+GROUP BY host""", lambda t: pa.array(hosts(t)), HOST_PARTS, 2),
+        "quality_corpus": (_pages, curate_corpus, f"""
+SELECT page_id, url, n_tokens FROM (
+  SELECT page_id, url, n_tokens,
+         MIN(page_id) OVER (PARTITION BY text) AS m
+  FROM (SELECT *, {tok['n_tokens']} AS n_tokens FROM t
+        WHERE {tok['is_quality']} AND {langid_sql('text')} = 'en'))
+WHERE page_id = m""",
+            lambda t: pa.array(content_hash64(t["text"].to_pylist())
+                               .view(np.int64)), DEDUP_PARTS, 2),
+        "token_quantiles": (_token_counts, lambda ds: grouped_exact_quantiles(
+            ds, group_col="lang", value_col="n_tok"), """
+WITH c AS (SELECT lang, n_tok AS v, COUNT(*) AS cnt FROM t GROUP BY 1, 2),
+w AS (SELECT lang, v, SUM(cnt) OVER (PARTITION BY lang ORDER BY v) AS cum,
+             SUM(cnt) OVER (PARTITION BY lang) AS n FROM c)
+SELECT lang,
+  CAST(MIN(CASE WHEN cum >= (n + 1) // 2 THEN v END) AS BIGINT) AS p50,
+  CAST(MIN(CASE WHEN cum >= (9 * n + 9) // 10 THEN v END) AS BIGINT) AS p90,
+  CAST(MIN(CASE WHEN cum >= (99 * n + 99) // 100 THEN v END) AS BIGINT) AS p99
+FROM w GROUP BY lang""", lambda t: t["lang"], JOIN_PARTS, 3),
+    }
+
+
+@pytest.mark.parametrize("name", ["session_windows", "running_max",
+                                  "host_docs", "quality_corpus",
+                                  "token_quantiles"])
+def test_exchange_port_matches_duckdb(ray_session, name):
+    import duckdb
+    from shapefile_rs_ray.stages.combine import _key_partition
+    make, engine, sql, keys_of, parts, share = _exchange_cases()[name]
+    t = make()
+    keys = pa.table({"k": keys_of(t)})
+    uniq = keys.group_by("k").aggregate([])
+    assert np.bincount(_key_partition(uniq, ["k"], parts)).max() >= share
+
+    def canon(df):
+        df = df[sorted(df.columns)]
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    got = canon(engine(_six_blocks(t)).to_pandas())
+    con = duckdb.connect()
+    con.register("t", t)
+    exp = canon(con.sql(sql).df())
+    assert len(got) > 0
+    pd.testing.assert_frame_equal(got, exp.astype(got.dtypes.to_dict()),
+                                  check_exact=True)

@@ -663,8 +663,7 @@ def _codec_query(name: str) -> Callable[[str], Any]:
 
     def run(sf_dir: str):
         from shapefile_rs_ray.sources.webpages import read_documents
-        oracles._ensure_golden(oracles.golden_path(name), _n_docs(sf_dir),
-                               c.twin, c.names)
+        oracles._ensure_golden(name, _n_docs(sf_dir), c.twin, c.names)
         return read_documents(sf_dir, columns=["doc_id"]).map_batches(
             _synth_decode(c), batch_format="pyarrow")
 
@@ -1650,7 +1649,7 @@ def _ann_lsh_top1(sf_dir: str):
     ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
     corpus = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
     res = with_pair_consistency(lsh_topk(ds, k=1), corpus)
-    return oracles.write_ann_pairs_golden(res, oracles.ANN_LSH_PAIRS_PQ)
+    return oracles.write_ann_pairs_golden(res, "ann_lsh_pairs")
 
 
 def _ann_ivf_top1(sf_dir: str):
@@ -1667,7 +1666,7 @@ def _ann_ivf_top1(sf_dir: str):
     corpus = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
     queries = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
     res = with_pair_consistency(ivf_topk(queries, corpus, k=1), corpus)
-    return oracles.write_ann_pairs_golden(res, oracles.ANN_IVF_PAIRS_PQ)
+    return oracles.write_ann_pairs_golden(res, "ann_ivf_pairs")
 
 
 def _html_extract(sf_dir: str):
@@ -2520,39 +2519,34 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # oracle changed, then fill the window with driver-green staples;
     # the remainder (all driver-green in earlier rounds) follows.
     return {
-        # -- changed: every wide step through stages/combine.py --
-        "top_events_user": _top_events_user,
-        "events_late": _events_late,
-        "asof_join": _asof_join,
-        "range_join": _range_join,
-        "session_windows": _session_windows,
-        "lag_lead": _lag_lead,
-        "running_max": _running_max,
+        # -- changed: every golden through oracles.golden(); the codec
+        # queries first (one CODECS row each), then every other query whose
+        # callable writes a golden, then two whose oracle options went --
+        **{name: _codec_query(name) for name in CODECS},
+        "phash_neardup": _phash_neardup,
+        "compress_ratio": _compress_ratio,
+        "bpe_merges": _bpe_merges,
+        "bpe_encode": _bpe_encode,
+        "lm_score": _lm_score,
+        "ppl_buckets": _ppl_buckets,
         "ann_lsh_top1": _ann_lsh_top1,
         "ann_ivf_top1": _ann_ivf_top1,
-        "quality_corpus": _quality_corpus,
-        "quota_sample": _quota_sample,
-        "seq_pack": _seq_pack,
-        "substring_dedup": _substring_dedup,
-        "substring_clean": _substring_clean,
-        "knn_cellpart": _knn_cellpart,
-        "bbox_join": _bbox_join,
+        "cells_multi": _cells_multi,
+        "h3_ring": _h3_ring,
+        "h3_polyfill": _h3_polyfill,
         "h3_compact": _h3_compact,
-        "bigram_counts": _bigram_counts,
-        "trigram_counts": _trigram_counts,
-        "host_docs": _host_docs,
-        "semantic_neardup": _semantic_neardup,
-        "rollup_orders": _rollup_orders,
-        "hll_users": _hll_users,
-        "hll_window_users": _hll_window_users,
+        "rasterize_zones": _rasterize_zones,
+        "focal_stats": _focal_stats,
+        "vectorize_regions": _vectorize_regions,
+        "nearest_polygon": _nearest_polygon,
+        "lake_measures": _lake_measures,
+        "simplify_lakes": _simplify_lakes,
+        "clip_lakes": _clip_lakes,
+        "wkb_export": _wkb_export,
+        "simhash_pairs": _simhash_pairs,
         "cms_users": _cms_users,
-        "value_histogram": _value_histogram,
-        "token_quantiles": _token_quantiles,
-        "text_fidelity": _text_fidelity,
         # -- untouched gate-green staples filling the window --
-        "flac_decode": _codec_query("flac_decode"),
         "tpch_q6": _tpch_q6,
-        "compress_ratio": _compress_ratio,
         "tpch_q3": _tpch_q3,
         "tpch_q5": _tpch_q5,
         "tpch_q10": _tpch_q10,
@@ -2570,30 +2564,45 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "host_triangles": _host_triangles,
         "dup_clusters": _dup_clusters,
         "tfidf_terms": _tfidf_terms,
-        "minhash_pairs": _minhash_pairs,
-        "jaccard_pairs": _jaccard_pairs,
         # ---- end of the 50-entry correctness-gate window ----
         # Every entry below is an UNTOUCHED gate-green staple.
+        "top_events_user": _top_events_user,
+        "events_late": _events_late,
+        "asof_join": _asof_join,
+        "range_join": _range_join,
+        "session_windows": _session_windows,
+        "lag_lead": _lag_lead,
+        "running_max": _running_max,
+        "quality_corpus": _quality_corpus,
+        "quota_sample": _quota_sample,
+        "seq_pack": _seq_pack,
+        "substring_dedup": _substring_dedup,
+        "substring_clean": _substring_clean,
+        "knn_cellpart": _knn_cellpart,
+        "bbox_join": _bbox_join,
+        "bigram_counts": _bigram_counts,
+        "trigram_counts": _trigram_counts,
+        "host_docs": _host_docs,
+        "semantic_neardup": _semantic_neardup,
+        "rollup_orders": _rollup_orders,
+        "hll_users": _hll_users,
+        "hll_window_users": _hll_window_users,
+        "value_histogram": _value_histogram,
+        "token_quantiles": _token_quantiles,
+        "text_fidelity": _text_fidelity,
+        "minhash_pairs": _minhash_pairs,
+        "jaccard_pairs": _jaccard_pairs,
         "hot_cells": _hot_cells,
         "tile_pyramid": _tile_pyramid,
         "zonal_stats": _zonal_stats,
         "zonal_cellpart": _zonal_cellpart,
         "pip_join_cellpart": _pip_join_cellpart,
         "pip_join_h3": _pip_join_h3,
-        "rasterize_zones": _rasterize_zones,
-        "focal_stats": _focal_stats,
-        "vectorize_regions": _vectorize_regions,
         "tpch_q18": _tpch_q18,
         "value_quantiles": _value_quantiles,
         "exact_dedup": _exact_dedup,
-        "simhash_pairs": _simhash_pairs,
-        "phash_neardup": _phash_neardup,
         "url_canon": _url_canon,
         "blocklist_hosts": _blocklist_hosts,
-        "bpe_merges": _bpe_merges,
-        "bpe_encode": _bpe_encode,
-        "lm_score": _lm_score,
-        "ppl_buckets": _ppl_buckets,
         "inverted_index": _inverted_index,
         "stratified_split": _stratified_split,
         "events_window": _events_window,
@@ -2603,19 +2612,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "robots_gate": _robots_gate,
         "events_pushdown": _events_pushdown,
         "script_mix": _script_mix,
-        "wkb_export": _wkb_export,
         "kmeans_embed": _kmeans_embed,
-        **{name: _codec_query(name) for name in CODECS
-           if name != "flac_decode"},
         "decontaminate": _decontaminate,
         "pii_scrub": _pii_scrub,
         "gopher_quality": _gopher_quality,
-        "h3_polyfill": _h3_polyfill,
-        "h3_ring": _h3_ring,
-        "cells_multi": _cells_multi,
-        "lake_measures": _lake_measures,
-        "simplify_lakes": _simplify_lakes,
-        "clip_lakes": _clip_lakes,
         "html_extract": _html_extract,
         "top_events": _top_events,
         "pip_join": _pip_join,
@@ -2628,7 +2628,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "webpages": _webpages,
         "ann_top1": _ann_top1,
         "tile_cells": _tile_cells,
-        "nearest_polygon": _nearest_polygon,
         "radius_join": _radius_join,
         "embed_neardup": _embed_neardup,
         "token_stats": _token_stats,
@@ -2719,7 +2718,7 @@ def oracle_sql() -> dict[str, str]:
                    f"{langid_sql('text')} AS lang_pred FROM pages"),
         "decode_lakes": (
             "SELECT geom_id, shape_type, n_parts, xmin, ymin, xmax, ymax "
-            f"FROM read_parquet('{oracles.LAKES_SUMMARY_PQ}')"),
+            f"FROM read_parquet('{oracles.golden_path('lakes_summary')}')"),
         "cells_multi": oracles.cells_multi_sql(),
         "h3_ring": oracles.h3_ring_sql(),
         "h3_polyfill": oracles.h3_polyfill_sql(),
@@ -2894,7 +2893,7 @@ FROM w""",
         "pii_scrub": _pii_scrub_sql(),
         "bpe_encode": (
             "SELECT g.doc_id, n_words, n_tokens, token_crc_sum "
-            f"FROM read_parquet('{oracles.BPE_ENCODE_GOLDEN_PQ}') g "
+            f"FROM read_parquet('{oracles.golden_path('bpe_encode')}') g "
             "JOIN documents d ON d.doc_id = g.doc_id"),
         "tpch_q18": """
 WITH s AS (SELECT l_orderkey,
@@ -2974,7 +2973,7 @@ WHERE rank <= CASE lang WHEN 'en' THEN 200 WHEN 'de' THEN 120
                         WHEN 'zh' THEN 80 END""",
         "compress_ratio": (
             "SELECT g.doc_id, n_raw, n_lzw, ratio_pm "
-            f"FROM read_parquet('{oracles.LZW_GOLDEN_PQ}') g "
+            f"FROM read_parquet('{oracles.golden_path('compress_ratio')}') g "
             "JOIN documents d ON d.doc_id = g.doc_id"),
         "tpch_q6": (
             "SELECT CAST(SUM(CAST(FLOOR(l_extendedprice * 100 "
@@ -2996,7 +2995,7 @@ WHERE rank <= CASE lang WHEN 'en' THEN 200 WHEN 'de' THEN 120
             "AND value > 50 GROUP BY 1"),
         "bpe_merges": (
             "SELECT g.rank, g.left, g.right, g.pair_count "
-            f"FROM read_parquet('{oracles.BPE_GOLDEN_PQ}') g, "
+            f"FROM read_parquet('{oracles.golden_path('bpe_merges')}') g, "
             "(SELECT 1 FROM documents LIMIT 1)"),
         # robots verdict re-derived from the policy formulas: graftbot
         # override (h%11=7) > full block (h%5=0) > digit-prefix
@@ -3069,7 +3068,7 @@ SELECT node AS doc_id, COUNT(*) AS n_tri FROM corners GROUP BY node""",
         # kernel and the band-blocked pair search are checked
         "phash_neardup": f"""
 WITH g AS (SELECT gg.doc_id, gg.phash
-           FROM read_parquet('{oracles.PHASH_GOLDEN_PQ}') gg
+           FROM read_parquet('{oracles.golden_path("phash_neardup")}') gg
            JOIN documents d ON d.doc_id = gg.doc_id),
 p AS (SELECT a.doc_id AS da, b.doc_id AS db
       FROM g a JOIN g b
@@ -3087,15 +3086,15 @@ FROM g LEFT JOIN c USING (doc_id)""",
         "wkb_export": (
             "SELECT geom_id, poly_idx, ring_idx, n_pts, sxq, syq, "
             "wkb_len, wkb_crc "
-            f"FROM read_parquet('{oracles.WKB_GOLDEN_PQ}')"),
+            f"FROM read_parquet('{oracles.golden_path('wkb_export')}')"),
         "kmeans_embed": _kmeans_sql(),
         "semantic_neardup": _semantic_neardup_sql(),
         "lm_score": (
             "SELECT doc_id, n_bigrams, logprob, avg_logprob "
-            f"FROM read_parquet('{oracles.LM_GOLDEN_PQ}')"),
+            f"FROM read_parquet('{oracles.golden_path('lm_score')}')"),
         "ppl_buckets": f"""
 WITH s AS (SELECT doc_id, avg_logprob
-           FROM read_parquet('{oracles.LM_GOLDEN_PQ}')),
+           FROM read_parquet('{oracles.golden_path("lm_score")}')),
 o AS (SELECT avg_logprob AS v, COUNT(*) AS cnt FROM s GROUP BY 1),
 w AS (SELECT v, SUM(cnt) OVER (ORDER BY v) AS cum,
              SUM(cnt) OVER () AS n FROM o),
@@ -3292,8 +3291,8 @@ SELECT vec_id, rank, nn_id FROM (
          ) AS rank
   FROM e a JOIN e b ON a.vec_id <> b.vec_id)
 WHERE rank <= 1""",
-        "ann_lsh_top1": oracles.ann_consistency_sql(oracles.ANN_LSH_PAIRS_PQ),
-        "ann_ivf_top1": oracles.ann_consistency_sql(oracles.ANN_IVF_PAIRS_PQ),
+        "ann_lsh_top1": oracles.ann_consistency_sql("ann_lsh_pairs"),
+        "ann_ivf_top1": oracles.ann_consistency_sql("ann_ivf_pairs"),
         "html_extract": (
             f"WITH {pages} SELECT page_id, "
             "regexp_replace(CAST(html AS VARCHAR), '<[^>]*>', '', 'g') "
@@ -3517,11 +3516,13 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)""",
     out["radius_join"] = radius_join_sql(pages, synth.sites_sql())
     from shapefile_rs_ray.stages.measures import polygon_measures_sql
     out["lake_measures"] = polygon_measures_sql(
-        oracles.LAKES_VERTICES_PQ, oracles.LAKES_SUMMARY_PQ)
-    out["simplify_lakes"] = ("SELECT geom_id, part_idx, vtx_idx, x, y "
-                             f"FROM read_parquet('{oracles.DP_GOLDEN_PQ}')")
+        oracles.golden_path("lakes_vertices"),
+        oracles.golden_path("lakes_summary"))
+    out["simplify_lakes"] = (
+        "SELECT geom_id, part_idx, vtx_idx, x, y "
+        f"FROM read_parquet('{oracles.golden_path('lakes_dp_golden')}')")
     from shapefile_rs_ray.stages.clip import clip_edges_sql
-    out["clip_lakes"] = clip_edges_sql(oracles.LAKES_VERTICES_PQ)
+    out["clip_lakes"] = clip_edges_sql(oracles.golden_path("lakes_vertices"))
     from shapefile_rs_ray.stages.ngrams import ngram_topk_sql
     out["bigram_counts"] = ngram_topk_sql("documents", n=2, k=100)
     out["decontaminate"] = f"""

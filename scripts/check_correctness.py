@@ -4,10 +4,12 @@ via DuckDB. Usage: python scripts/check_correctness.py [sf_dir] [names...]
 """
 
 import hashlib
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))          # run from anywhere, no install
 
 
 def to_pandas(res):
@@ -49,15 +51,10 @@ def first_diff(got, exp):
     return int(rows[0]) if len(rows) else None
 
 
-def main():
+def check(sf_dir: str, only: set) -> list:
+    """Run every selected query against its oracle, printing one line
+    each; returns the names that failed."""
     import duckdb
-    import ray
-
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
-
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
     import ray.data
     ray.data.DataContext.get_current().enable_progress_bars = False
 
@@ -127,7 +124,20 @@ def main():
                     for side, df in (("engine", got), ("oracle", exp2)):
                         print(f"   {side}:",
                               df.iloc[i:i + 1].to_dict("records")[0])
-    ray.shutdown()
+    return failures
+
+
+def main():
+    import ray
+
+    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
+    only = set(sys.argv[2:])
+    ray.init(address="local", num_cpus=8, include_dashboard=False,
+             ignore_reinit_error=True, logging_level="ERROR")
+    try:
+        failures = check(sf_dir, only)
+    finally:
+        ray.shutdown()
     if failures:
         print("FAILURES:", failures)
         sys.exit(1)

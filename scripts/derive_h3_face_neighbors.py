@@ -25,11 +25,13 @@ baked _FACE_NEIGHBORS in shapefile_rs_ray/functions/h3.py.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import numpy as np
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))          # run from anywhere, no install
 
 from shapefile_rs_ray.functions.h3 import (  # noqa: E402
     AZ0, FACE_CENTER_GEO, M_AP7_ROT_RADS, RES0_U_GNOMONIC, _FACE_XYZ,

@@ -39,12 +39,14 @@ baked BC_TABLE / ROT_TABLE / CW_TABLE.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import Counter, defaultdict
 
 import numpy as np
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))          # run from anywhere, no install
 
 from shapefile_rs_ray.functions.h3 import (  # noqa: E402
     AZ0, BC_TABLE, CW_TABLE, FACE_CENTER_GEO, M_AP7_ROT_RADS, M_SIN60,

@@ -1,18 +1,28 @@
-"""DuckDB-oracle support: deterministic fixture artifacts + SQL builders.
+"""DuckDB-oracle support: golden parquets + SQL builders.
 
 The driver's correctness harness runs each queries() pipeline AND the
-matching oracle_sql() string side by side. Polygon geometry can't be
-expressed as a SQL literal sanely, so both sides share deterministic
-artifacts written once to /tmp (derived from the reference's fixture
-shapefiles by the golden-tested decoder): an edge table and a bbox table per
-polygon corpus. The oracle SQL ray-casts with the EXACT expression the
-engine's numpy kernel uses (geometry/pip.py), so agreement is bit-level.
+matching oracle_sql() string side by side. What SQL cannot restate
+sanely (polygon geometry, the scalar codec and text twins, the H3
+encoder) is a golden parquet under ORACLE_DIR, and every golden goes
+through one cache, `golden(name, key, build)`. The key names the inputs
+the golden is built from: the realpath, size and mtime of the lakes
+files or of the corpus, plus the builder's parameters. A file is reused
+iff the JSON key stamped in its schema metadata equals that key; an
+id-derived golden stamped with a coverage count `n` also serves any
+smaller `n`. Otherwise `build()` runs, and its table is written to a
+per-process tmp file and renamed into place, so concurrent callers never
+see a partial file. The lakes edge and bbox tables come from the
+golden-tested decoder, and the oracle SQL ray-casts with the EXACT
+expression the engine's numpy kernel uses (geometry/pip.py), so
+agreement is bit-level.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+from collections.abc import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -25,171 +35,212 @@ from ..stages.pip_join import load_polygons
 ORACLE_DIR = "/tmp/graft_oracle"
 LAKES = "/root/reference/tests/data/ne_10m_lakes_north_america.shp"
 
-EDGES_PQ = os.path.join(ORACLE_DIR, "lakes_edges.parquet")
-BOXES_PQ = os.path.join(ORACLE_DIR, "lakes_boxes.parquet")
-S2_LOOKUP_PQ = os.path.join(ORACLE_DIR, "s2_lookup.parquet")
-LAKES_SUMMARY_PQ = os.path.join(ORACLE_DIR, "lakes_summary.parquet")
-H3_GOLDEN_PQ = os.path.join(ORACLE_DIR, "h3_golden.parquet")
-H3_RING_GOLDEN_PQ = os.path.join(ORACLE_DIR, "h3_ring_golden.parquet")
-H3_CENTERS_PQ = os.path.join(ORACLE_DIR, "h3_polyfill_centers.parquet")
 H3_RESOLUTIONS = (4, 5, 6, 7, 8, 9)
 H3_RING_RES = 7
 H3_RING_STEP = 20           # every 20th page gets its ring in the query
 H3_POLYFILL_RES = 5
-H3_COMPACT_CENTERS_PQ = os.path.join(ORACLE_DIR, "h3_compact_centers.parquet")
 H3_COMPACT_RES = 7          # polyfill res the compaction starts from
 H3_COMPACT_TOPK = 10        # largest lakes by bbox area (area DESC, poly_id)
 RASTER_W = 4096             # raster grid width / height (pixels)
 RASTER_H = 4096
 RASTER_TOPK = 25            # lakes burned into the raster (area DESC)
 RASTER_TILE_ROWS = 256      # vectorize row-band tile height
-RASTER_REGIONS_PQ = os.path.join(
-    ORACLE_DIR, f"raster_regions_w{RASTER_W}_k{RASTER_TOPK}.parquet")
+RASTER_REGIONS = f"raster_regions_w{RASTER_W}_k{RASTER_TOPK}"
+DP_EPS = 0.01               # simplify_lakes Douglas-Peucker tolerance (deg)
+Y4M_SAMPLES = 4             # frames the y4m twin samples per stream
+HEX_RESOLUTIONS = (4, 5, 6, 7, 8, 9)    # cells_multi hex tilings
+S2_LEVELS = (8, 12)                     # cells_multi S2 levels
+SIMHASH_MAX_HAMMING = 3
+CMS_D, CMS_W = 4, 1024      # cms_users Count-Min rows x columns
+
+_KEY = b"golden_key"
+
+
+def golden_path(name: str) -> str:
+    """Golden parquet `name`, under ORACLE_DIR as it is at call time."""
+    return os.path.join(ORACLE_DIR, f"{name}.parquet")
+
+
+def _read(name: str) -> str:
+    """SQL table function over golden `name`."""
+    return f"read_parquet('{golden_path(name)}')"
+
+
+def _write(path: str, tbl: pa.Table) -> None:
+    """Atomic write: a per-process tmp file, renamed into place."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.tmp{os.getpid()}"
+    pq.write_table(tbl, tmp)
+    os.replace(tmp, path)
+
+
+def _covers(have: dict, want: dict) -> bool:
+    """A stamped key serves a wanted one iff the two are equal, except
+    that a stamped coverage count `n` serves any smaller wanted `n`."""
+    have, want = dict(have), dict(want)
+    hn, wn = have.pop("n", None), want.pop("n", None)
+    return have == want and (hn == wn or (None not in (hn, wn) and hn >= wn))
+
+
+def golden(name: str, key: dict, build: Callable[[], pa.Table]) -> str:
+    """The one golden cache: the path of golden `name`, reused iff its
+    stamped key covers `key` (see `_covers`), else built by `build()`,
+    stamped with `key` and written atomically."""
+    path = golden_path(name)
+    want = json.loads(json.dumps(key))
+    if os.path.exists(path):
+        stamp = (pq.read_schema(path).metadata or {}).get(_KEY)
+        if stamp is not None and _covers(json.loads(stamp), want):
+            return path
+    tbl = build()
+    md = {**(tbl.schema.metadata or {}), _KEY: json.dumps(want).encode()}
+    _write(path, tbl.replace_schema_metadata(md))
+    return path
+
+
+def _file_id(path: str) -> list:
+    st = os.stat(path)
+    return [os.path.realpath(path), st.st_size, st.st_mtime_ns]
+
+
+def lakes_key(**params) -> dict:
+    """Key of a golden built from LAKES: its .shp and .shx as they are
+    now, plus the builder's parameters."""
+    return {"shp": _file_id(LAKES),
+            "shx": _file_id(os.path.splitext(LAKES)[0] + ".shx"), **params}
+
+
+def corpus_key(sf_dir: str, **params) -> dict:
+    """Key of a golden built from an sf corpus: the dir's realpath and
+    its documents.parquet as it is now, plus the builder's parameters."""
+    return {"sf": os.path.realpath(sf_dir),
+            "docs": _file_id(os.path.join(sf_dir, "documents.parquet")),
+            **params}
+
+
+def _fan_out(n: int, step: int, chunk) -> pa.Table:
+    """chunk(start, stop) over [0, n) in `step`-sized Ray tasks,
+    concatenated in order (Ray is up when queries() callables run)."""
+    import ray
+
+    @ray.remote
+    def _task(start: int, stop: int) -> pa.Table:
+        return chunk(start, stop)
+
+    return pa.concat_tables(ray.get([_task.remote(s, min(s + step, n))
+                                     for s in range(0, n, step)]))
 
 
 def ensure_artifacts() -> None:
-    """Idempotently write the polygon edge/bbox parquets, the S2 Hilbert
-    lookup table, and the single-node decode golden for decode_lakes (pure
-    functions of the read-only fixtures / the public S2 scheme; safe under
-    concurrent callers via tmp+rename)."""
-    if (os.path.exists(EDGES_PQ) and os.path.exists(BOXES_PQ)
-            and os.path.exists(S2_LOOKUP_PQ)
-            and os.path.exists(LAKES_SUMMARY_PQ)):
-        return
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    polys = load_polygons(LAKES)
-    et = edge_table(polys)
-    edges = pa.table({k: pa.array(v) for k, v in et.items()})
-    boxes = pa.table({
-        "poly_id": pa.array(np.arange(len(polys), dtype=np.int64)),
-        "geom_id": pa.array([p.geom_id for p in polys], pa.int64()),
-        "poly_idx": pa.array([p.poly_idx for p in polys], pa.int64()),
-        "xmin": pa.array([p.bbox[0] for p in polys], pa.float64()),
-        "ymin": pa.array([p.bbox[1] for p in polys], pa.float64()),
-        "xmax": pa.array([p.bbox[2] for p in polys], pa.float64()),
-        "ymax": pa.array([p.bbox[3] for p in polys], pa.float64()),
-    })
+    """The polygon edge/bbox tables, the S2 Hilbert lookup table and the
+    single-node decode golden for decode_lakes: four goldens, each keyed
+    on the lakes files (the lookup on nothing: it is the public S2
+    scheme), so repointing LAKES rebuilds them; each is written
+    atomically, so concurrent callers are safe."""
     from ..functions.cells import _LOOKUP_POS
-    lookup = pa.table({
+    from ..sources.shapefile import geometry_summary, read_shapefile_table
+
+    def edges() -> pa.Table:
+        et = edge_table(load_polygons(LAKES))
+        return pa.table({k: pa.array(v) for k, v in et.items()})
+
+    def boxes() -> pa.Table:
+        polys = load_polygons(LAKES)
+        return pa.table({
+            "poly_id": pa.array(np.arange(len(polys), dtype=np.int64)),
+            "geom_id": pa.array([p.geom_id for p in polys], pa.int64()),
+            "poly_idx": pa.array([p.poly_idx for p in polys], pa.int64()),
+            "xmin": pa.array([p.bbox[0] for p in polys], pa.float64()),
+            "ymin": pa.array([p.bbox[1] for p in polys], pa.float64()),
+            "xmax": pa.array([p.bbox[2] for p in polys], pa.float64()),
+            "ymax": pa.array([p.bbox[3] for p in polys], pa.float64()),
+        })
+
+    key = lakes_key()
+    golden("lakes_edges", key, edges)
+    golden("lakes_boxes", key, boxes)
+    golden("s2_lookup", {}, lambda: pa.table({
         "idx": pa.array(np.arange(len(_LOOKUP_POS), dtype=np.int64)),
         "val": pa.array(_LOOKUP_POS, pa.int64()),
-    })
+    }))
     # decode_lakes golden: the whole-file SINGLE-NODE decode (the path the
     # reference's read_tests assert against), summarized with the same
     # projection the Ray datasource query uses — the driver's hash compare
     # then verifies the distributed split/assembly path record-for-record
-    from ..sources.shapefile import geometry_summary, read_shapefile_table
-    summary = geometry_summary(read_shapefile_table(LAKES, with_attrs=False))
-    for path, tbl in ((EDGES_PQ, edges), (BOXES_PQ, boxes),
-                      (S2_LOOKUP_PQ, lookup), (LAKES_SUMMARY_PQ, summary)):
-        tmp = path + ".tmp"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, path)
+    golden("lakes_summary", key, lambda: geometry_summary(
+        read_shapefile_table(LAKES, with_attrs=False)))
 
 
-LAKES_VERTICES_PQ = os.path.join(ORACLE_DIR, "lakes_vertices.parquet")
-
-
-def ensure_lakes_vertices() -> None:
-    """Idempotently write the lake_measures oracle golden: every vertex of
-    the SINGLE-NODE whole-file decode as (geom_id, part_idx, vtx_idx, x, y)
-    — the decoder is byte-golden-tested in pytest, so the driver's hash
-    compare of the quantized measures covers the distributed decode +
-    measure path against an independent single-node expansion."""
-    if os.path.exists(LAKES_VERTICES_PQ):
-        return
-    os.makedirs(ORACLE_DIR, exist_ok=True)
+def ensure_lakes_vertices() -> str:
+    """The lake_measures oracle golden: every vertex of the SINGLE-NODE
+    whole-file decode as (geom_id, part_idx, vtx_idx, x, y) — the decoder
+    is byte-golden-tested in pytest, so the driver's hash compare of the
+    quantized measures covers the distributed decode + measure path
+    against an independent single-node expansion."""
     from ..geometry.schema import explode_xy
     from ..sources.shapefile import read_shapefile_table
-    ex = explode_xy(read_shapefile_table(LAKES, with_attrs=False))
-    tbl = pa.table({
-        "geom_id": pa.array(ex["pt_geom"], pa.int64()),
-        "part_idx": pa.array(ex["pt_part"], pa.int64()),
-        "vtx_idx": pa.array(ex["vtx_idx"], pa.int64()),
-        "x": pa.array(ex["x"], pa.float64()),
-        "y": pa.array(ex["y"], pa.float64()),
-    })
-    tmp = LAKES_VERTICES_PQ + ".tmp"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, LAKES_VERTICES_PQ)
+
+    def build() -> pa.Table:
+        ex = explode_xy(read_shapefile_table(LAKES, with_attrs=False))
+        return pa.table({
+            "geom_id": pa.array(ex["pt_geom"], pa.int64()),
+            "part_idx": pa.array(ex["pt_part"], pa.int64()),
+            "vtx_idx": pa.array(ex["vtx_idx"], pa.int64()),
+            "x": pa.array(ex["x"], pa.float64()),
+            "y": pa.array(ex["y"], pa.float64()),
+        })
+
+    return golden("lakes_vertices", lakes_key(), build)
 
 
-DP_EPS = 0.01
-DP_GOLDEN_PQ = os.path.join(ORACLE_DIR, "lakes_dp_golden.parquet")
-
-
-def ensure_dp_golden(eps: float = DP_EPS) -> None:
-    """Idempotently write the simplify_lakes golden: kept vertices of the
-    RECURSIVE SCALAR Douglas-Peucker twin (stages/simplify.dp_keep_scalar)
-    over the single-node decode — independent control flow from the
+def ensure_dp_golden() -> str:
+    """The simplify_lakes golden: kept vertices of the RECURSIVE SCALAR
+    Douglas-Peucker twin (stages/simplify.dp_keep_scalar) at DP_EPS over
+    the single-node decode — independent control flow from the
     distributed iterative kernel, same comparison contract."""
-    if os.path.exists(DP_GOLDEN_PQ):
-        return
-    os.makedirs(ORACLE_DIR, exist_ok=True)
     from ..geometry.schema import explode_xy
     from ..sources.shapefile import read_shapefile_table
     from ..stages.simplify import dp_keep_scalar
-    ex = explode_xy(read_shapefile_table(LAKES, with_attrs=False))
-    rows = {"geom_id": [], "part_idx": [], "vtx_idx": [], "x": [], "y": []}
-    for p in range(len(ex["lens_pts"])):
-        s, e = int(ex["pt_cum"][p]), int(ex["pt_cum"][p + 1])
-        xs = ex["x"][s:e].tolist()
-        ys = ex["y"][s:e].tolist()
-        keep = dp_keep_scalar(xs, ys, eps)
-        for v, kept in enumerate(keep):
-            if kept:
-                rows["geom_id"].append(int(ex["part_geom"][p]))
-                rows["part_idx"].append(int(ex["part_idx"][p]))
-                rows["vtx_idx"].append(v)
-                rows["x"].append(xs[v])
-                rows["y"].append(ys[v])
-    tbl = pa.table({
-        "geom_id": pa.array(rows["geom_id"], pa.int64()),
-        "part_idx": pa.array(rows["part_idx"], pa.int64()),
-        "vtx_idx": pa.array(rows["vtx_idx"], pa.int64()),
-        "x": pa.array(rows["x"], pa.float64()),
-        "y": pa.array(rows["y"], pa.float64()),
-    })
-    tmp = DP_GOLDEN_PQ + ".tmp"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, DP_GOLDEN_PQ)
+
+    def build() -> pa.Table:
+        ex = explode_xy(read_shapefile_table(LAKES, with_attrs=False))
+        rows = {"geom_id": [], "part_idx": [], "vtx_idx": [], "x": [],
+                "y": []}
+        for p in range(len(ex["lens_pts"])):
+            s, e = int(ex["pt_cum"][p]), int(ex["pt_cum"][p + 1])
+            xs = ex["x"][s:e].tolist()
+            ys = ex["y"][s:e].tolist()
+            keep = dp_keep_scalar(xs, ys, DP_EPS)
+            for v, kept in enumerate(keep):
+                if kept:
+                    rows["geom_id"].append(int(ex["part_geom"][p]))
+                    rows["part_idx"].append(int(ex["part_idx"][p]))
+                    rows["vtx_idx"].append(v)
+                    rows["x"].append(xs[v])
+                    rows["y"].append(ys[v])
+        return pa.table({
+            "geom_id": pa.array(rows["geom_id"], pa.int64()),
+            "part_idx": pa.array(rows["part_idx"], pa.int64()),
+            "vtx_idx": pa.array(rows["vtx_idx"], pa.int64()),
+            "x": pa.array(rows["x"], pa.float64()),
+            "y": pa.array(rows["y"], pa.float64()),
+        })
+
+    return golden("lakes_dp_golden", lakes_key(eps=DP_EPS), build)
 
 
-def _h3_golden_current(path: str) -> bool:
-    """True iff the golden exists AND was stamped by the CURRENT H3
-    implementation (functions/h3.IMPL_TAG in the parquet metadata).
-    Without the stamp a stale /tmp golden from an older inverse would
-    silently mix old center floats with new engine output (ADVICE r4)."""
-    if not os.path.exists(path):
-        return False
-    from ..functions import h3 as h3_mod
-    meta = pq.read_schema(path).metadata or {}
-    return meta.get(b"h3_impl") == h3_mod.IMPL_TAG.encode()
-
-
-def _h3_stamp(tbl: pa.Table) -> pa.Table:
-    from ..functions import h3 as h3_mod
-    md = dict(tbl.schema.metadata or {})
-    md[b"h3_impl"] = h3_mod.IMPL_TAG.encode()
-    return tbl.replace_schema_metadata(md)
-
-
-def ensure_h3_golden(n_pages: int) -> None:
-    """Idempotently write the H3 oracle golden: (page_id, h3_r4..h3_r9 hex)
-    for every page id < n_pages, computed by the SCALAR encoder
+def ensure_h3_golden(n_pages: int) -> str:
+    """The H3 oracle golden: (page_id, h3_r4..h3_r9 hex) for every page
+    id < n_pages, computed by the SCALAR encoder
     (functions/h3.encode_scalar) over the deterministic page geocodes —
     independent control flow from the vectorized production kernel, so the
-    driver's hash compare is a real cross-implementation check.  Scalar
-    encodes are slow, so the generation fans out over Ray tasks (Ray is
-    already up when queries() callables run); regenerates only when an
-    existing golden covers fewer pages."""
-    if _h3_golden_current(H3_GOLDEN_PQ) and \
-            pq.ParquetFile(H3_GOLDEN_PQ).metadata.num_rows >= n_pages:
-        return
-    import ray
+    driver's hash compare is a real cross-implementation check. Scalar
+    encodes are slow, so the generation fans out over Ray tasks. Keyed on
+    functions/h3.IMPL_TAG (a golden from an older inverse must not mix old
+    center floats with new engine output) and on n_pages."""
+    from ..functions import h3 as h3_mod
 
-    @ray.remote
-    def _chunk(start: int, stop: int) -> pa.Table:
+    def chunk(start: int, stop: int) -> pa.Table:
         from ..functions import h3 as h3mod
         ids = np.arange(start, stop, dtype=np.int64)
         lon, lat = synth.geocode(ids)
@@ -200,32 +251,20 @@ def ensure_h3_golden(n_pages: int) -> None:
                  for la, lo in zip(lat, lon)], pa.string())
         return pa.table(cols)
 
-    step = 20000
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    parts = ray.get([_chunk.remote(s, min(s + step, n_pages))
-                     for s in range(0, n_pages, step)])
-    tmp = H3_GOLDEN_PQ + ".tmp"
-    pq.write_table(_h3_stamp(pa.concat_tables(parts)), tmp)
-    os.replace(tmp, H3_GOLDEN_PQ)
+    return golden("h3_golden", {"impl": h3_mod.IMPL_TAG, "n": n_pages},
+                  lambda: _fan_out(n_pages, 20000, chunk))
 
 
-def ensure_h3_ring_golden(n_pages: int) -> None:
+def ensure_h3_ring_golden(n_pages: int) -> str:
     """Golden for the h3_ring query: (page_id, ring_cell hex) for every
     sampled page (page_id % H3_RING_STEP == 0), computed by the SCALAR
     ring twin (functions/h3.grid_disk_scalar — independent control flow
-    from the vectorized grid traversal). Ray-task fan-out, idempotent."""
+    from the vectorized grid traversal). Ray-task fan-out, keyed like
+    ensure_h3_golden."""
+    from ..functions import h3 as h3_mod
     need = (n_pages + H3_RING_STEP - 1) // H3_RING_STEP
-    if _h3_golden_current(H3_RING_GOLDEN_PQ):
-        import duckdb
-        have = duckdb.sql(
-            f"SELECT COUNT(DISTINCT page_id) FROM "
-            f"read_parquet('{H3_RING_GOLDEN_PQ}')").fetchone()[0]
-        if have >= need:
-            return
-    import ray
 
-    @ray.remote
-    def _chunk(start: int, stop: int) -> pa.Table:
+    def chunk(start: int, stop: int) -> pa.Table:
         from ..functions import h3 as h3mod
         ids = np.arange(start, stop, dtype=np.int64) * H3_RING_STEP
         ids = ids[ids < n_pages]
@@ -238,37 +277,31 @@ def ensure_h3_ring_golden(n_pages: int) -> None:
         return pa.table({"page_id": pa.array(out_ids, pa.int64()),
                          "ring_cell": pa.array(out_cells, pa.string())})
 
-    step = 4000
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    parts = ray.get([_chunk.remote(s, min(s + step, need))
-                     for s in range(0, need, step)])
-    tmp = H3_RING_GOLDEN_PQ + ".tmp"
-    pq.write_table(_h3_stamp(pa.concat_tables(parts)), tmp)
-    os.replace(tmp, H3_RING_GOLDEN_PQ)
+    return golden("h3_ring_golden", {"impl": h3_mod.IMPL_TAG, "n": n_pages},
+                  lambda: _fan_out(need, 4000, chunk))
 
 
-def ensure_h3_polyfill_centers() -> None:
+def ensure_h3_polyfill_centers() -> str:
     """Golden for h3_polyfill: one row (cell hex, clat, clng) per distinct
     H3 cell in the lakes' bbox covers at H3_POLYFILL_RES. Centers come
     from the verified inverse (functions/h3.cell_to_latlng — re-encode
     round-trip pytest-asserted); the center-in-polygon DECISION is then
     recomputed fully in SQL by the same ray-cast expression the engine
     uses, so the oracle independently checks the PIP decision."""
-    if _h3_golden_current(H3_CENTERS_PQ):
-        return
     from ..functions import h3 as h3_mod
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    polys = load_polygons(LAKES)
-    boxes = np.vstack([p.bbox for p in polys])
-    _, cover = h3_mod.cover_bboxes(boxes, H3_POLYFILL_RES)
-    cells = np.unique(cover)
-    clat, clng = h3_mod.cell_to_latlng(cells)
-    tbl = pa.table({"cell": pa.array(h3_mod.to_hex(cells), pa.string()),
-                    "clat": pa.array(clat, pa.float64()),
-                    "clng": pa.array(clng, pa.float64())})
-    tmp = H3_CENTERS_PQ + ".tmp"
-    pq.write_table(_h3_stamp(tbl), tmp)
-    os.replace(tmp, H3_CENTERS_PQ)
+
+    def build() -> pa.Table:
+        polys = load_polygons(LAKES)
+        boxes = np.vstack([p.bbox for p in polys])
+        _, cover = h3_mod.cover_bboxes(boxes, H3_POLYFILL_RES)
+        cells = np.unique(cover)
+        clat, clng = h3_mod.cell_to_latlng(cells)
+        return pa.table({"cell": pa.array(h3_mod.to_hex(cells), pa.string()),
+                         "clat": pa.array(clat, pa.float64()),
+                         "clng": pa.array(clng, pa.float64())})
+
+    return golden("h3_polyfill_centers",
+                  lakes_key(impl=h3_mod.IMPL_TAG, res=H3_POLYFILL_RES), build)
 
 
 def h3_polyfill_sql() -> str:
@@ -276,11 +309,11 @@ def h3_polyfill_sql() -> str:
     EXACT even-odd crossing expression from pip_join_sql — the polygon
     membership decision is recomputed in SQL end-to-end."""
     return f"""
-WITH centers AS (SELECT * FROM read_parquet('{H3_CENTERS_PQ}')),
+WITH centers AS (SELECT * FROM {_read("h3_polyfill_centers")}),
 cand AS (
   SELECT c.cell, c.clat, c.clng, b.poly_id, b.geom_id, b.poly_idx
   FROM centers c
-  JOIN read_parquet('{BOXES_PQ}') b
+  JOIN {_read("lakes_boxes")} b
     ON c.clng >= b.xmin AND c.clng <= b.xmax
    AND c.clat >= b.ymin AND c.clat <= b.ymax),
 crossed AS (
@@ -289,7 +322,7 @@ crossed AS (
                    AND c.clng < (e.x2 - e.x1) * (c.clat - e.y1) / (e.y2 - e.y1) + e.x1
                   THEN 1 ELSE 0 END) AS crossings
   FROM cand c
-  JOIN read_parquet('{EDGES_PQ}') e ON e.poly_id = c.poly_id
+  JOIN {_read("lakes_edges")} e ON e.poly_id = c.poly_id
   GROUP BY c.cell, c.geom_id, c.poly_idx)
 SELECT cell, geom_id, poly_idx FROM crossed WHERE crossings % 2 = 1
 """
@@ -307,28 +340,28 @@ def top_lakes_bboxes(k: int | None = None) -> np.ndarray:
     return order[:(H3_COMPACT_TOPK if k is None else k)]
 
 
-def ensure_h3_compact_centers() -> None:
+def ensure_h3_compact_centers() -> str:
     """Golden for h3_compact: (cell BIGINT, clat, clng) per distinct cell
     in the top-K lakes' bbox covers at H3_COMPACT_RES, centers from the
     verified inverse. Only the center coordinates are golden — candidate
     selection, the center-in-polygon decision, and the full multi-level
     compaction are recomputed in SQL."""
-    if _h3_golden_current(H3_COMPACT_CENTERS_PQ):
-        return
     from ..functions import h3 as h3_mod
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    polys = load_polygons(LAKES)
-    sel = top_lakes_bboxes()
-    boxes = np.vstack([polys[i].bbox for i in sel])
-    _, cover = h3_mod.cover_bboxes(boxes, H3_COMPACT_RES)
-    cells = np.unique(cover)
-    clat, clng = h3_mod.cell_to_latlng(cells)
-    tbl = pa.table({"cell": pa.array(cells, pa.int64()),
-                    "clat": pa.array(clat, pa.float64()),
-                    "clng": pa.array(clng, pa.float64())})
-    tmp = H3_COMPACT_CENTERS_PQ + ".tmp"
-    pq.write_table(_h3_stamp(tbl), tmp)
-    os.replace(tmp, H3_COMPACT_CENTERS_PQ)
+
+    def build() -> pa.Table:
+        polys = load_polygons(LAKES)
+        sel = top_lakes_bboxes()
+        boxes = np.vstack([polys[i].bbox for i in sel])
+        _, cover = h3_mod.cover_bboxes(boxes, H3_COMPACT_RES)
+        cells = np.unique(cover)
+        clat, clng = h3_mod.cell_to_latlng(cells)
+        return pa.table({"cell": pa.array(cells, pa.int64()),
+                         "clat": pa.array(clat, pa.float64()),
+                         "clng": pa.array(clng, pa.float64())})
+
+    return golden("h3_compact_centers",
+                  lakes_key(impl=h3_mod.IMPL_TAG, res=H3_COMPACT_RES,
+                            k=H3_COMPACT_TOPK), build)
 
 
 def h3_compact_sql() -> str:
@@ -374,10 +407,10 @@ s{r - 1} AS MATERIALIZED (
   WHERE c.cell IS NULL
   UNION ALL SELECT poly_id, geom_id, poly_idx, cell FROM comp{r})""")
     return f"""
-WITH centers AS (SELECT * FROM read_parquet('{H3_COMPACT_CENTERS_PQ}')),
+WITH centers AS (SELECT * FROM {_read("h3_compact_centers")}),
 sel AS (
   SELECT poly_id, geom_id, poly_idx, xmin, ymin, xmax, ymax
-  FROM read_parquet('{BOXES_PQ}')
+  FROM {_read("lakes_boxes")}
   ORDER BY (xmax - xmin) * (ymax - ymin) DESC, poly_id
   LIMIT {H3_COMPACT_TOPK}),
 cand AS (
@@ -392,7 +425,7 @@ crossed AS (
                    AND c.clng < (e.x2 - e.x1) * (c.clat - e.y1) / (e.y2 - e.y1) + e.x1
                   THEN 1 ELSE 0 END) AS crossings
   FROM cand c
-  JOIN read_parquet('{EDGES_PQ}') e ON e.poly_id = c.poly_id
+  JOIN {_read("lakes_edges")} e ON e.poly_id = c.poly_id
   GROUP BY c.cell, c.poly_id, c.geom_id, c.poly_idx),
 s{H3_COMPACT_RES} AS MATERIALIZED (
   SELECT poly_id, geom_id, poly_idx, cell FROM crossed
@@ -414,7 +447,7 @@ def _raster_zone_ctes() -> str:
     return f"""
 sel AS (
   SELECT poly_id, geom_id, xmin, ymin, xmax, ymax
-  FROM read_parquet('{BOXES_PQ}')
+  FROM {_read("lakes_boxes")}
   ORDER BY (xmax - xmin) * (ymax - ymin) DESC, poly_id
   LIMIT {RASTER_TOPK}),
 grid AS (
@@ -443,7 +476,7 @@ rcross AS (
          SUM(CASE WHEN (e.y1 > c.cy) <> (e.y2 > c.cy)
                    AND c.cx < (e.x2 - e.x1) * (c.cy - e.y1) / (e.y2 - e.y1) + e.x1
                   THEN 1 ELSE 0 END) AS crossings
-  FROM rcand c JOIN read_parquet('{EDGES_PQ}') e ON e.poly_id = c.poly_id
+  FROM rcand c JOIN {_read("lakes_edges")} e ON e.poly_id = c.poly_id
   GROUP BY c.pix, c.ix, c.iy, c.poly_id, c.geom_id),
 zones AS (
   SELECT pix, min(ix) AS ix, min(iy) AS iy, min(geom_id) AS zone
@@ -473,22 +506,27 @@ JOIN zones b ON b.ix = a.ix + o.dx AND b.iy = a.iy + o.dy
 GROUP BY a.pix"""
 
 
-def ensure_raster_regions() -> None:
-    """Golden for vectorize_regions: (pix, region_id) from a
-    single-node ascending-pixel BFS flood fill — algorithmically
-    independent of the distributed tile-merge union-find (the iteration
-    order makes each BFS seed the component's min pixel, matching the
-    engine's label convention). Zone membership is NOT golden: the
-    oracle recomputes the raster fully in SQL (CTEs shared with
-    rasterize_zones) and joins this table only for the region label, so
-    a membership disagreement breaks the join counts loudly."""
-    if os.path.exists(RASTER_REGIONS_PQ):
-        return
+def ensure_raster_regions() -> str:
+    """Golden for vectorize_regions, keyed on the lakes and the raster
+    size (see _raster_regions_table)."""
+    return golden(RASTER_REGIONS,
+                  lakes_key(w=RASTER_W, h=RASTER_H, k=RASTER_TOPK),
+                  _raster_regions_table)
+
+
+def _raster_regions_table() -> pa.Table:
+    """(pix, region_id) from a single-node ascending-pixel BFS flood
+    fill — algorithmically independent of the distributed tile-merge
+    union-find (the iteration order makes each BFS seed the component's
+    min pixel, matching the engine's label convention). Zone membership
+    is NOT golden: the oracle recomputes the raster fully in SQL (CTEs
+    shared with rasterize_zones) and joins this table only for the
+    region label, so a membership disagreement breaks the join counts
+    loudly."""
     from collections import deque
 
     from ..geometry.pip import PIPIndex
     from ..stages.raster import pixel_candidates
-    os.makedirs(ORACLE_DIR, exist_ok=True)
     polys = load_polygons(LAKES)
     sel = top_lakes_bboxes(RASTER_TOPK)
     cand = pixel_candidates(polys, sel, RASTER_W, RASTER_H)
@@ -525,15 +563,12 @@ def ensure_raster_regions() -> None:
                         and zmap.get(nb) == z):
                     region[nb] = p
                     dq.append(nb)
-    tbl = pa.table({
+    return pa.table({
         "pix": pa.array(np.fromiter(region.keys(), np.int64, len(region)),
                         pa.int64()),
         "region_id": pa.array(
             np.fromiter(region.values(), np.int64, len(region)), pa.int64()),
     })
-    tmp = RASTER_REGIONS_PQ + ".tmp"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, RASTER_REGIONS_PQ)
 
 
 def vectorize_regions_sql() -> str:
@@ -544,7 +579,7 @@ WITH {_raster_zone_ctes()}
 SELECT g.region_id, min(z.zone) AS zone, count(*) AS n_pixels,
        min(z.ix) AS ix_min, min(z.iy) AS iy_min,
        max(z.ix) AS ix_max, max(z.iy) AS iy_max
-FROM zones z JOIN read_parquet('{RASTER_REGIONS_PQ}') g ON g.pix = z.pix
+FROM zones z JOIN {_read(RASTER_REGIONS)} g ON g.pix = z.pix
 GROUP BY g.region_id
 """
 
@@ -560,7 +595,7 @@ WITH {PAGES_CTE},
 cand AS (
   SELECT p.page_id, p.url, p.lon, p.lat, b.poly_id, b.geom_id, b.poly_idx
   FROM pages p
-  JOIN read_parquet('{BOXES_PQ}') b
+  JOIN {_read("lakes_boxes")} b
     ON p.lon >= b.xmin AND p.lon <= b.xmax
    AND p.lat >= b.ymin AND p.lat <= b.ymax),
 crossed AS (
@@ -569,17 +604,17 @@ crossed AS (
                    AND c.lon < (e.x2 - e.x1) * (c.lat - e.y1) / (e.y2 - e.y1) + e.x1
                   THEN 1 ELSE 0 END) AS crossings
   FROM cand c
-  JOIN read_parquet('{EDGES_PQ}') e ON e.poly_id = c.poly_id
+  JOIN {_read("lakes_edges")} e ON e.poly_id = c.poly_id
   GROUP BY c.page_id, c.url, c.geom_id, c.poly_idx)
 SELECT page_id, url, geom_id, poly_idx
 FROM crossed WHERE crossings % 2 = 1
 """
 
 
-def nearest_polygon_sql(topk: int = RASTER_TOPK) -> str:
+def nearest_polygon_sql() -> str:
     """Brute-force nearest polygon by squared point-to-edge distance over
-    the top-k lakes — the SQL restates the engine's NearestPolygon float
-    expression tree operation-for-operation (ex = x2-x1,
+    the RASTER_TOPK largest lakes — the SQL restates the engine's
+    NearestPolygon float expression tree operation-for-operation (ex = x2-x1,
     t = clip(dot/len2, 0, 1), q = x1 + t*ex, d2 = (p-q)^2, degenerate
     edges pinned to t = 0), so MIN(d2) and the min-poly_id tie-break are
     bit-exact."""
@@ -590,13 +625,13 @@ def nearest_polygon_sql(topk: int = RASTER_TOPK) -> str:
     return f"""
 WITH {PAGES_CTE},
 sel AS (
-  SELECT poly_id FROM read_parquet('{BOXES_PQ}')
+  SELECT poly_id FROM {_read("lakes_boxes")}
   ORDER BY (xmax - xmin) * (ymax - ymin) DESC, poly_id
-  LIMIT {topk}),
+  LIMIT {RASTER_TOPK}),
 ed AS (
   SELECT e.poly_id, e.x1, e.y1,
          e.x2 - e.x1 AS ex, e.y2 - e.y1 AS ey
-  FROM read_parquet('{EDGES_PQ}') e JOIN sel USING (poly_id)),
+  FROM {_read("lakes_edges")} e JOIN sel USING (poly_id)),
 tt AS (
   SELECT p.page_id, ed.poly_id, p.lon, p.lat, x1, y1, ex, ey,
          {t_expr} AS t
@@ -614,8 +649,7 @@ GROUP BY pp.page_id, best.d2
 """
 
 
-def cells_multi_sql(hex_resolutions=(4, 5, 6, 7, 8, 9),
-                    s2_levels=(8, 12)) -> str:
+def cells_multi_sql() -> str:
     """Full oracle for the cells_multi tiling query: quadkey grid (shared
     grid_cell_sql), bit-exact S2 cell ids, and the hex tiling.
 
@@ -644,7 +678,7 @@ h{k} AS (SELECT t.page_id, t.lon, t.lat, t.face, t.i, t.j,
        L.val AS bits,
        t.n + CAST(L.val >> 2 AS HUGEINT)
              * CAST('{1 << (8 * k)}' AS HUGEINT) AS n
-       FROM {prev} t JOIN read_parquet('{S2_LOOKUP_PQ}') L
+       FROM {prev} t JOIN {_read("s2_lookup")} L
          ON L.idx = (t.bits & 3) + (((t.i >> {4 * k}) & 15) * 64)
                     + (((t.j >> {4 * k}) & 15) * 4))""")
 
@@ -662,8 +696,8 @@ h{k} AS (SELECT t.page_id, t.lon, t.lat, t.face, t.i, t.j,
 
     hex_cols = ", ".join(
         f"{hex_cell_sql('lon', 'lat', r)} AS hex_r{r}"
-        for r in hex_resolutions)
-    s2_cols = ", ".join(f"{snap(lv)} AS s2_l{lv}" for lv in s2_levels)
+        for r in HEX_RESOLUTIONS)
+    s2_cols = ", ".join(f"{snap(lv)} AS s2_l{lv}" for lv in S2_LEVELS)
     # H3 columns come from the scalar-encoder golden (ensure_h3_golden);
     # there is no sane pure-SQL restatement of the icosahedral encode
     h3_cols = ", ".join(f"g.h3_r{r}" for r in H3_RESOLUTIONS)
@@ -712,7 +746,7 @@ SELECT cells.page_id,
        {hex_cols},
        {h3_cols}
 FROM cells
-JOIN read_parquet('{H3_GOLDEN_PQ}') g ON g.page_id = cells.page_id
+JOIN {_read("h3_golden")} g ON g.page_id = cells.page_id
 """
 
 
@@ -723,7 +757,7 @@ def h3_ring_sql() -> str:
 WITH {PAGES_CTE}
 SELECT p.page_id, g.ring_cell
 FROM pages p
-JOIN read_parquet('{H3_RING_GOLDEN_PQ}') g ON g.page_id = p.page_id
+JOIN {_read("h3_ring_golden")} g ON g.page_id = p.page_id
 WHERE p.page_id % {H3_RING_STEP} = 0
 """
 
@@ -837,7 +871,7 @@ WHERE {_splitmix_sql("page_id")} % 1000000
 """
 
 
-def simhash_pairs_sql(max_hamming: int = 3) -> str:
+def simhash_pairs_sql() -> str:
     """Full oracle for simhash_pairs: recompute the 64-bit SimHash of every
     distinct text IN SQL — crc32 per word occurrence via a lambda fold over
     its codepoints (words are [a-z0-9]+, so codepoint == utf-8 byte),
@@ -896,7 +930,7 @@ sh AS (SELECT d.gid, d.text, COALESCE({wrap}, 0) AS simhash
 fam AS (SELECT a.text AS ta, b.text AS tb,
                bit_count(xor(a.simhash, b.simhash)) AS hamming
         FROM sh a JOIN sh b ON a.gid < b.gid
-        WHERE bit_count(xor(a.simhash, b.simhash)) <= {max_hamming}),
+        WHERE bit_count(xor(a.simhash, b.simhash)) <= {SIMHASH_MAX_HAMMING}),
 cross_pairs AS (SELECT least(pa.page_id, pb.page_id) AS id_a,
                        greatest(pa.page_id, pb.page_id) AS id_b,
                        CAST(fam.hamming AS BIGINT) AS hamming
@@ -978,7 +1012,7 @@ r AS (
 SELECT r.page_id, b.poly_id,
        (LEAST(r.xmax, b.xmax) - GREATEST(r.xmin, b.xmin))
      * (LEAST(r.ymax, b.ymax) - GREATEST(r.ymin, b.ymin)) AS overlap_area
-FROM r JOIN read_parquet('{BOXES_PQ}') b
+FROM r JOIN {_read("lakes_boxes")} b
   ON r.xmin <= b.xmax AND b.xmin <= r.xmax
  AND r.ymin <= b.ymax AND b.ymin <= r.ymax
 """
@@ -991,7 +1025,7 @@ cand AS (
   SELECT p.page_id, length(p.text) AS n_chars, p.lon, p.lat,
          b.poly_id, b.geom_id
   FROM pages p
-  JOIN read_parquet('{BOXES_PQ}') b
+  JOIN {_read("lakes_boxes")} b
     ON p.lon >= b.xmin AND p.lon <= b.xmax
    AND p.lat >= b.ymin AND p.lat <= b.ymax),
 crossed AS (
@@ -1000,7 +1034,7 @@ crossed AS (
                    AND c.lon < (e.x2 - e.x1) * (c.lat - e.y1) / (e.y2 - e.y1) + e.x1
                   THEN 1 ELSE 0 END) AS crossings
   FROM cand c
-  JOIN read_parquet('{EDGES_PQ}') e ON e.poly_id = c.poly_id
+  JOIN {_read("lakes_edges")} e ON e.poly_id = c.poly_id
   GROUP BY c.page_id, c.n_chars, c.geom_id, c.poly_id),
 hits AS (SELECT * FROM crossed WHERE crossings % 2 = 1)
 SELECT geom_id, CAST(COUNT(*) AS BIGINT) AS n_pages,
@@ -1009,15 +1043,15 @@ FROM hits GROUP BY geom_id
 """
 
 
-def cms_users_sql(d: int = 4, w: int = 1024) -> str:
+def cms_users_sql() -> str:
     """cms_users oracle: one UNION ALL arm per Count-Min hash row,
-    identical row-seeded splitmix (hash_r(x) = splitmix64(x*d + r)) and
-    modulus, integer COUNT merge (order-free)."""
+    identical row-seeded splitmix (hash_r(x) = splitmix64(x*CMS_D + r))
+    and modulus, integer COUNT merge (order-free)."""
     arms = []
-    for r in range(d):
-        hv = _splitmix_sql(f"(user_id * {d} + {r})")
+    for r in range(CMS_D):
+        hv = _splitmix_sql(f"(user_id * {CMS_D} + {r})")
         arms.append(
-            f"SELECT {r} AS row, CAST(({hv}) % {w} AS BIGINT) AS col "
+            f"SELECT {r} AS row, CAST(({hv}) % {CMS_W} AS BIGINT) AS col "
             f"FROM events")
     u = " UNION ALL ".join(arms)
     return (f"SELECT row, col, CAST(COUNT(*) AS BIGINT) AS n "
@@ -1028,13 +1062,10 @@ def cms_users_sql(d: int = 4, w: int = 1024) -> str:
 # ANN consistency goldens (VERDICT-r3 #4: no more `no_oracle` gate rows)
 # ---------------------------------------------------------------------------
 
-ANN_LSH_PAIRS_PQ = os.path.join(ORACLE_DIR, "ann_lsh_pairs.parquet")
-ANN_IVF_PAIRS_PQ = os.path.join(ORACLE_DIR, "ann_ivf_pairs.parquet")
-
-
-def write_ann_pairs_golden(res, path: str):
+def write_ann_pairs_golden(res, name: str):
     """Materialize an ANN consistency result (vec_id, rank, nn_id, dot_q,
-    na_q, nb_q) and write its PAIR LIST (ids only) as the oracle golden.
+    na_q, nb_q) and write its PAIR LIST (ids only) as the oracle golden
+    `name`, on every call (the pairs are the engine's own output).
     The harness runs the Ray query before its oracle, so the oracle can
     join the golden pairs against the embeddings table and independently
     recompute each pair's quantized cosine components; the engine's
@@ -1051,19 +1082,16 @@ def write_ann_pairs_golden(res, path: str):
         tbl = pa.table({"vec_id": pa.array([], pa.int64()),
                         "rank": pa.array([], pa.int64()),
                         "nn_id": pa.array([], pa.int64())})
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    tmp = f"{path}.tmp{os.getpid()}"
-    pq.write_table(tbl.select(["vec_id", "rank", "nn_id"]), tmp)
-    os.replace(tmp, path)
+    _write(golden_path(name), tbl.select(["vec_id", "rank", "nn_id"]))
     return mat
 
 
-def ann_consistency_sql(path: str) -> str:
+def ann_consistency_sql(name: str) -> str:
     """Oracle twin of stages/ann.py PairConsistency: q(x) = floor(x * 2^20)
     per component (float->double widening and power-of-two multiply are
     exact, so FLOOR matches numpy bit-for-bit), then pure BIGINT sums."""
     return f"""
-WITH g AS (SELECT vec_id, "rank", nn_id FROM read_parquet('{path}')),
+WITH g AS (SELECT vec_id, "rank", nn_id FROM {_read(name)}),
 e AS (SELECT vec_id,
              list_transform(CAST(embedding AS DOUBLE[]),
                             x -> CAST(FLOOR(x * CAST('1048576.0' AS DOUBLE))
@@ -1083,38 +1111,17 @@ FROM g JOIN e a ON g.vec_id = a.vec_id
 # ---------------------------------------------------------------------------
 
 
-def golden_path(name: str) -> str:
-    """Golden parquet of the query `name`."""
-    return os.path.join(ORACLE_DIR, f"{name}.parquet")
-
-
-def _ensure_golden(path: str, n_docs: int, rows_fn, names) -> None:
-    """Write the golden for doc ids [0, n_docs) unless one built for at
-    least n_docs docs exists: rows_fn(doc_id) -> that doc's rows, one
-    int64 column per name. The doc count is tagged in the file metadata
-    (rows per doc vary for the frame samplers); oracle SQL semi-joins the
+def _ensure_golden(name: str, n_docs: int, rows_fn, names) -> str:
+    """The golden `name` for doc ids [0, n_docs): rows_fn(doc_id) -> that
+    doc's rows, one int64 column per name. Keyed on the doc count (rows
+    per doc vary for the frame samplers); oracle SQL semi-joins the
     golden to the sf's documents, so a larger golden is reused."""
-    if os.path.exists(path):
-        meta = pq.ParquetFile(path).schema_arrow.metadata or {}
-        if int(meta.get(b"n_docs", b"0")) >= n_docs:
-            return
-    import ray
-
-    @ray.remote
-    def _chunk(start: int, stop: int) -> pa.Table:
+    def chunk(start: int, stop: int) -> pa.Table:
         rows = [r for did in range(start, stop) for r in rows_fn(did)]
         return pa.table({nm: pa.array([r[i] for r in rows], pa.int64())
                          for i, nm in enumerate(names)})
 
-    step = 100
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    parts = ray.get([_chunk.remote(s, min(s + step, n_docs))
-                     for s in range(0, n_docs, step)])
-    tbl = pa.concat_tables(parts).replace_schema_metadata(
-        {b"n_docs": str(n_docs).encode()})
-    tmp = f"{path}.tmp{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
+    return golden(name, {"n": n_docs}, lambda: _fan_out(n_docs, 100, chunk))
 
 
 def _one_row(row_fn):
@@ -1182,24 +1189,22 @@ def _bmp_scalar_row(doc_id: int) -> tuple:
     return w, h, sums[0], sums[1], sums[2], thumb
 
 
-WKB_GOLDEN_PQ = os.path.join(ORACLE_DIR, "wkb_export.parquet")
+def ensure_wkb_golden() -> str:
+    """wkb_export golden, keyed on the lakes (see _wkb_table)."""
+    return golden("wkb_export", lakes_key(), _wkb_table)
 
 
-def ensure_wkb_golden() -> None:
-    """wkb_export golden: per-ring rows (geom_id, poly_idx, ring_idx,
+def _wkb_table() -> pa.Table:
+    """Per-ring rows (geom_id, poly_idx, ring_idx,
     n_pts, sxq, syq, wkb_len, wkb_crc) computed by a PURE-PYTHON twin —
     struct.pack WKB assembly over the lakes vertex golden with scalar
     shoelace role classification, scalar ring closure, and the same
     Outer-starts/Inner-attaches grouping — no numpy, no shared code with
     geometry/wkb.py. wkb_crc matches only if the twin's byte stream is
     IDENTICAL to the engine's."""
-    if os.path.exists(WKB_GOLDEN_PQ):
-        return
     import struct
     import zlib
-    ensure_lakes_vertices()
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    vt = pq.read_table(LAKES_VERTICES_PQ)
+    vt = pq.read_table(ensure_lakes_vertices())
     gids = vt["geom_id"].to_pylist()
     parts = vt["part_idx"].to_pylist()
     xs = vt["x"].to_pylist()
@@ -1257,10 +1262,7 @@ def ensure_wkb_golden() -> None:
                 rows["syq"].append(syq)
                 rows["wkb_len"].append(ln)
                 rows["wkb_crc"].append(crc)
-    tbl = pa.table({k: pa.array(v, pa.int64()) for k, v in rows.items()})
-    tmp = WKB_GOLDEN_PQ + ".tmp"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, WKB_GOLDEN_PQ)
+    return pa.table({k: pa.array(v, pa.int64()) for k, v in rows.items()})
 
 
 def _png_scalar_row(doc_id: int) -> tuple:
@@ -1542,27 +1544,17 @@ def _jpeg_scalar_row(doc_id: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-LM_GOLDEN_PQ = os.path.join(ORACLE_DIR, "lm_score.parquet")
+def ensure_lm_golden(sf_dir: str) -> str:
+    """lm_score golden, keyed on the corpus (see _lm_table)."""
+    return golden("lm_score", corpus_key(sf_dir), lambda: _lm_table(sf_dir))
 
 
-def ensure_lm_golden(sf_dir: str) -> None:
+def _lm_table(sf_dir: str) -> pa.Table:
     """Independent scalar twin of stages/lm.lm_score: Python re
     tokenization + collections.Counter counts + dict lookups (no shared
     numpy lookup machinery). The per-doc float64 prob array is built in
     the same token order and reduced with np.sum — elementwise-identical
-    arrays reduce bit-identically, so the gate hash compare is exact.
-
-    The golden is CORPUS-dependent (unlike the id-derived wav/bmp
-    payloads), so the fixed path carries the sf tag in its parquet
-    metadata and regenerates whenever a different sf runs (the harness
-    always runs the Ray query — and therefore this ensure — before the
-    oracle)."""
-    path = LM_GOLDEN_PQ
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    if os.path.exists(path):
-        meta = pq.ParquetFile(path).schema_arrow.metadata or {}
-        if meta.get(b"sf") == tag.encode():
-            return
+    arrays reduce bit-identically, so the gate hash compare is exact."""
     import re as _re
     from collections import Counter
     docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
@@ -1587,19 +1579,14 @@ def ensure_lm_golden(sf_dir: str) -> None:
         nbs.append(nb)
         lps.append(lp)
         avgs.append(lp / nb if nb else 0.0)
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    tbl = pa.table({
+    return pa.table({
         "doc_id": pa.array(ids, pa.int64()),
         "n_bigrams": pa.array(nbs, pa.int64()),
         "logprob": pa.array(lps, pa.float64()),
         "avg_logprob": pa.array(avgs, pa.float64())})
-    tbl = tbl.replace_schema_metadata({b"sf": tag.encode()})
-    tmp = f"{path}.tmp{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
 
 
-def _y4m_scalar_rows(doc_id: int, samples: int = 4) -> list:
+def _y4m_scalar_rows(doc_id: int) -> list:
     """Independent scalar twin of Y4mDecodeStage over synth_y4m_bytes:
     byte-offset frame location + Python sum over the raw luma slice (no
     numpy in the per-frame math)."""
@@ -1618,7 +1605,7 @@ def _y4m_scalar_rows(doc_id: int, samples: int = 4) -> list:
     fb = w * h + 2 * ((w // 2) * (h // 2))
     stride = 6 + fb                     # b"FRAME\n" + planes
     n = (len(p) - (nl + 1)) // stride
-    take = min(samples, n)
+    take = min(Y4M_SAMPLES, n)
     rows = []
     for j in range(take):
         fi = (j * n) // take
@@ -1626,9 +1613,6 @@ def _y4m_scalar_rows(doc_id: int, samples: int = 4) -> list:
         rows.append((doc_id, j, fi, fi * 1000 * fd // fn, n,
                      sum(p[off:off + w * h])))
     return rows
-
-
-PHASH_GOLDEN_PQ = golden_path("phash_neardup")
 
 
 def _phash_scalar_row(doc_id: int) -> tuple:
@@ -1676,9 +1660,9 @@ def _phash_scalar_row(doc_id: int) -> tuple:
     return (hv,)
 
 
-def ensure_phash_golden(n_docs: int) -> None:
-    _ensure_golden(PHASH_GOLDEN_PQ, n_docs, _one_row(_phash_scalar_row),
-                   ("doc_id", "phash"))
+def ensure_phash_golden(n_docs: int) -> str:
+    return _ensure_golden("phash_neardup", n_docs,
+                          _one_row(_phash_scalar_row), ("doc_id", "phash"))
 
 
 def _gif_scalar_row(doc_id: int) -> tuple:
@@ -2158,24 +2142,21 @@ def _mp3_scalar_row(doc_id: int) -> tuple:
             int(len(brs) > 1), id3v2, id3v1)
 
 
-BPE_GOLDEN_PQ = os.path.join(ORACLE_DIR, "bpe_merges.parquet")
 BPE_MERGES = 12
 
 
-def ensure_bpe_golden(sf_dir: str) -> None:
+def ensure_bpe_golden(sf_dir: str) -> str:
+    """bpe_merges golden, keyed on the corpus (see _bpe_table)."""
+    return golden("bpe_merges", corpus_key(sf_dir, merges=BPE_MERGES),
+                  lambda: _bpe_table(sf_dir))
+
+
+def _bpe_table(sf_dir: str) -> pa.Table:
     """Independent reference BPE (Sennrich 2016) over the documents
     corpus: pq.read_table + re + collections.Counter + its OWN
-    tuple-rewrite merge loop — no import of stages/bpe machinery. The
-    golden is corpus-dependent, so it carries the sf tag (the lm-golden
-    pattern)."""
+    tuple-rewrite merge loop — no import of stages/bpe machinery."""
     import re as _re
     from collections import Counter
-    path = BPE_GOLDEN_PQ
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    if os.path.exists(path):
-        meta = pq.ParquetFile(path).schema_arrow.metadata or {}
-        if meta.get(b"sf") == tag.encode():
-            return
     docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                          columns=["text"])
     wc: Counter = Counter()
@@ -2212,36 +2193,28 @@ def ensure_bpe_golden(sf_dir: str) -> None:
             t = tuple(out)
             new_vocab[t] = new_vocab.get(t, 0) + cnt
         vocab = new_vocab
-    tbl = pa.table({
+    return pa.table({
         "rank": pa.array([r[0] for r in rows], pa.int64()),
         "left": pa.array([r[1] for r in rows], pa.string()),
         "right": pa.array([r[2] for r in rows], pa.string()),
         "pair_count": pa.array([r[3] for r in rows], pa.int64()),
-    }).replace_schema_metadata({b"sf": tag.encode()})
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    tmp = f"{path}.tmp{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
+    })
 
 
-BPE_ENCODE_GOLDEN_PQ = os.path.join(ORACLE_DIR, "bpe_encode.parquet")
+def ensure_bpe_encode_golden(sf_dir: str) -> str:
+    """bpe_encode golden, keyed on the corpus (see _bpe_encode_table)."""
+    return golden("bpe_encode", corpus_key(sf_dir, merges=BPE_MERGES),
+                  lambda: _bpe_encode_table(sf_dir))
 
 
-def ensure_bpe_encode_golden(sf_dir: str) -> None:
+def _bpe_encode_table(sf_dir: str) -> pa.Table:
     """Independent tokenizer-apply twin: reads the (already verified)
-    merge table from BPE_GOLDEN_PQ and re-encodes every document with
+    merge table of ensure_bpe_golden and re-encodes every document with
     its OWN rank-priority loop (index-scan + slice rewrite, no import of
     stages/bpe), emitting (doc_id, n_words, n_tokens, token_crc_sum)."""
     import re as _re
     import zlib as _zlib
-    path = BPE_ENCODE_GOLDEN_PQ
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    if os.path.exists(path):
-        meta = pq.ParquetFile(path).schema_arrow.metadata or {}
-        if meta.get(b"sf") == tag.encode():
-            return
-    ensure_bpe_golden(sf_dir)
-    m = pq.read_table(BPE_GOLDEN_PQ)
+    m = pq.read_table(ensure_bpe_golden(sf_dir))
     ranks = {(l, r): k for k, l, r in zip(m["rank"].to_pylist(),
                                           m["left"].to_pylist(),
                                           m["right"].to_pylist())}
@@ -2295,34 +2268,26 @@ def ensure_bpe_encode_golden(sf_dir: str) -> None:
         nw.append(len(words))
         nt.append(tt)
         cs.append(tc)
-    tbl = pa.table({
+    return pa.table({
         "doc_id": pa.array(ids, pa.int64()),
         "n_words": pa.array(nw, pa.int64()),
         "n_tokens": pa.array(nt, pa.int64()),
         "token_crc_sum": pa.array(cs, pa.int64()),
-    }).replace_schema_metadata({b"sf": tag.encode()})
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    tmp = f"{path}.tmp{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
+    })
 
 
-LZW_GOLDEN_PQ = os.path.join(ORACLE_DIR, "compress_ratio.parquet")
+def ensure_lzw_golden(sf_dir: str) -> str:
+    """compress_ratio golden, keyed on the corpus (see _lzw_table)."""
+    return golden("compress_ratio", corpus_key(sf_dir),
+                  lambda: _lzw_table(sf_dir))
 
 
-def ensure_lzw_golden(sf_dir: str) -> None:
+def _lzw_table(sf_dir: str) -> pa.Table:
     """Independent compression-ratio twin: its OWN LZW compressor with a
     (prefix_code, byte)->code dictionary (the engine's keys on byte
     strings) and its own bit packer — identical output LENGTHS iff both
     implement the same greedy algorithm, code-width growth and 4096
     reset, which is exactly what the gate checks."""
-    path = LZW_GOLDEN_PQ
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    if os.path.exists(path):
-        meta = pq.ParquetFile(path).schema_arrow.metadata or {}
-        if meta.get(b"sf") == tag.encode():
-            return
-
     def lzw_len(data: bytes) -> int:
         clear, eoi = 256, 257
         bits = 0                        # total bits emitted
@@ -2366,13 +2331,9 @@ def ensure_lzw_golden(sf_dir: str) -> None:
         nr.append(len(b))
         nc.append(c)
         pm.append(c * 1000 // len(b) if b else 0)
-    tbl = pa.table({
+    return pa.table({
         "doc_id": pa.array(ids, pa.int64()),
         "n_raw": pa.array(nr, pa.int64()),
         "n_lzw": pa.array(nc, pa.int64()),
         "ratio_pm": pa.array(pm, pa.int64()),
-    }).replace_schema_metadata({b"sf": tag.encode()})
-    os.makedirs(ORACLE_DIR, exist_ok=True)
-    tmp = f"{path}.tmp{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
+    })

@@ -2519,8 +2519,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # oracle changed, then fill the window with driver-green staples;
     # the remainder (all driver-green in earlier rounds) follows.
     return {
-        # -- changed: every golden through oracles.golden(); the codec
-        # queries first (one CODECS row each), then every other query whose
+        # -- changed: the byte-class token_stats kernel (token_stats and
+        # its two callers) and the one-pass lineage text_sha256 --
+        "token_stats": _token_stats,
+        "token_quantiles": _token_quantiles,
+        "quality_corpus": _quality_corpus,
+        "text_fidelity": _text_fidelity,
+        # -- every golden through oracles.golden(): the codec queries
+        # first (one CODECS row each), then every other query whose
         # callable writes a golden, then two whose oracle options went --
         **{name: _codec_query(name) for name in CODECS},
         "phash_neardup": _phash_neardup,
@@ -2560,12 +2566,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "orders_by_nation": _orders_by_nation,
         "lineitem_q1": _lineitem_q1,
         "chunk_dedup": _chunk_dedup,
+        # ---- end of the 50-entry correctness-gate window ----
+        # Every entry below is an UNTOUCHED gate-green staple.
         "doc_rank": _doc_rank,
         "host_triangles": _host_triangles,
         "dup_clusters": _dup_clusters,
         "tfidf_terms": _tfidf_terms,
-        # ---- end of the 50-entry correctness-gate window ----
-        # Every entry below is an UNTOUCHED gate-green staple.
         "top_events_user": _top_events_user,
         "events_late": _events_late,
         "asof_join": _asof_join,
@@ -2573,7 +2579,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "session_windows": _session_windows,
         "lag_lead": _lag_lead,
         "running_max": _running_max,
-        "quality_corpus": _quality_corpus,
         "quota_sample": _quota_sample,
         "seq_pack": _seq_pack,
         "substring_dedup": _substring_dedup,
@@ -2588,8 +2593,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hll_users": _hll_users,
         "hll_window_users": _hll_window_users,
         "value_histogram": _value_histogram,
-        "token_quantiles": _token_quantiles,
-        "text_fidelity": _text_fidelity,
         "minhash_pairs": _minhash_pairs,
         "jaccard_pairs": _jaccard_pairs,
         "hot_cells": _hot_cells,
@@ -2630,7 +2633,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "tile_cells": _tile_cells,
         "radius_join": _radius_join,
         "embed_neardup": _embed_neardup,
-        "token_stats": _token_stats,
         "langid": _langid,
         "hex_cells": _hex_cells,
         "sample_pages": _sample_pages,

@@ -1,8 +1,13 @@
 """Text-analysis kernels for the web-page table: token/char counting, quality
 scoring, language ID, document fingerprinting. All per-batch vectorized
-(pyarrow.compute RE2 kernels + numpy); the regex-countable stats use patterns
-that DuckDB's RE2 evaluates identically, so they have exact SQL oracles
-(see __ray_entry__.oracle_sql).
+(pyarrow.compute kernels + numpy).
+
+`token_stats` counts its four patterns over the UTF-8 value bytes with one
+byte-class table: every pattern is an ASCII class, and every byte of a
+non-ASCII character is >= 0x80, so a character matches a class iff its
+bytes do and a run of matching characters is a run of matching bytes. The
+oracle (`token_stats_sql`, see __ray_entry__.oracle_sql) keeps the patterns
+as DuckDB RE2 regexes, so it shares no code with the engine.
 """
 
 from __future__ import annotations
@@ -19,29 +24,70 @@ UPPER_RE = "[A-Z]"
 PUNCT_RE = "[.,;:!?]"
 
 
+# byte classes of the token_stats patterns (ASCII only, see module doc)
+_TOKEN, _WS_TOKEN, _UPPER, _PUNCT = 1, 2, 4, 8
+_CLASS = np.zeros(256, np.uint8)
+for _b in range(256):
+    _c = chr(_b)
+    _CLASS[_b] = ((_TOKEN if _b < 128 and _c.isalnum() else 0)
+                  | (_WS_TOKEN if _c not in " \t\n\r" else 0)
+                  | (_UPPER if "A" <= _c <= "Z" else 0)
+                  | (_PUNCT if _c in ".,;:!?" else 0))
+
+
+def _class_counts(arr: pa.Array) -> list[pa.Array]:
+    """Per-row matches of TOKEN_RE, WS_TOKEN_RE, UPPER_RE and PUNCT_RE in
+    one string/large_string array (any offset; null rows stay null)."""
+    n = len(arr)
+    offs = np.zeros(n + 1, np.int64)
+    data = np.zeros(0, np.uint8)
+    _, obuf, dbuf = arr.buffers()
+    if n and dbuf is not None:
+        odt = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+        offs = np.frombuffer(obuf, odt)[arr.offset:arr.offset + n + 1]
+        data = np.frombuffer(dbuf, np.uint8)[offs[0]:offs[-1]]
+        offs = offs.astype(np.int64) - offs[0]
+    cls = _CLASS[data]
+    null = ~np.asarray(arr.is_valid())
+    starts = offs[:-1][offs[:-1] < len(data)]
+    out = []
+    for bit, runs in ((_TOKEN, True), (_WS_TOKEN, True), (_UPPER, False),
+                      (_PUNCT, False)):
+        hit = (cls & bit).astype(bool)
+        if runs:    # count run starts; a run never continues across rows
+            prev = np.concatenate(([False], hit[:-1]))
+            prev[starts] = False
+            hit &= ~prev
+        row = np.searchsorted(offs, np.flatnonzero(hit), side="right") - 1
+        out.append(pa.array(np.bincount(row, minlength=n).astype(np.int64),
+                            mask=null))
+    return out
+
+
 def token_stats(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Append n_chars / n_tokens / n_ws_tokens / n_upper / n_punct /
     is_quality columns. Integer outputs only -> exact oracle parity."""
     t = batch[text_col]
+    per_chunk = [_class_counts(c) for c in t.chunks]
+    n_tokens, n_ws, n_upper, n_punct = (
+        pa.chunked_array([c[i] for c in per_chunk], pa.int64())
+        for i in range(4))
     n_chars = pc.utf8_length(t)
-    n_tokens = pc.count_substring_regex(t, TOKEN_RE)
-    n_ws = pc.count_substring_regex(t, WS_TOKEN_RE)
-    n_upper = pc.count_substring_regex(t, UPPER_RE)
-    n_punct = pc.count_substring_regex(t, PUNCT_RE)
     is_quality = pc.and_(
         pc.and_(pc.greater_equal(n_tokens, 10), pc.less(n_chars, 100000)),
         pc.less_equal(pc.multiply(n_upper, 2), n_chars))
     out = batch
-    for name, col in [("n_chars", n_chars), ("n_tokens", n_tokens),
-                      ("n_ws_tokens", n_ws), ("n_upper", n_upper),
-                      ("n_punct", n_punct), ("is_quality", is_quality)]:
-        out = out.append_column(name, pc.cast(col, pa.int64())
-                                if name != "is_quality" else col)
+    for name, col in [("n_chars", pc.cast(n_chars, pa.int64())),
+                      ("n_tokens", n_tokens), ("n_ws_tokens", n_ws),
+                      ("n_upper", n_upper), ("n_punct", n_punct),
+                      ("is_quality", is_quality)]:
+        out = out.append_column(name, col)
     return out
 
 
 def token_stats_sql(text_expr: str = "text") -> dict[str, str]:
-    """The DuckDB expressions matching token_stats (RE2 on both sides)."""
+    """The DuckDB expressions matching token_stats: RE2 regexes over the
+    patterns the engine counts with byte classes."""
     n_chars = f"length({text_expr})"
     n_tokens = f"length(regexp_extract_all({text_expr}, '{TOKEN_RE}'))"
     n_ws = f"length(regexp_extract_all({text_expr}, '[^ \\t\\n\\r]+'))"

@@ -18,7 +18,7 @@ from ..functions.text import token_stats
 from ..sources.webpages import read_webpages
 from ..stages.combine import combine_by_key
 from ..stages.pip_join import broadcast_pip_join, load_polygons
-from ..state.lineage import write_partitioned
+from ..state.lineage import drop_completed, write_partitioned
 from .oracles import LAKES
 
 GRID_ZOOM = 12
@@ -32,25 +32,33 @@ def add_grid_cell(batch: pa.Table, zoom: int = GRID_ZOOM) -> pa.Table:
 
 def flagship(sf_dir: str, *, out_dir: str | None = None, repl: int | None = None,
              concurrency=(1, 4), polygons: str = LAKES):
-    """Returns (joined Dataset, zonal Dataset or None).
+    """Returns the lazy Dataset of all joined rows.
 
     With `out_dir`, the joined rows are also written as resumable keyed
-    partitions (state/lineage.py) and the write manifest is consumed.
+    partitions (state/lineage.py) and the write manifest is consumed. The
+    plan that writes drops completed partitions at the page source, so a
+    resume computes text stats and the join for the pending pages only.
+    The returned Dataset does not filter: it is every joined row either way.
     """
+    import ray
     kwargs = {} if repl is None else {"repl": repl}
+    polys = ray.put(load_polygons(polygons))
+
+    def joined_rows(pages):
+        pages = pages.map_batches(token_stats, batch_format="pyarrow")
+        pages = pages.map_batches(add_grid_cell, batch_format="pyarrow")
+        return broadcast_pip_join(
+            pages, polys,
+            keep_cols=("page_id", "url", "text", "lang", "cell", "n_chars",
+                       "is_quality"),
+            concurrency=concurrency)
+
     pages = read_webpages(sf_dir, with_html=False, **kwargs)
-    pages = pages.map_batches(token_stats, batch_format="pyarrow")
-    pages = pages.map_batches(add_grid_cell, batch_format="pyarrow")
-    polys = load_polygons(polygons)
-    joined = broadcast_pip_join(
-        pages, polys,
-        keep_cols=("page_id", "url", "text", "lang", "cell", "n_chars",
-                   "is_quality"),
-        concurrency=concurrency)
     if out_dir is not None:
-        write_partitioned(joined, out_dir, key_col="page_id",
+        pending = drop_completed(pages, out_dir, key_col="page_id")
+        write_partitioned(joined_rows(pending), out_dir, key_col="page_id",
                           text_col="text", url_col="url").materialize()
-    return joined
+    return joined_rows(pages)
 
 
 PYRAMID_ZOOMS = (4, 6, 8, 10, 12)

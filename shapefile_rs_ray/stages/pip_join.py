@@ -89,6 +89,8 @@ def broadcast_pip_join(ds, polys: list[SimplePolygon], *,
                        keep_cols=("page_id", "url"), concurrency=(1, 4),
                        batch_size=None, num_cpus=1):
     """ds (with lon/lat) x polys -> joined Dataset via the actor pool.
+    `polys` is the polygon list or an ObjectRef of one (plans that share a
+    broadcast side put it once).
 
     `concurrency` defaults to an autoscaling (min, max) pool so the pool
     never reserves every CPU and starves the upstream read/synth tasks
@@ -98,7 +100,7 @@ def broadcast_pip_join(ds, polys: list[SimplePolygon], *,
     across blocks, which measured 3-4x slower than block-sized batches —
     control granularity at the source instead."""
     import ray
-    ref = ray.put(polys)
+    ref = polys if isinstance(polys, ray.ObjectRef) else ray.put(polys)
     return ds.map_batches(
         PIPJoinStage,
         fn_constructor_kwargs={"polys_ref": ref, "keep_cols": keep_cols},

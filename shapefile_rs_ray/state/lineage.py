@@ -7,10 +7,16 @@ Output layout (the "resumable output" contract of BASELINE.md):
       part=000123/manifest.json       # {rows, key range, text_sha256, status}
       _done/part=000123.json          # hard-linked manifest marking completion
 
-Partitions are keyed by `key_col // partition_size` — a pure function of the
+Partitions are keyed by `key_col // PARTITION_SIZE` — a pure function of the
 data, NOT of block boundaries — so a re-run assigns identical rows to
 identical partitions regardless of execution order, and the resume filter
-can skip completed partitions by key range alone. The exchange is one
+can skip completed partitions by key range alone. That filter,
+`drop_completed`, belongs at the source: a pipeline applies it to the rows
+it reads, before any per-row work, so a resume computes only the pending
+partitions (`pipelines/flagship.py`); `write_partitioned` applies it again
+for direct callers. The one `PARTITION_SIZE` constant is the default of the
+filter and the writer alike, so they cannot disagree on the partition
+width. The exchange is one
 `stages/combine.by_partition` whose callable key gives that partition id
 as it is; each `data.parquet` keeps it as its int64 tag column `__p`.
 Writes go to a temp file then `os.replace` (atomic on POSIX), so a killed
@@ -31,9 +37,12 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..stages.combine import by_partition
+
+PARTITION_SIZE = 1 << 14
 
 
 def partition_key(ids: np.ndarray, partition_size: int) -> np.ndarray:
@@ -50,6 +59,45 @@ def completed_partitions(out_dir: str) -> set[int]:
     return done
 
 
+def drop_completed(ds, out_dir: str, *, key_col: str = "page_id",
+                   partition_size: int = PARTITION_SIZE):
+    """`ds` without the rows of partitions already completed in `out_dir`
+    (one vectorized filter per batch); `ds` itself when none is."""
+    done = list(completed_partitions(out_dir))
+    if not done:
+        return ds
+
+    def keep_pending(batch: pa.Table) -> pa.Table:
+        part = partition_key(batch[key_col], partition_size)
+        return batch.filter(pa.array(~np.isin(part, done)))
+
+    return ds.map_batches(keep_pending, batch_format="pyarrow")
+
+
+def text_sha256(group: pa.Table, text_col: str,
+                url_col: str | None) -> str:
+    """sha256 of `url \\x00 text \\x01` over the rows in order: one digest
+    over the values buffer of the per-row concatenation. A null text or url
+    hashes as "", and so does every url when `url_col` is absent."""
+    text = group[text_col].fill_null("")
+    typ = text.type
+    url = (group[url_col].fill_null("").cast(typ)
+           if url_col and url_col in group.column_names
+           else pa.scalar("", typ))
+    rows = pc.binary_join_element_wise(url, pa.scalar("\x00", typ), text,
+                                       pa.scalar("\x01", typ),
+                                       pa.scalar("", typ))
+    h = hashlib.sha256()
+    for chunk in rows.chunks:
+        if len(chunk):
+            _, obuf, dbuf = chunk.buffers()
+            offs = np.frombuffer(obuf, np.int64 if pa.types.is_large_string(
+                chunk.type) else np.int32)
+            h.update(memoryview(dbuf)[offs[chunk.offset]:
+                                      offs[chunk.offset + len(chunk)]])
+    return h.hexdigest()
+
+
 class PartitionWriter:
     """map_groups callable: writes one partition directory atomically.
 
@@ -58,7 +106,7 @@ class PartitionWriter:
 
     def __init__(self, out_dir: str, key_col: str = "page_id",
                  text_col: str | None = "text", url_col: str | None = "url",
-                 partition_size: int = 1 << 14):
+                 partition_size: int = PARTITION_SIZE):
         self.out_dir = out_dir
         self.key_col = key_col
         self.text_col = text_col
@@ -82,16 +130,7 @@ class PartitionWriter:
 
         text_sha = None
         if self.text_col and self.text_col in group.column_names:
-            h = hashlib.sha256()
-            urls = (group[self.url_col].to_pylist()
-                    if self.url_col and self.url_col in group.column_names
-                    else [""] * group.num_rows)
-            for u, t in zip(urls, group[self.text_col].to_pylist()):
-                h.update(u.encode("utf-8"))
-                h.update(b"\x00")
-                h.update((t or "").encode("utf-8"))
-                h.update(b"\x01")
-            text_sha = h.hexdigest()
+            text_sha = text_sha256(group, self.text_col, self.url_col)
 
         t0 = time.monotonic()
         tmp = os.path.join(pdir, ".data.parquet.tmp")
@@ -119,23 +158,20 @@ class PartitionWriter:
 
 
 def write_partitioned(ds, out_dir: str, *, key_col: str = "page_id",
-                      partition_size: int = 1 << 14,
+                      partition_size: int = PARTITION_SIZE,
                       text_col: str | None = "text",
                       url_col: str | None = "url", resume: bool = True):
     """Write `ds` as resumable keyed partitions; returns the manifest
     Dataset (part, rows, skipped). With resume=True, rows in completed
-    partitions are dropped at the map stage (cheap vectorized filter) before
-    the shuffle, which is one `by_partition` on the partition key."""
-    done = list(completed_partitions(out_dir)) if resume else []
+    partitions are dropped by `drop_completed` before the shuffle, which is
+    one `by_partition` on the partition key."""
+    if resume:
+        ds = drop_completed(ds, out_dir, key_col=key_col,
+                            partition_size=partition_size)
 
     def part_of(batch: pa.Table) -> np.ndarray:
         return partition_key(batch[key_col], partition_size)
 
-    def drop_done(batch: pa.Table) -> pa.Table:
-        return batch.filter(pa.array(~np.isin(part_of(batch), done)))
-
-    if done:
-        ds = ds.map_batches(drop_done, batch_format="pyarrow")
     writer = PartitionWriter(out_dir, key_col=key_col, text_col=text_col,
                              url_col=url_col, partition_size=partition_size)
 

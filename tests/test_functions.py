@@ -83,18 +83,45 @@ def test_content_hash_and_sha():
     assert hashing.sha256_hex(["abc"])[0] == hashlib.sha256(b"abc").hexdigest()
 
 
+def _random_texts(n: int, seed: int) -> list:
+    """Random Unicode: ASCII classes, 2/3/4-byte chars, tabs and newlines,
+    empty strings and nulls."""
+    rng = np.random.default_rng(seed)
+    alphabet = list("aZ09 .,;:!?\t\r\n-_\x00") + [
+        "é", "ß", "Ω", "中", "文", "😀", "\u00a0", "\u2028", "Ａ", "𝐀"]
+    out = []
+    for _ in range(n):
+        r = rng.random()
+        out.append(None if r < 0.05 else "" if r < 0.1 else "".join(
+            rng.choice(alphabet, rng.integers(1, 80))))
+    return out
+
+
 def test_token_stats_sql_parity():
-    docs = _docs()
-    eng = text.token_stats(pa.table({"text": docs["text"]}))
+    """The byte-class kernel equals Arrow's RE2 counts and the DuckDB
+    oracle on the corpus, random Unicode, nulls, slices and chunks."""
+    tables = [pa.table({"text": _docs()["text"]})]
+    for typ in (pa.string(), pa.large_string()):
+        t = pa.table({"text": pa.array(_random_texts(2000, 7), typ)})
+        tables += [t, t.slice(13, 1500),
+                   pa.concat_tables([t.slice(0, 40), t.slice(901, 300)])]
     con = duckdb.connect()
-    con.register("d", pa.table({"text": docs["text"]}))
     exprs = text.token_stats_sql("text")
-    sql = con.execute(
-        "select " + ", ".join(f"{e} as {k}" for k, e in exprs.items())
-        + " from d").arrow()
-    for k in exprs:
-        assert (sql[k].cast(eng[k].type).combine_chunks().equals(
-            eng[k].combine_chunks())), k
+    patterns = {"n_tokens": text.TOKEN_RE, "n_ws_tokens": text.WS_TOKEN_RE,
+                "n_upper": text.UPPER_RE, "n_punct": text.PUNCT_RE}
+    for t in tables:
+        eng = text.token_stats(t)
+        con.register("d", t)
+        sql = con.execute(
+            "select " + ", ".join(f"{e} as {k}" for k, e in exprs.items())
+            + " from d").arrow()
+        for k in exprs:
+            assert (sql[k].cast(eng[k].type).combine_chunks().equals(
+                eng[k].combine_chunks())), k
+        for k, pat in patterns.items():
+            re2 = pc.count_substring_regex(t["text"], pat)
+            assert re2.cast(pa.int64()).combine_chunks().equals(
+                eng[k].combine_chunks()), k
 
 
 def test_langid_stopword_heuristic():

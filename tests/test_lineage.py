@@ -1,0 +1,176 @@
+"""Resumable lineage output (`state/lineage.py`): a resume computes only the
+pending partitions, from the page source on, and rewrites them byte for
+byte; the one-pass `text_sha256` keeps the per-row formula's digest."""
+
+import hashlib
+import json
+import os
+import shutil
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from perfbench import gen
+from shapefile_rs_ray.sources.webpages import webpages_table
+from shapefile_rs_ray.state import lineage
+
+N_DOCS, SPREAD = 200, 40     # 4000 pages over ~10 partitions of 16384 ids
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """(sf dir with documents.parquet, 8-lake .shp path)."""
+    d = tmp_path_factory.mktemp("flagship_in")
+    gen.write_documents(str(d), gen.documents_table(3, N_DOCS, SPREAD))
+    st, attrs = gen.lakes_corpus(3, 1)
+    gen.write_shapefile(str(d / "lakes"), st, attrs)
+    return str(d), str(d / "lakes.shp")
+
+
+def _files(out: str) -> dict[str, bytes]:
+    got = {}
+    for root, _, names in os.walk(out):
+        for n in names:
+            p = os.path.join(root, n)
+            with open(p, "rb") as f:
+                got[os.path.relpath(p, out)] = f.read()
+    return got
+
+
+def _manifests(out: str) -> dict[int, dict]:
+    """Every manifest and `_done` marker but its timing."""
+    ms = {}
+    for m in lineage.read_manifests(out):
+        ms[m["part"]] = {k: v for k, v in m.items() if k != "write_s"}
+    for p in sorted(os.listdir(out)):
+        if p.startswith("part="):
+            with open(os.path.join(out, p, "manifest.json")) as f:
+                m = json.load(f)
+            assert ms[m["part"]] == {k: v for k, v in m.items()
+                                     if k != "write_s"}
+    return ms
+
+
+def _lose(out: str, parts) -> None:
+    """A crash that lost partitions: data, manifest and marker."""
+    for p in parts:
+        shutil.rmtree(os.path.join(out, f"part={p:06d}"))
+        os.remove(os.path.join(out, "_done", f"part={p:06d}.json"))
+
+
+def _flagship(inputs, out):
+    from shapefile_rs_ray.pipelines.flagship import flagship
+    sf, shp = inputs
+    return flagship(sf, out_dir=out, concurrency=1, polygons=shp)
+
+
+def test_flagship_resume_rewrites_lost_partitions_exactly(ray_session,
+                                                          inputs, tmp_path):
+    out = str(tmp_path / "out")
+    joined = _flagship(inputs, out)
+    files, mans = _files(out), _manifests(out)
+    assert len(mans) >= 5
+    assert sum(m["rows"] for m in mans.values()) == joined.count()
+    data = {k: v for k, v in files.items() if k.endswith("data.parquet")}
+    assert len(data) == len(mans)
+
+    _lose(out, sorted(mans)[1:3])
+    joined = _flagship(inputs, out)
+    assert _manifests(out) == mans
+    assert {k: v for k, v in _files(out).items()
+            if k.endswith("data.parquet")} == data
+    # the returned Dataset is all joined rows, not the resumed ones
+    assert joined.count() == sum(m["rows"] for m in mans.values())
+
+    before = {k: (os.stat(os.path.join(out, k)).st_mtime_ns, v)
+              for k, v in _files(out).items()}
+    _flagship(inputs, out)
+    assert {k: (os.stat(os.path.join(out, k)).st_mtime_ns, v)
+            for k, v in _files(out).items()} == before
+
+
+def test_flagship_resume_computes_only_pending_pages(ray_session, inputs,
+                                                     tmp_path, monkeypatch):
+    """Rows entering text stats on a resume are the pending partitions'
+    pages: none at all on a full resume."""
+    from shapefile_rs_ray.pipelines import flagship as flagship_mod
+    out = str(tmp_path / "out")
+    _flagship(inputs, out)
+    parts = sorted(lineage.completed_partitions(out))
+    lost = parts[-2:]
+    _lose(out, lost)
+
+    seen = str(tmp_path / "token_stats_rows")
+    token_stats = flagship_mod.token_stats
+
+    def spy(batch):
+        with open(seen, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return token_stats(batch)
+
+    def rows_seen():
+        if not os.path.exists(seen):
+            return 0
+        with open(seen) as f:
+            n = sum(int(line) for line in f)
+        os.remove(seen)
+        return n
+
+    monkeypatch.setattr(flagship_mod, "token_stats", spy)
+    pages = webpages_table(inputs[0])["page_id"].to_numpy()
+    pending = np.isin(lineage.partition_key(pages, lineage.PARTITION_SIZE),
+                      lost)
+    assert 0 < pending.sum() < len(pages)
+    _flagship(inputs, out)
+    assert rows_seen() == pending.sum()
+    assert sorted(lineage.completed_partitions(out)) == parts
+    _flagship(inputs, out)
+    assert rows_seen() == 0
+
+
+def test_drop_completed_keeps_exactly_pending_rows(ray_session, tmp_path):
+    import ray
+    ids = np.random.default_rng(5).choice(10_000, 3_000, replace=False)
+    ds = ray.data.from_arrow(pa.table({"page_id": pa.array(ids, pa.int64())})
+                             ).repartition(7)
+    out = str(tmp_path / "out")
+    assert lineage.drop_completed(ds, out, partition_size=1000) is ds
+    done = {0, 3, 4, 9}
+    os.makedirs(os.path.join(out, "_done"))
+    for p in done:
+        open(os.path.join(out, "_done", f"part={p:06d}.json"), "w").close()
+    kept = lineage.drop_completed(ds, out, partition_size=1000)
+    got = np.sort([r["page_id"] for r in kept.take_all()])
+    want = np.sort(ids[~np.isin(ids // 1000, list(done))])
+    np.testing.assert_array_equal(got, want)
+
+
+def _loop_sha(group: pa.Table, text_col: str, url_col) -> str:
+    """The per-row formula `text_sha256` replaces."""
+    h = hashlib.sha256()
+    urls = (group[url_col].to_pylist()
+            if url_col and url_col in group.column_names
+            else [""] * group.num_rows)
+    for u, t in zip(urls, group[text_col].to_pylist()):
+        h.update(u.encode("utf-8"))
+        h.update(b"\x00")
+        h.update((t or "").encode("utf-8"))
+        h.update(b"\x01")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("typ", [pa.string(), pa.large_string()])
+def test_text_sha256_matches_row_loop(typ):
+    texts = ["naïve café", None, "", "中文 text", "emoji 😀\n", "a\x00b"] * 9
+    urls = [f"http://host{i}.ü/p?q=ß" for i in range(len(texts))]
+    t = pa.table({"url": pa.array(urls, typ), "text": pa.array(texts, typ)})
+    chunked = pa.concat_tables([t.slice(0, 5), t.slice(11, 20)])
+    for g in (t, t.slice(3, 25), chunked, t.slice(0, 0)):
+        assert lineage.text_sha256(g, "text", "url") == _loop_sha(
+            g, "text", "url")
+        assert lineage.text_sha256(g, "text", None) == _loop_sha(
+            g, "text", None)
+        nourl = g.drop(["url"])
+        assert lineage.text_sha256(nourl, "text", "url") == _loop_sha(
+            nourl, "text", "url")

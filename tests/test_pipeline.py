@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_entry_contract(ray_session):
@@ -125,7 +126,7 @@ def test_cli_decode_smoke():
     out = subprocess.run(
         [sys.executable, "-m", "shapefile_rs_ray.cli", "--num-cpus", "2",
          "decode", "/root/reference/tests/data/polygon_hole.shp"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=120)
+        capture_output=True, text=True, cwd=REPO, timeout=120)
     assert out.returncode == 0, out.stderr[-500:]
     first = json.loads(out.stdout.strip().splitlines()[0])
     assert first["records"] == 1

@@ -2,6 +2,7 @@
 block-bounded semantic-neardup gram, vectorized crc32, and the minhash
 parquet checkpoint."""
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,8 @@ import textwrap
 import numpy as np
 import pyarrow as pa
 import pytest
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +95,7 @@ def test_cluster_pairs_memory_is_block_bounded():
         print(n, peak)
         assert peak < 4_500_000, f"peak {peak} KB exceeds 4.5 GB"
     """)
-    res = subprocess.run([sys.executable, "-c", script], cwd="/root/repo",
+    res = subprocess.run([sys.executable, "-c", script], cwd=REPO,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
 

@@ -17,7 +17,7 @@ OUT_DIR="${2:-/tmp/graft_job_out}"
 
 if command -v ray >/dev/null && [ -n "${RAY_JOB_SUBMIT:-}" ]; then
     # real cluster path (requires a running head node / dashboard)
-    exec ray job submit --working-dir /root/repo -- \
+    exec ray job submit --working-dir "$(cd "$(dirname "$0")/.." && pwd)" -- \
         python -m shapefile_rs_ray.cli flagship --sf "$SF_DIR" --out "$OUT_DIR"
 fi
 # sandbox path: same entry point, local session

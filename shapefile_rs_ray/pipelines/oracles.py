@@ -33,7 +33,10 @@ from ..geometry.rings import edge_table
 from ..stages.pip_join import load_polygons
 
 ORACLE_DIR = "/tmp/graft_oracle"
-LAKES = "/root/reference/tests/data/ne_10m_lakes_north_america.shp"
+# the shapefile fixtures checked in under tests/data (scripts/make_fixtures.py)
+FIXTURE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "tests", "data")
+LAKES = os.path.join(FIXTURE_DIR, "ne_10m_lakes_north_america.shp")
 
 H3_RESOLUTIONS = (4, 5, 6, 7, 8, 9)
 H3_RING_RES = 7

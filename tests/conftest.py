@@ -16,7 +16,8 @@ def ray_session():
 
 @pytest.fixture(scope="session")
 def data_dir():
-    return "/root/reference/tests/data"
+    from shapefile_rs_ray.pipelines.oracles import FIXTURE_DIR
+    return FIXTURE_DIR
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,7 @@ import pyarrow as pa
 import pytest
 
 from shapefile_rs_ray.geometry import dbf as dbf_mod
-
-D = "/root/reference/tests/data"
+from shapefile_rs_ray.pipelines.oracles import FIXTURE_DIR as D
 
 
 def _make_dbf(fields, rows):

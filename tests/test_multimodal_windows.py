@@ -67,7 +67,7 @@ def test_nth_shape_and_count_and_typed_read():
     from shapefile_rs_ray.sources.shapefile import (read_nth_shape,
                                                     read_shapefile_table,
                                                     shape_count)
-    D = "/root/reference/tests/data"
+    from shapefile_rs_ray.pipelines.oracles import FIXTURE_DIR as D
     assert shape_count(f"{D}/ne_10m_lakes_north_america.shp") == 1162
     t = read_nth_shape(f"{D}/pointz.shp", 1)
     assert t.num_rows == 1 and t["geom_id"][0].as_py() == 1

@@ -11,8 +11,7 @@ from shapefile_rs_ray.geometry.rings import (FIRST_RING, INNER_RING,
                                              OrphanedInnerRing,
                                              UnsupportedConversion,
                                              group_multipatch_rings)
-
-D = "/root/reference/tests/data"
+from shapefile_rs_ray.pipelines.oracles import FIXTURE_DIR as D
 
 
 def _mp_table(shapes):

@@ -7,8 +7,7 @@ import pytest
 from shapefile_rs_ray.geometry import shp
 from shapefile_rs_ray.geometry.pip import PIPIndex, brute_force_pip
 from shapefile_rs_ray.geometry.rings import OrphanedInnerRing, group_rings
-
-D = "/root/reference/tests/data"
+from shapefile_rs_ray.pipelines.oracles import FIXTURE_DIR as D
 
 
 def test_group_rings_polygon_hole():

@@ -7,6 +7,8 @@ import shutil
 import numpy as np
 import pytest
 
+from shapefile_rs_ray.pipelines.oracles import FIXTURE_DIR, LAKES
+
 SF = "/root/testdata/sf0.001"
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -95,7 +97,7 @@ def test_shapefile_dataset_roundtrip_via_ray(ray_session, tmp_path):
     from shapefile_rs_ray.geometry import shp
     from shapefile_rs_ray.sources.shapefile import (read_shapefile_dataset,
                                                     write_shapefile_dataset)
-    src = "/root/reference/tests/data/ne_10m_lakes_north_america.shp"
+    src = LAKES
     out = str(tmp_path / "lakes")
     ds = read_shapefile_dataset(src, records_per_task=300)
     write_shapefile_dataset(ds, out, concurrency=2)
@@ -125,7 +127,7 @@ def test_cli_decode_smoke():
     import sys
     out = subprocess.run(
         [sys.executable, "-m", "shapefile_rs_ray.cli", "--num-cpus", "2",
-         "decode", "/root/reference/tests/data/polygon_hole.shp"],
+         "decode", f"{FIXTURE_DIR}/polygon_hole.shp"],
         capture_output=True, text=True, cwd=REPO, timeout=120)
     assert out.returncode == 0, out.stderr[-500:]
     first = json.loads(out.stdout.strip().splitlines()[0])
@@ -138,7 +140,7 @@ def test_split_read_with_attrs_matches_whole_file(ray_session):
     the sniffed .cpg encoding."""
     from shapefile_rs_ray.sources.shapefile import (read_shapefile_dataset,
                                                     read_shapefile_table)
-    src = "/root/reference/tests/data/file_cp936.shp"
+    src = f"{FIXTURE_DIR}/file_cp936.shp"
     whole = read_shapefile_table(src)
     ds = read_shapefile_dataset(src, records_per_task=1)   # max splitting
     got = (ds.to_pandas().sort_values("geom_id").reset_index(drop=True))

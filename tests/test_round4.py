@@ -489,6 +489,7 @@ def test_custom_cell_index_drives_partitioned_join(ray_session, sf_dir):
     broadcast-join result exactly."""
     import numpy as np
     from shapefile_rs_ray.functions import cells
+    from shapefile_rs_ray.pipelines.oracles import LAKES
     from shapefile_rs_ray.sources.webpages import read_webpages
     from shapefile_rs_ray.stages.pip_join import (_cell_shuffle_pip,
                                                   broadcast_pip_join,
@@ -501,9 +502,7 @@ def test_custom_cell_index_drives_partitioned_join(ray_session, sf_dir):
         built-in id space)."""
         return cells.grid_cell(lon, lat, zoom) + 17
 
-    lakes = ("/root/reference/tests/data/"
-             "ne_10m_lakes_north_america.shp")
-    polys = load_polygons(lakes)
+    polys = load_polygons(LAKES)
     pages = read_webpages(sf_dir, with_html=False).materialize()
 
     boxes = np.vstack([p.bbox for p in polys])

@@ -11,6 +11,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from shapefile_rs_ray.pipelines.oracles import LAKES
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -322,9 +324,6 @@ def test_h3_inverse_extended_precision_twin():
 # ---------------------------------------------------------------------------
 # WKB export (geo-interop surface)
 # ---------------------------------------------------------------------------
-
-LAKES = "/root/reference/tests/data/ne_10m_lakes_north_america.shp"
-
 
 def test_wkb_lakes_roundtrip_bit_equal():
     """Export lakes -> parse with the independent scalar parser ->
@@ -1634,9 +1633,7 @@ def test_geoarrow_matches_wkb_vertices(ray_session):
                                                parse_wkb,
                                                wkb_from_geometry)
     from shapefile_rs_ray.sources.shapefile import read_shapefile_dataset
-    shp = ("/root/reference/tests/data/"
-           "ne_10m_lakes_north_america.shp")
-    ds = read_shapefile_dataset(shp)
+    ds = read_shapefile_dataset(LAKES)
     checked = 0
     for batch in ds.iter_batches(batch_format="pyarrow",
                                  batch_size=256):

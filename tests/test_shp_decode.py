@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from shapefile_rs_ray.geometry import shp
+from shapefile_rs_ray.pipelines.oracles import FIXTURE_DIR as D
 
-D = "/root/reference/tests/data"
 NO_DATA = shp.NO_DATA
 
 

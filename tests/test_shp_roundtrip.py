@@ -9,10 +9,10 @@ import pytest
 
 from shapefile_rs_ray.geometry import shp
 from shapefile_rs_ray.geometry.shp_write import write_shp
-
-D = "/root/reference/tests/data"
+from shapefile_rs_ray.pipelines.oracles import FIXTURE_DIR as D
 
 BYTE_GOLDENS = ["point", "line", "polygon_hole"]
+SHP_FILES = sorted(glob.glob(f"{D}/*.shp"))
 
 
 @pytest.mark.parametrize("name", BYTE_GOLDENS)
@@ -28,8 +28,7 @@ def test_byte_identical_write(name):
 
 
 @pytest.mark.parametrize(
-    "path", sorted(glob.glob(f"{D}/*.shp")),
-    ids=lambda p: os.path.basename(p))
+    "path", SHP_FILES, ids=[os.path.basename(p) for p in SHP_FILES])
 def test_read_write_read(path):
     """write(read(f)) re-decodes to identical values, and the re-written
     file_length matches the byte count (read_write_read_test! semantics)."""

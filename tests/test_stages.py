@@ -5,8 +5,8 @@ import pyarrow as pa
 import pytest
 
 from shapefile_rs_ray.functions import synth
+from shapefile_rs_ray.pipelines.oracles import LAKES
 
-LAKES = "/root/reference/tests/data/ne_10m_lakes_north_america.shp"
 SF = "/root/testdata/sf0.001"
 
 

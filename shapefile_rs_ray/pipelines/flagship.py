@@ -17,7 +17,8 @@ from ..functions import cells as cells_mod
 from ..functions.text import token_stats
 from ..sources.webpages import read_webpages
 from ..stages.combine import combine_by_key
-from ..stages.pip_join import broadcast_pip_join, load_polygons
+from ..stages.pip_join import (broadcast_pip_join, load_polygons,
+                                put_polygons)
 from ..state.lineage import drop_completed, write_partitioned
 from .oracles import LAKES
 
@@ -31,18 +32,24 @@ def add_grid_cell(batch: pa.Table, zoom: int = GRID_ZOOM) -> pa.Table:
 
 
 def flagship(sf_dir: str, *, out_dir: str | None = None, repl: int | None = None,
-             concurrency=(1, 4), polygons: str = LAKES):
+             concurrency=None, polygons: str = LAKES):
     """Returns the lazy Dataset of all joined rows.
 
     With `out_dir`, the joined rows are also written as resumable keyed
     partitions (state/lineage.py) and the write manifest is consumed. The
     plan that writes drops completed partitions at the page source, so a
-    resume computes text stats and the join for the pending pages only.
-    The returned Dataset does not filter: it is every joined row either way.
+    resume computes text stats and the join for the pending pages only,
+    and a full resume writes through no exchange. The returned Dataset
+    does not filter: it is every joined row either way.
+
+    The polygons are put once per call, with their digest, and both plans
+    share them; the PIP join is a task map fused into the page synthesis,
+    text and grid maps (`stages/pip_join.py`). `concurrency` is accepted
+    and unused, as in `broadcast_pip_join`: forwarding it would split that
+    fusion.
     """
-    import ray
     kwargs = {} if repl is None else {"repl": repl}
-    polys = ray.put(load_polygons(polygons))
+    polys = put_polygons(load_polygons(polygons))
 
     def joined_rows(pages):
         pages = pages.map_batches(token_stats, batch_format="pyarrow")
@@ -50,8 +57,7 @@ def flagship(sf_dir: str, *, out_dir: str | None = None, repl: int | None = None
         return broadcast_pip_join(
             pages, polys,
             keep_cols=("page_id", "url", "text", "lang", "cell", "n_chars",
-                       "is_quality"),
-            concurrency=concurrency)
+                       "is_quality"))
 
     pages = read_webpages(sf_dir, with_html=False, **kwargs)
     if out_dir is not None:

@@ -16,7 +16,11 @@ it reads, before any per-row work, so a resume computes only the pending
 partitions (`pipelines/flagship.py`); `write_partitioned` applies it again
 for direct callers. The one `PARTITION_SIZE` constant is the default of the
 filter and the writer alike, so they cannot disagree on the partition
-width. The exchange is one
+width. The writer materializes the rows it is to write; when there are
+none (an empty input, or a full resume) it returns a typed empty manifest
+and makes no exchange, since a Ray sort exchange over zero rows still
+starts worker processes that a long-lived session then keeps. Otherwise
+the exchange is one
 `stages/combine.by_partition` whose callable key gives that partition id
 as it is; each `data.parquet` keeps it as its int64 tag column `__p`.
 Writes go to a temp file then `os.replace` (atomic on POSIX), so a killed
@@ -43,6 +47,8 @@ import pyarrow.parquet as pq
 from ..stages.combine import by_partition
 
 PARTITION_SIZE = 1 << 14
+MANIFEST_SCHEMA = pa.schema([("part", pa.int64()), ("rows", pa.int64()),
+                             ("skipped", pa.bool_())])
 
 
 def partition_key(ids: np.ndarray, partition_size: int) -> np.ndarray:
@@ -98,6 +104,11 @@ def text_sha256(group: pa.Table, text_col: str,
     return h.hexdigest()
 
 
+def _manifest_row(part: int, rows: int, skipped: bool) -> pa.Table:
+    return pa.table({"part": [part], "rows": [rows], "skipped": [skipped]},
+                    schema=MANIFEST_SCHEMA)
+
+
 class PartitionWriter:
     """map_groups callable: writes one partition directory atomically.
 
@@ -121,9 +132,7 @@ class PartitionWriter:
         done_marker = os.path.join(self.out_dir, "_done",
                                    f"part={part:06d}.json")
         if os.path.exists(done_marker):
-            return pa.table({"part": pa.array([part], pa.int64()),
-                             "rows": pa.array([group.num_rows], pa.int64()),
-                             "skipped": pa.array([True])})
+            return _manifest_row(part, group.num_rows, True)
         os.makedirs(pdir, exist_ok=True)
         order = np.argsort(keys, kind="stable")
         group = group.take(pa.array(order))
@@ -152,9 +161,7 @@ class PartitionWriter:
         with open(done_marker + ".tmp", "w") as f:
             json.dump(manifest, f)
         os.replace(done_marker + ".tmp", done_marker)
-        return pa.table({"part": pa.array([part], pa.int64()),
-                         "rows": pa.array([group.num_rows], pa.int64()),
-                         "skipped": pa.array([False])})
+        return _manifest_row(part, group.num_rows, False)
 
 
 def write_partitioned(ds, out_dir: str, *, key_col: str = "page_id",
@@ -162,12 +169,19 @@ def write_partitioned(ds, out_dir: str, *, key_col: str = "page_id",
                       text_col: str | None = "text",
                       url_col: str | None = "url", resume: bool = True):
     """Write `ds` as resumable keyed partitions; returns the manifest
-    Dataset (part, rows, skipped). With resume=True, rows in completed
-    partitions are dropped by `drop_completed` before the shuffle, which is
-    one `by_partition` on the partition key."""
+    Dataset (part int64, rows int64, skipped bool). With resume=True, rows
+    in completed partitions are dropped by `drop_completed` before the
+    shuffle. The rows to write are materialized first: when there are
+    none (an empty input, a full resume) the result is an empty manifest
+    and nothing is touched on disk; otherwise it is one `by_partition` on
+    the partition key."""
+    import ray
     if resume:
         ds = drop_completed(ds, out_dir, key_col=key_col,
                             partition_size=partition_size)
+    ds = ds.materialize()
+    if ds.count() == 0:
+        return ray.data.from_arrow(MANIFEST_SCHEMA.empty_table())
 
     def part_of(batch: pa.Table) -> np.ndarray:
         return partition_key(batch[key_col], partition_size)

@@ -62,7 +62,7 @@ def _lose(out: str, parts) -> None:
 def _flagship(inputs, out):
     from shapefile_rs_ray.pipelines.flagship import flagship
     sf, shp = inputs
-    return flagship(sf, out_dir=out, concurrency=1, polygons=shp)
+    return flagship(sf, out_dir=out, polygons=shp)
 
 
 def test_flagship_resume_rewrites_lost_partitions_exactly(ray_session,
@@ -83,11 +83,34 @@ def test_flagship_resume_rewrites_lost_partitions_exactly(ray_session,
     # the returned Dataset is all joined rows, not the resumed ones
     assert joined.count() == sum(m["rows"] for m in mans.values())
 
-    before = {k: (os.stat(os.path.join(out, k)).st_mtime_ns, v)
-              for k, v in _files(out).items()}
+    before = _stamped(out)
     _flagship(inputs, out)
-    assert {k: (os.stat(os.path.join(out, k)).st_mtime_ns, v)
-            for k, v in _files(out).items()} == before
+    assert _stamped(out) == before
+    # the full resume again, straight through the writer: every joined
+    # row's partition is done, so nothing is written or touched
+    _assert_empty_manifest(lineage.write_partitioned(joined, out))
+    assert _stamped(out) == before
+
+
+def test_write_partitioned_zero_rows_touches_nothing(ray_session, tmp_path):
+    import ray
+    rows = pa.table({"page_id": pa.array([], pa.int64()),
+                     "url": pa.array([], pa.string()),
+                     "text": pa.array([], pa.string())})
+    out = tmp_path / "out"
+    _assert_empty_manifest(
+        lineage.write_partitioned(ray.data.from_arrow(rows), str(out)))
+    assert not out.exists()
+
+
+def _stamped(out: str) -> dict[str, tuple[int, bytes]]:
+    return {k: (os.stat(os.path.join(out, k)).st_mtime_ns, v)
+            for k, v in _files(out).items()}
+
+
+def _assert_empty_manifest(manifest) -> None:
+    assert manifest.count() == 0
+    assert manifest.schema().base_schema == lineage.MANIFEST_SCHEMA
 
 
 def test_flagship_resume_computes_only_pending_pages(ray_session, inputs,

@@ -27,7 +27,7 @@ def test_flagship_writes_resumable_output(ray_session, tmp_path):
     from shapefile_rs_ray.pipelines.flagship import flagship
     from shapefile_rs_ray.state.lineage import read_manifests
     out = str(tmp_path / "ckpt")
-    joined = flagship(SF, out_dir=out, concurrency=2)
+    joined = flagship(SF, out_dir=out)
     mans = read_manifests(out)
     assert mans and all(m["status"] == "done" for m in mans)
     assert sum(m["rows"] for m in mans) == joined.count()
@@ -114,7 +114,7 @@ def test_flagship_deterministic_across_runs(ray_session):
     from shapefile_rs_ray.pipelines.flagship import flagship
     outs = []
     for _ in range(2):
-        df = flagship(SF, concurrency=2).to_pandas()
+        df = flagship(SF).to_pandas()
         outs.append(df.sort_values(["page_id", "geom_id", "poly_idx"])
                     .reset_index(drop=True))
     assert outs[0].equals(outs[1])

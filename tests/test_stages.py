@@ -22,7 +22,7 @@ def test_broadcast_join_matches_driver_side_oracle(ray_session, pages_ds):
     from shapefile_rs_ray.stages.pip_join import (broadcast_pip_join,
                                                   load_polygons)
     polys = load_polygons(LAKES)
-    got = broadcast_pip_join(pages_ds, polys, concurrency=2).to_pandas()
+    got = broadcast_pip_join(pages_ds, polys).to_pandas()
     got = set(zip(got.page_id, got.geom_id, got.poly_idx))
 
     tbl = webpages_table(SF)
@@ -34,14 +34,88 @@ def test_broadcast_join_matches_driver_side_oracle(ray_session, pages_ds):
     assert len(exp) > 100
 
 
+def test_broadcast_join_is_one_fused_task_operator(ray_session):
+    """The join runs in the same task operator as the page synthesis (no
+    actor pool, no object-store hop for the pages), even when a caller
+    passes a pool size."""
+    from shapefile_rs_ray.sources.webpages import read_webpages
+    from shapefile_rs_ray.stages.pip_join import (broadcast_pip_join,
+                                                  load_polygons)
+    polys = load_polygons(LAKES)
+    stats = broadcast_pip_join(read_webpages(SF, with_html=False), polys,
+                               concurrency=1).materialize().stats()
+    ops = [line for line in stats.splitlines()
+           if line.startswith("Operator ")]
+    assert any("MapBatches(webpage_batch)" in op
+               and "MapBatches(pip_batch)" in op for op in ops), ops
+    assert "MapWorker" not in stats
+
+
+def _square(geom_id, x0, holes=()):
+    from shapefile_rs_ray.geometry.rings import SimplePolygon
+    ring = np.array([[x0, 0], [x0, 1], [x0 + 1, 1], [x0 + 1, 0], [x0, 0]],
+                    np.float64)
+    return SimplePolygon(geom_id, 0, ring, [h.copy() for h in holes])
+
+
+def _hole(x0):
+    return np.array([[x0 + .4, .4], [x0 + .6, .4], [x0 + .6, .6],
+                     [x0 + .4, .6], [x0 + .4, .4]], np.float64)
+
+
+def test_polygons_digest_follows_content():
+    from shapefile_rs_ray.stages.pip_join import polygons_digest
+
+    def side(a_holes=(_hole(0),), b_holes=(), gid=7):
+        return [_square(gid, 0, a_holes), _square(8, 2, b_holes)]
+
+    d = polygons_digest(side())
+    assert polygons_digest(side()) == d          # a new list, same content
+    moved = side()
+    moved[0].outer[1, 1] = 1.5                   # one vertex
+    assert polygons_digest(moved) != d
+    assert polygons_digest(side(gid=9)) != d     # one geom_id
+    # the same hole owned by the next polygon
+    assert polygons_digest(side(a_holes=(), b_holes=(_hole(0),))) != d
+
+
+def test_pip_batch_builds_index_once_per_digest(monkeypatch):
+    from shapefile_rs_ray.stages import pip_join
+    builds = []
+
+    class CountingIndex(pip_join.PIPIndex):
+        def __init__(self, polys):
+            builds.append(len(polys))
+            super().__init__(polys)
+
+    monkeypatch.setattr(pip_join, "PIPIndex", CountingIndex)
+    monkeypatch.setattr(pip_join, "_INDEX_CACHE", {})
+    batch = pa.table({"page_id": [1, 2, 3], "url": ["a", "b", "c"],
+                      "lon": [0.5, 2.5, 4.5], "lat": [0.5, 0.2, 0.5]})
+    one = [_square(7, 0, (_hole(0),)), _square(8, 2)]
+    d1 = pip_join.polygons_digest(one)
+    for _ in range(2):
+        out = pip_join.pip_batch(batch, one, d1)
+        assert out["page_id"].to_pylist() == [2]
+        assert out["geom_id"].to_pylist() == [8]
+    assert builds == [2]
+
+    two = [_square(9, 4)]
+    d2 = pip_join.polygons_digest(two)
+    out = pip_join.pip_batch(batch, two, d2)
+    assert out["page_id"].to_pylist() == [3]
+    assert builds == [2, 1]
+    assert list(pip_join._INDEX_CACHE) == [d2]   # one index per process
+
+
 def test_cellpart_join_equals_broadcast(ray_session):
     from shapefile_rs_ray.sources.webpages import read_webpages
     from shapefile_rs_ray.stages.pip_join import (broadcast_pip_join,
                                                   cell_partitioned_pip,
                                                   load_polygons)
     polys = load_polygons(LAKES)
-    a = broadcast_pip_join(read_webpages(SF, with_html=False), polys,
-                           concurrency=2).to_pandas()
+    a = broadcast_pip_join(read_webpages(SF, with_html=False),
+                           polys).to_pandas()
     b = cell_partitioned_pip(read_webpages(SF, with_html=False), polys,
                              zoom=7, hot_threshold=300).to_pandas()
     key = ["page_id", "geom_id", "poly_idx"]
@@ -55,8 +129,8 @@ def test_h3part_join_equals_broadcast(ray_session):
                                                   h3_partitioned_pip,
                                                   load_polygons)
     polys = load_polygons(LAKES)
-    a = broadcast_pip_join(read_webpages(SF, with_html=False), polys,
-                           concurrency=2).to_pandas()
+    a = broadcast_pip_join(read_webpages(SF, with_html=False),
+                           polys).to_pandas()
     b = h3_partitioned_pip(read_webpages(SF, with_html=False), polys,
                            res=4, hot_threshold=300).to_pandas()
     key = ["page_id", "geom_id", "poly_idx"]
@@ -192,8 +266,7 @@ def test_zonal_stats_sums(ray_session):
     ds = read_webpages(SF, with_html=False).map_batches(
         add_n_chars, batch_format="pyarrow")
     polys = load_polygons(LAKES)
-    joined = broadcast_pip_join(ds, polys, keep_cols=("page_id", "n_chars"),
-                                concurrency=2)
+    joined = broadcast_pip_join(ds, polys, keep_cols=("page_id", "n_chars"))
     jdf = joined.to_pandas()
     z = zonal_stats(joined).to_pandas().set_index("geom_id")
     exp = jdf.groupby("geom_id").agg(n_pages=("page_id", "count"),

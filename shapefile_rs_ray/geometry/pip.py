@@ -14,7 +14,7 @@ DuckDB oracle SQL so engine and oracle agree bit-for-bit. Points exactly on a
 boundary edge follow this formula's convention (not geo::Contains's strict
 interior test); synthesized inputs are in general position.
 
-Index layout (built once per actor in __init__, immutable):
+Index layout (built once per process in __init__, immutable):
 - a uniform-grid candidate table (cell -> covering polygons): cell
   assignment + searchsorted + repeat, then a bbox check;
 - per-polygon y-strip edge buckets: each polygon's edges are bucketed into
@@ -24,6 +24,12 @@ Index layout (built once per actor in __init__, immutable):
   satisfy the crossing predicate for points in it — crossing counts are
   unchanged, but a 2000-edge lake costs ~16 edge tests per point instead
   of 2000.
+
+Two queries share the refine: `query` finds every (point, polygon) pair
+from the grid, and `contains_pairs` tests given pairs ("is point i in
+polygon p_i") behind the bbox check alone. A polygon's strips depend only
+on that polygon, so one index over a whole set answers each pair exactly
+as a one-polygon index would.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ _EDGES_PER_STRIP = 8
 class PIPIndex:
     def __init__(self, polys: list[SimplePolygon],
                  grid_zoom: int = _GRID_ZOOM):
-        self.polys = polys
         self.geom_ids = np.array([p.geom_id for p in polys], np.int64)
         self.poly_idx = np.array([p.poly_idx for p in polys], np.int64)
         boxes = (np.vstack([p.bbox for p in polys])
@@ -81,10 +86,14 @@ class PIPIndex:
         local = np.arange(len(starts)) - np.repeat(
             np.cumsum(counts) - counts, counts)
         pair_poly = self.grid_polys[starts + local]
-        bb = self.boxes[pair_poly]
-        keep = ((px[pair_pt] >= bb[:, 0]) & (px[pair_pt] <= bb[:, 2]) &
-                (py[pair_pt] >= bb[:, 1]) & (py[pair_pt] <= bb[:, 3]))
+        keep = self._in_bbox(px[pair_pt], py[pair_pt], pair_poly)
         return pair_pt[keep], pair_poly[keep]
+
+    def _in_bbox(self, x: np.ndarray, y: np.ndarray,
+                 poly: np.ndarray) -> np.ndarray:
+        bb = self.boxes[poly]
+        return ((x >= bb[:, 0]) & (x <= bb[:, 2]) &
+                (y >= bb[:, 1]) & (y <= bb[:, 3]))
 
     # ---- refine structure ------------------------------------------------
 
@@ -97,7 +106,6 @@ class PIPIndex:
         ep = ep[order]
         n_polys = len(polys)
         edge_off = np.searchsorted(ep, np.arange(n_polys + 1))
-        self.edge_off = edge_off
 
         # per-poly strip counts and y geometry
         n_edges = edge_off[1:] - edge_off[:-1]
@@ -142,26 +150,46 @@ class PIPIndex:
     def query(self, px: np.ndarray, py: np.ndarray,
               pair_chunk: int = 8_000_000) -> tuple[np.ndarray, np.ndarray]:
         """Return (point_idx, poly_idx) pairs with the point inside
-        (even-odd) the simple polygon. Fully vectorized: grid candidates ->
-        y-strip edge explode (np.repeat) -> crossing predicate on flat
-        arrays -> per-pair parity via np.add.reduceat."""
+        (even-odd) the simple polygon: grid candidates, then `_refine`."""
         px = np.ascontiguousarray(px, np.float64)
         py = np.ascontiguousarray(py, np.float64)
         cand_pt, cand_poly = self._candidates(px, py)
+        inside = self._refine(px, py, cand_pt, cand_poly, pair_chunk)
+        return cand_pt[inside], cand_poly[inside]
+
+    def contains_pairs(self, px: np.ndarray, py: np.ndarray,
+                       poly: np.ndarray) -> np.ndarray:
+        """Is point i inside polygon poly[i] (an index into this index's
+        polygons)? A bool per point: the bbox check, then `_refine`."""
+        px = np.ascontiguousarray(px, np.float64)
+        py = np.ascontiguousarray(py, np.float64)
+        poly = np.asarray(poly, np.int64)
+        cand = np.nonzero(self._in_bbox(px, py, poly))[0]
+        out = np.zeros(len(px), bool)
+        out[cand] = self._refine(px, py, cand, poly[cand])
+        return out
+
+    def _refine(self, px: np.ndarray, py: np.ndarray, cand_pt: np.ndarray,
+                cand_poly: np.ndarray, pair_chunk: int = 8_000_000
+                ) -> np.ndarray:
+        """Exact even-odd test of candidate pairs (point cand_pt[j] in
+        polygon cand_poly[j]) -> bool per pair. Fully vectorized: y-strip
+        edge explode (np.repeat) -> crossing predicate on flat arrays ->
+        per-pair parity via np.add.reduceat, in chunks of ~`pair_chunk`
+        edge tests."""
+        inside = np.zeros(len(cand_pt), bool)
         if len(cand_pt) == 0:
-            return cand_pt, cand_poly
+            return inside
         # strip of each candidate pair
         strip = ((py[cand_pt] - self.strip_ymin[cand_poly])
                  * self.strip_inv_h[cand_poly]).astype(np.int64)
         strip = np.clip(strip, 0, self.strip_k[cand_poly] - 1)
         sid = self.strip_base[cand_poly] + strip
         n_edges = self.strip_off[sid + 1] - self.strip_off[sid]
-        keep = n_edges > 0
-        cand_pt, cand_poly, sid, n_edges = (
-            cand_pt[keep], cand_poly[keep], sid[keep], n_edges[keep])
-        if len(cand_pt) == 0:
-            return cand_pt, cand_poly
-        hits_pt, hits_poly = [], []
+        pairs = np.nonzero(n_edges > 0)[0]
+        if len(pairs) == 0:
+            return inside
+        cand_pt, sid, n_edges = cand_pt[pairs], sid[pairs], n_edges[pairs]
         csum = np.cumsum(n_edges)
         start = 0
         base = 0
@@ -187,12 +215,10 @@ class PIPIndex:
             crossing = cond & (bx < xint)
             bounds = np.append(0, np.cumsum(blk_ne)[:-1])
             crossings = np.add.reduceat(crossing, bounds)
-            inside = (crossings & 1).astype(bool)
-            hits_pt.append(blk_pt[inside])
-            hits_poly.append(cand_poly[start:end][inside])
+            inside[pairs[start:end]] = (crossings & 1).astype(bool)
             base = int(csum[end - 1])
             start = end
-        return np.concatenate(hits_pt), np.concatenate(hits_poly)
+        return inside
 
 
 def brute_force_pip(px: np.ndarray, py: np.ndarray,

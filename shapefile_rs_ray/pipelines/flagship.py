@@ -16,9 +16,9 @@ import pyarrow as pa
 from ..functions import cells as cells_mod
 from ..functions.text import token_stats
 from ..sources.webpages import read_webpages
+from ..stages.broadcast import put_side
 from ..stages.combine import combine_by_key
-from ..stages.pip_join import (broadcast_pip_join, load_polygons,
-                                put_polygons)
+from ..stages.pip_join import broadcast_pip_join, load_polygons
 from ..state.lineage import drop_completed, write_partitioned
 from .oracles import LAKES
 
@@ -49,7 +49,7 @@ def flagship(sf_dir: str, *, out_dir: str | None = None, repl: int | None = None
     fusion.
     """
     kwargs = {} if repl is None else {"repl": repl}
-    polys = put_polygons(load_polygons(polygons))
+    polys = put_side(load_polygons(polygons))
 
     def joined_rows(pages):
         pages = pages.map_batches(token_stats, batch_format="pyarrow")

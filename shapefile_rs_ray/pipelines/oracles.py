@@ -1619,9 +1619,9 @@ def _y4m_scalar_rows(doc_id: int) -> list:
 
 
 def _phash_scalar_row(doc_id: int) -> tuple:
-    """Independent scalar twin of PhashStage over synth_phash_bmp_bytes:
-    byte-offset BMP parse, per-pixel integer luma, scalar nearest-
-    neighbor 32x32 sample, pure-Python-int 2D DCT against a basis
+    """Independent scalar twin of `multimodal.phash_batch` over
+    synth_phash_bmp_bytes: byte-offset BMP parse, per-pixel integer
+    luma, scalar nearest-neighbor 32x32 sample, pure-Python-int 2D DCT against a basis
     re-derived from math.cos/math.sqrt with the engine's exact float op
     sequence (Python ints are arbitrary precision, so the matmul is
     exact a fortiori), lower-median AC threshold — no numpy, no shared

@@ -1,0 +1,77 @@
+"""The broadcast primitive: a small read-only side joined map-side.
+
+Every broadcast join (the PIP join's polygons, a dimension table, kNN
+sites, nearest-polygon edges, the center-in-polygon filter's polygons)
+is one `map_side` call: the driver puts the side once with a content
+digest; a plain task `map_batches` (no `concurrency`, so Ray Data fuses
+it into the maps before it) builds the side's state once per worker
+process and keeps it in `cached`, keyed by the digest and the build
+options, one entry per family. Equal digests mean equal content; equal
+content may get two digests (a sliced Arrow table pickles apart from an
+equal fresh one), which costs a rebuild, never a wrong answer. Never a
+path, an mtime or an ObjectRef id as the key: they outlive or misname
+their content.
+
+Not an actor pool: a pool's fresh workers must import Ray Data (0.8-1.0 s
+per job on a 4-core host, against 0.03-0.04 s for the task map), and an
+ObjectRef in `fn_constructor_kwargs` breaks actor restarts. The cache
+starts no thread, process or actor; it ends with Ray's own workers.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import pickle
+from typing import Any, Callable, NamedTuple
+
+
+class Side(NamedTuple):
+    """A broadcast side, put once: its ObjectRef and content digest."""
+
+    ref: Any
+    digest: str
+
+
+def digest(obj) -> str:
+    """blake2b-128 over the protocol-5 pickle of `obj` (driver side)."""
+    return hashlib.blake2b(pickle.dumps(obj, protocol=5),
+                           digest_size=16).hexdigest()
+
+
+def put_side(obj) -> Side:
+    """`ray.put` the side once, with its digest."""
+    import ray
+    return Side(ray.put(obj), digest(obj))
+
+
+# this process's built sides: {family: (key, built)}, one entry per family
+_CACHE: dict[str, tuple[Any, Any]] = {}
+
+
+def cached(kind: str, key, build: Callable[[], Any]):
+    """The value `build()` made for `key`, built at most once per process
+    while `key` stays the last key seen for `kind`."""
+    hit = _CACHE.get(kind)
+    if hit is None or hit[0] != key:
+        hit = (key, build())
+        _CACHE[kind] = hit
+    return hit[1]
+
+
+def map_side(ds, family: str, build: Callable, side: Side,
+             **build_kwargs):
+    """`ds.map_batches` as a plain task: each batch `b` becomes
+    `cached(family, ..., lambda: build(side_value, **build_kwargs))(b)`.
+    The operator is named `MapBatches(<family>)`. The cache key is the
+    side's digest plus `build_kwargs`, so other build options miss."""
+    key = (side.digest, sorted(build_kwargs.items()))
+
+    def apply(batch, ref, key):
+        def make():
+            import ray
+            return build(ray.get(ref), **build_kwargs)
+        return cached(family, key, make)(batch)
+
+    apply.__name__ = apply.__qualname__ = family
+    return ds.map_batches(apply, batch_format="pyarrow",
+                          fn_kwargs={"ref": side.ref, "key": key})

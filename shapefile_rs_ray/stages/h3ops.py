@@ -8,9 +8,10 @@ corpus), so the distributed shape is the engine's standard coarse
 prime-modulus partition + a vectorized per-group kernel, never a
 per-distinct-key groupby.
 
-CenterInPolygon: the shared actor-pool candidate filter behind the H3
-polyfill-style queries (cell-center even-odd test against one polygon
-at a time, candidates sorted by polygon within the batch).
+center_in_polygon: the shared candidate filter behind the H3
+polyfill-style queries and the raster burn (cell-center even-odd test of
+each candidate against its own polygon), a task map whose one PIPIndex
+over the polygon set each worker process builds once.
 """
 
 from __future__ import annotations
@@ -19,54 +20,50 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import h3
+from .broadcast import map_side, put_side
 from .combine import by_partition
 
 
 class CenterInPolygon:
-    """Actor-pool stage: exact even-odd center-in-polygon over candidate
-    batches (poly_id:int64, cell:any, clat, clng). The polygon set is
-    ray.put once and fetched in __init__ (an int->polygon list or dict);
-    the cell column passes through pyarrow take, so any dtype works.
-    Output: (poly_id if keep_poly_id, cell, geom_id, poly_idx)."""
+    """The polygon side of `center_in_polygon`, built once per process:
+    one PIPIndex over the whole polygon set (an int->polygon list or
+    dict). A call tests each candidate row (poly_id:int64, cell:any,
+    clat, clng) against its own polygon (`PIPIndex.contains_pairs`); the
+    cell column passes through pyarrow take, so any dtype works. Output
+    rows, sorted by poly_id (stable): (poly_id if keep_poly_id, cell,
+    geom_id, poly_idx)."""
 
-    def __init__(self, polys_ref, keep_poly_id: bool = False):
-        import ray
-        self.polys = ray.get(polys_ref)
+    def __init__(self, polys, keep_poly_id: bool = False):
+        from ..geometry.pip import PIPIndex
+        items = sorted(polys.items() if isinstance(polys, dict)
+                       else enumerate(polys), key=lambda kv: kv[0])
+        self.ids = np.array([i for i, _ in items], np.int64)
+        self.index = PIPIndex([p for _, p in items])
         self.keep = keep_poly_id
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..geometry.pip import PIPIndex
         pid = np.asarray(batch["poly_id"], np.int64)
         order = np.argsort(pid, kind="stable")
-        pid = pid[order]
-        lat = np.asarray(batch["clat"], np.float64)[order]
-        lng = np.asarray(batch["clng"], np.float64)[order]
-        cell = batch["cell"].combine_chunks().take(
-            pa.array(order, pa.int64()))
-        starts = np.unique(pid, return_index=True)[1]
-        bounds = np.append(starts, len(pid))
-        keep_idx, geoms, pidxs = [], [], []
-        for b0, b1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            poly = self.polys[int(pid[b0])]
-            idx = PIPIndex([poly])
-            inside, _ = idx.query(lng[b0:b1], lat[b0:b1])
-            q = np.asarray(inside, np.int64)
-            keep_idx.append(b0 + q)
-            geoms.append(np.full(len(q), poly.geom_id, np.int64))
-            pidxs.append(np.full(len(q), poly.poly_idx, np.int64))
-        sel = (np.concatenate(keep_idx) if keep_idx
-               else np.empty(0, np.int64))
+        pos = np.searchsorted(self.ids, pid[order])
+        inside = self.index.contains_pairs(
+            np.asarray(batch["clng"], np.float64)[order],
+            np.asarray(batch["clat"], np.float64)[order], pos)
+        sel, pos = order[inside], pos[inside]
         cols: dict[str, pa.Array] = {}
         if self.keep:
             cols["poly_id"] = pa.array(pid[sel], pa.int64())
-        cols["cell"] = cell.take(pa.array(sel, pa.int64()))
-        cols["geom_id"] = pa.array(
-            np.concatenate(geoms) if geoms else np.empty(0, np.int64),
-            pa.int64())
-        cols["poly_idx"] = pa.array(
-            np.concatenate(pidxs) if pidxs else np.empty(0, np.int64),
-            pa.int64())
+        cols["cell"] = batch["cell"].combine_chunks().take(
+            pa.array(sel, pa.int64()))
+        cols["geom_id"] = pa.array(self.index.geom_ids[pos], pa.int64())
+        cols["poly_idx"] = pa.array(self.index.poly_idx[pos], pa.int64())
         return pa.table(cols)
+
+
+def center_in_polygon(ds, polys, *, keep_poly_id: bool = False):
+    """Exact even-odd center-in-polygon filter over candidate rows, a task
+    map fused with the maps before it (`broadcast.map_side`)."""
+    return map_side(ds, "center_in_polygon", CenterInPolygon,
+                    put_side(polys), keep_poly_id=keep_poly_id)
 
 
 def compact_by_group(ds, *, id_col: str = "poly_id",

@@ -1,11 +1,11 @@
 """kNN stage (J3 in SURVEY.md §2.6): each page -> its k nearest sites.
 
-Actor-pool map_batches: the site set is broadcast once (`ray.put`), each
-actor builds a grid-bucketed spatial index in `__init__` (the per-cell
-"kd-tree" of the north star — buckets are the cells, candidates come from
-expanding neighbor rings), and batches are answered with vectorized numpy.
-For small site sets (< `brute_threshold`) the actor uses exact blockwise
-brute force — same result, fewer branches.
+A task map (`broadcast.map_side`): the site set is broadcast once
+(`ray.put`), each worker process builds a grid-bucketed spatial index once
+(the per-cell "kd-tree" of the north star — buckets are the cells,
+candidates come from expanding neighbor rings), and batches are answered
+with vectorized numpy. For small site sets (< `brute_threshold`) the stage
+uses exact blockwise brute force — same result, fewer branches.
 
 Distances are planar squared euclidean on (lon, lat), computed as
 ``(dx*dx + dy*dy)`` in f64 — the identical expression the DuckDB oracle
@@ -18,6 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .broadcast import map_side, put_side
 from .combine import by_partition
 
 
@@ -137,17 +138,15 @@ class GridKnnIndex:
 
 
 class KnnStage:
-    """map_batches actor: k nearest sites per page row.
+    """The site side of `knn_join`, built once per process: k nearest
+    sites per page row.
 
     Output columns: keep_cols + rank (1-based), site_id, dist2.
     """
 
-    def __init__(self, sites_ref, k: int = 3, keep_cols=("page_id",),
+    def __init__(self, sites, k: int = 3, keep_cols=("page_id",),
                  lon_col="lon", lat_col="lat", brute_threshold: int = 10_000,
                  block: int = 2048):
-        import ray
-        sites = (ray.get(sites_ref)
-                 if isinstance(sites_ref, ray.ObjectRef) else sites_ref)
         sid, slon, slat = sites
         # id-sorted site arrays: a stable argsort on d2 then breaks exact
         # distance ties by ascending site_id (the oracle's ROW_NUMBER order)
@@ -198,28 +197,13 @@ class KnnStage:
 
 
 def knn_join(ds, sites: tuple[np.ndarray, np.ndarray, np.ndarray], *,
-             k: int = 3, keep_cols=("page_id",), concurrency=(1, 4),
-             batch_size=None, task_threshold: int = 10_000):
-    """kNN map stage. Small site sets run as PLAIN TASKS — per-task setup
-    is one 10^4-row argsort off a zero-copy ray.get, and tasks use every
-    CPU immediately while an actor pool pays process startup per run
-    (the measured bench delta; same rule as the minhash signatures
-    stage). Site sets past `task_threshold` keep the actor pool so the
-    GridKnnIndex builds once per actor."""
-    import ray
-    ref = ray.put(sites)
-    if len(np.asarray(sites[0])) <= task_threshold:
-        def knn_fn(batch: pa.Table) -> pa.Table:
-            return KnnStage(ref, k=k, keep_cols=keep_cols)(batch)
-
-        return ds.map_batches(knn_fn, batch_format="pyarrow",
-                              batch_size=batch_size)
-    return ds.map_batches(
-        KnnStage,
-        fn_constructor_kwargs={"sites_ref": ref, "k": k,
-                               "keep_cols": keep_cols},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+             k: int = 3, keep_cols=("page_id",)):
+    """kNN map stage: a task map fused with the maps before it
+    (`broadcast.map_side`). Each worker process builds the `KnnStage`
+    once (an id-sorted site table, plus a GridKnnIndex past its brute
+    threshold) and answers every batch from it."""
+    return map_side(ds, "knn_batch", KnnStage, put_side(sites),
+                    k=k, keep_cols=tuple(keep_cols))
 
 
 CELL_PARTS = 251   # prime (CLAUDE.md partition-modulus rule)
@@ -344,15 +328,15 @@ def knn_join_cellpart(ds, sites: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 
 class NearestPolygon:
-    """map_batches actor: for every point, the nearest polygon of a
-    broadcast polygon set by squared point-to-edge distance (planar
-    lon/lat, consistent with the PIP kernel's geometry), tie-broken to
-    the smallest poly_id.
+    """The edge side of `nearest_polygon_join`, built once per process:
+    for every point, the nearest polygon of a broadcast polygon set by
+    squared point-to-edge distance (planar lon/lat, consistent with the
+    PIP kernel's geometry), tie-broken to the smallest poly_id.
 
     Small-side broadcast pattern: the edge table ships ONCE via ray.put;
-    __init__ (once per actor) derives edge vectors / length² and the
-    per-poly reduceat bounds. __call__ chunks the point rows so the
-    (chunk × edges) distance matrix stays ~15 MB. The float expression
+    __init__ derives edge vectors / length² and the per-poly reduceat
+    bounds. __call__ chunks the point rows so the (chunk × edges)
+    distance matrix stays ~15 MB. The float expression
     tree — ex = x2-x1, t = clip(dot/len², 0, 1), q = x1 + t·ex,
     d² = (p-q)² — is mirrored operation-for-operation by the SQL oracle
     (pipelines/oracles.py:nearest_polygon_sql), so d2 is bit-exact.
@@ -361,10 +345,7 @@ class NearestPolygon:
     exact, zero-shuffle default for bounded polygon sets.
     """
 
-    def __init__(self, edges_ref, chunk: int = 512):
-        import ray
-        e = ray.get(edges_ref) if not isinstance(edges_ref, dict) \
-            else edges_ref
+    def __init__(self, e: dict, chunk: int = 512):
         order = np.argsort(e["poly_id"], kind="stable")
         self.pid = e["poly_id"][order]
         self.x1 = e["x1"][order]
@@ -405,14 +386,10 @@ class NearestPolygon:
         })
 
 
-def nearest_polygon_join(pages, edges: dict, *, concurrency=None):
+def nearest_polygon_join(pages, edges: dict):
     """pages (streams) x broadcast polygon edge set -> per page the
-    nearest polygon + squared distance. `edges` is the edge_table dict
-    (poly_id, x1, y1, x2, y2) already restricted to the wanted polygons."""
-    import ray
-    if concurrency is None:
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 4)) - 1)
-    ref = ray.put(edges)
-    return pages.map_batches(
-        NearestPolygon, fn_constructor_kwargs={"edges_ref": ref},
-        batch_format="pyarrow", concurrency=concurrency)
+    nearest polygon + squared distance, a task map fused with the maps
+    before it. `edges` is the edge_table dict (poly_id, x1, y1, x2, y2)
+    already restricted to the wanted polygons."""
+    return map_side(pages, "nearest_polygon", NearestPolygon,
+                    put_side(edges))

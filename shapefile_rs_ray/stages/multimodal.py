@@ -571,31 +571,25 @@ def phash64(gray32: np.ndarray) -> np.ndarray:
     return h.view(np.int64)
 
 
-class PhashStage:
+def phash_batch(batch: pa.Table, bytes_col: str = "bmp",
+                key_col: str = "doc_id") -> pa.Table:
     """BMP bytes -> 64-bit perceptual hash: integer BT.601 luma
     ((77R + 150G + 29B) >> 8), 32x32 nearest-neighbor downsample
     (yi = i*h // 32 — the BmpDecodeStage thumbnail kernel), then
     `phash64`. Emits (key, phash). The per-payload parse is the only
     Python loop; the DCT runs batched over the whole (n, 32, 32) stack."""
-
-    def __init__(self, bytes_col: str = "bmp", key_col: str = "doc_id"):
-        self.bytes_col = bytes_col
-        self.key_col = key_col
-        self.idx = np.arange(_PHASH_N, dtype=np.int64)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.bytes_col].to_pylist()
-        grids = np.empty((len(payloads), _PHASH_N, _PHASH_N), np.int64)
-        for i, p in enumerate(payloads):
-            px = _parse_bmp(p).astype(np.int64)
-            luma = (px[:, :, 0] * 77 + px[:, :, 1] * 150
-                    + px[:, :, 2] * 29) >> 8
-            hh, ww = luma.shape
-            grids[i] = luma[(self.idx * hh) // _PHASH_N][
-                :, (self.idx * ww) // _PHASH_N]
-        return pa.table({
-            self.key_col: batch[self.key_col],
-            "phash": pa.array(phash64(grids), pa.int64())})
+    idx = np.arange(_PHASH_N, dtype=np.int64)
+    payloads = batch[bytes_col].to_pylist()
+    grids = np.empty((len(payloads), _PHASH_N, _PHASH_N), np.int64)
+    for i, p in enumerate(payloads):
+        px = _parse_bmp(p).astype(np.int64)
+        luma = (px[:, :, 0] * 77 + px[:, :, 1] * 150
+                + px[:, :, 2] * 29) >> 8
+        hh, ww = luma.shape
+        grids[i] = luma[(idx * hh) // _PHASH_N][:, (idx * ww) // _PHASH_N]
+    return pa.table({
+        key_col: batch[key_col],
+        "phash": pa.array(phash64(grids), pa.int64())})
 
 
 def synth_phash_bmp_bytes(doc_id: int) -> bytes:
@@ -639,7 +633,7 @@ def synth_phash_bmp_bytes(doc_id: int) -> bytes:
 
 def phash_neardup(images, *, id_col: str = "doc_id",
                   bytes_col: str = "bmp", max_hamming: int = 7):
-    """Image near-duplicate detection: pHash every image (actor pool),
+    """Image near-duplicate detection: pHash every image (a task map),
     find ALL pairs within `max_hamming` bits EXACTLY via 8x8-bit band
     blocking (pigeonhole: <=7 differing bits leave >=1 of 8 bands
     identical), then attach per-image partner counts. Returns one row
@@ -653,11 +647,9 @@ def phash_neardup(images, *, id_col: str = "doc_id",
     from .combine import by_partition
     from .dedup import hamming64_band_pairs
 
-    sigs = images.map_batches(PhashStage, batch_format="pyarrow",
-                              fn_constructor_kwargs={
-                                  "bytes_col": bytes_col,
-                                  "key_col": id_col},
-                              concurrency=(1, 4)).materialize()
+    sigs = images.map_batches(phash_batch, batch_format="pyarrow",
+                              fn_kwargs={"bytes_col": bytes_col,
+                                         "key_col": id_col}).materialize()
     pairs = hamming64_band_pairs(sigs, id_col=id_col, sig_col="phash",
                                  bands=8, max_hamming=max_hamming)
 

@@ -4,35 +4,30 @@ Two scalable realizations of the reference's nested-loop example
 (examples/geotype-example/src/main.rs:16-38), both with identical output:
 
 J1 `broadcast_pip_join` — broadcast join: the polygon side (small:
-    decoded shapefile fixtures) is decoded + grouped ONCE on the driver,
-    `ray.put` into the object store with a content digest, and joined by
-    `pip_batch`, a plain task `map_batches` that Ray Data fuses into the
-    maps before it (page synthesis, text stats, grid cells), so probe
-    pages never cross the object store. Each Ray worker process builds the
-    immutable grid + y-strip PIPIndex on its first batch and keeps it in
-    a one-entry cache keyed by the digest (never by a path, an mtime or
-    an ObjectRef id, which can outlive or misname their content). Neither
-    an actor pool nor a driver-built index: a pool starts a fresh worker
-    that must import Ray Data (0.8-1.0 s per job on a 4-core host), and a
-    driver-put PIPIndex measured slower and larger in peak memory than a
-    per-worker build (0.11 s for ~1k lakes). No shuffle at all — the
-    right default when the polygon side fits in memory (even 10M polygons
-    is ~GBs; Common-Crawl-scale doc sides never are).
+    decoded shapefile fixtures) is decoded + grouped ONCE on the driver
+    and joined by `pip_batch`, a `broadcast.map_side` task map that Ray
+    Data fuses into the maps before it (page synthesis, text stats, grid
+    cells), so probe pages never cross the object store. Each Ray worker
+    process builds the immutable grid + y-strip PIPIndex (`PipJoin`) on
+    its first batch and keeps it, keyed by the side's content digest
+    (`stages/broadcast.py`). A driver-put PIPIndex measured slower and
+    larger in peak memory than a per-worker build (0.11 s for ~1k
+    lakes). No shuffle at all — the right default when the polygon side
+    fits in memory (even 10M polygons is ~GBs; Common-Crawl-scale doc
+    sides never are).
 
 J2 `cell_partitioned_pip` — shuffle join for a polygon side too big to
     broadcast: both sides get a grid-cell key (docs: point cell; polygons:
     bbox cell cover), hot cells are salted into sub-keys from a cheap
-    count pre-pass, and `groupby(cell_salt).map_groups` joins co-partitioned
-    groups locally. Documented partitioning assumption: a polygon appears in
-    every cell its bbox covers, so each (doc-cell) group sees every polygon
-    that could contain its docs; results are deduped by construction since a
-    doc belongs to exactly one cell.
+    count pre-pass, and one `combine.by_partition` exchange on the
+    cell_salt key hands each coarse partition (many whole cell_salt
+    groups) to one local join. Documented partitioning assumption: a
+    polygon appears in every cell its bbox covers, so each (doc-cell)
+    group sees every polygon that could contain its docs; results are
+    deduped by construction since a doc belongs to exactly one cell.
 """
 
 from __future__ import annotations
-
-import hashlib
-from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -43,6 +38,7 @@ from ..geometry.pip import PIPIndex
 from ..geometry.rings import (SimplePolygon, group_multipatch_rings,
                               group_rings)
 from ..geometry.shp import MULTIPATCH, read_shp
+from .broadcast import Side, map_side, put_side
 from .combine import by_partition, combine_by_key
 
 
@@ -66,86 +62,42 @@ def load_polygons(paths: list[str] | str,
     return out
 
 
-class BroadcastPolygons(NamedTuple):
-    """The polygon side of J1, put once: its ObjectRef and the content
-    digest that keys the per-worker index cache."""
+class PipJoin:
+    """J1's side as `broadcast.map_side` builds it once per process: the
+    grid + y-strip PIPIndex over the polygons. A call joins one probe
+    batch: grid candidate pairs -> exact even-odd refine -> matched rows
+    (`keep_cols` + geom_id, poly_idx)."""
 
-    ref: object
-    digest: str
+    def __init__(self, polys: list[SimplePolygon],
+                 keep_cols=("page_id", "url")):
+        self.index = PIPIndex(polys)
+        self.keep_cols = keep_cols
 
-
-def polygons_digest(polys: list[SimplePolygon]) -> str:
-    """blake2b over every polygon's geom_id, poly_idx, ring count, ring
-    lengths and vertex bytes, in list order: equal for equal content,
-    whichever list or process holds it."""
-    h = hashlib.blake2b(digest_size=16)
-    for p in polys:
-        rings = [p.outer, *p.holes]
-        h.update(np.array([p.geom_id, p.poly_idx, len(rings),
-                           *(len(r) for r in rings)], np.int64).tobytes())
-        for r in rings:
-            h.update(np.ascontiguousarray(r, np.float64).tobytes())
-    return h.hexdigest()
-
-
-def put_polygons(polys: list[SimplePolygon]) -> BroadcastPolygons:
-    """`ray.put` the polygon list once, with its digest (driver side)."""
-    import ray
-    return BroadcastPolygons(ray.put(polys), polygons_digest(polys))
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        lon = np.asarray(batch["lon"], np.float64)
+        lat = np.asarray(batch["lat"], np.float64)
+        pt, poly = self.index.query(lon, lat)
+        idx = pa.array(pt)
+        out = {c: pc.take(batch[c], idx) for c in self.keep_cols}
+        out["geom_id"] = pa.array(self.index.geom_ids[poly], pa.int64())
+        out["poly_idx"] = pa.array(self.index.poly_idx[poly], pa.int64())
+        return pa.table(out)
 
 
-# this process's PIP index: {digest: PIPIndex}, one entry at most
-_INDEX_CACHE: dict[str, PIPIndex] = {}
-
-
-def _cached_index(polys_ref, digest: str) -> PIPIndex:
-    index = _INDEX_CACHE.get(digest)
-    if index is None:
-        import ray
-        polys = (ray.get(polys_ref)
-                 if isinstance(polys_ref, ray.ObjectRef) else polys_ref)
-        index = PIPIndex(polys)
-        _INDEX_CACHE.clear()
-        _INDEX_CACHE[digest] = index
-    return index
-
-
-def pip_batch(batch: pa.Table, polys_ref, digest: str,
-              keep_cols=("page_id", "url"), lon_col="lon",
-              lat_col="lat") -> pa.Table:
-    """map_batches task for the broadcast PIP join: grid candidate pairs ->
-    exact even-odd refine -> matched rows (`keep_cols` + geom_id,
-    poly_idx). The index is built on the first batch a process sees for
-    `digest` (from `polys_ref`, an ObjectRef or the list) and reused
-    after."""
-    index = _cached_index(polys_ref, digest)
-    lon = np.asarray(batch[lon_col], np.float64)
-    lat = np.asarray(batch[lat_col], np.float64)
-    pt, poly = index.query(lon, lat)
-    idx = pa.array(pt)
-    out = {c: pc.take(batch[c], idx) for c in keep_cols}
-    out["geom_id"] = pa.array(index.geom_ids[poly], pa.int64())
-    out["poly_idx"] = pa.array(index.poly_idx[poly], pa.int64())
-    return pa.table(out)
-
-
-def broadcast_pip_join(ds, polys: list[SimplePolygon] | BroadcastPolygons,
+def broadcast_pip_join(ds, polys: list[SimplePolygon] | Side,
                        *, keep_cols=("page_id", "url"), concurrency=None):
-    """ds (with lon/lat) x polys -> joined Dataset, one task `map_batches`
-    that Ray Data fuses into the maps before it. `polys` is the polygon
-    list or a `put_polygons` result (plans that share a broadcast side put
-    it once).
+    """ds (with lon/lat) x polys -> joined Dataset, one task
+    `map_batches(pip_batch)` that Ray Data fuses into the maps before it.
+    `polys` is the polygon list or a `broadcast.put_side` of it (plans
+    that share a broadcast side put it once).
 
     `concurrency` is accepted and unused: Ray Data fuses task maps only
     when their concurrency is equal, so forwarding a caller's pool size
     would split the join from the upstream maps and send every page
     through the object store."""
-    side = (polys if isinstance(polys, BroadcastPolygons)
-            else put_polygons(polys))
-    return ds.map_batches(
-        pip_batch, batch_format="pyarrow",
-        fn_kwargs={"polys_ref": side.ref, "digest": side.digest,
-                   "keep_cols": tuple(keep_cols)})
+    side = polys if isinstance(polys, Side) else put_side(polys)
+    return map_side(ds, "pip_batch", PipJoin, side,
+                    keep_cols=tuple(keep_cols))
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +236,8 @@ def cell_partitioned_pip(ds, polys: list[SimplePolygon], *, zoom: int = 7,
                          pre_ds=None, pre_fraction: float = 1.0,
                          lon_col="lon", lat_col="lat",
                          id_col="page_id"):
-    """Shuffle-based PIP join: groupby(cell [+salt]) + per-group local join.
+    """Shuffle-based PIP join: one `by_partition` exchange on the
+    cell [+salt] key, then a local join per cell_salt group.
 
     The polygon side is replicated to every cell its bbox covers (cell cover on
     the driver, broadcast as {cell: poly_idx list}); the doc side shuffles

@@ -7,7 +7,7 @@ same-zone pixel regions back out as vector features).
 Scale shape:
 - The empty raster is NEVER materialized: candidates are generated per
   polygon from its bbox (O(occupied bbox pixels), streamed), the
-  even-odd center test runs in the shared CenterInPolygon actor pool,
+  even-odd center test is the shared `h3ops.center_in_polygon` task map,
   and zone resolution is the engine's coarse prime-modulus partition +
   vectorized local min — never a per-distinct-pixel groupby.
 - vectorize is distributed connected-component labeling: the raster is

@@ -5,9 +5,10 @@ A two-sided equi-join is one of exactly two operators here; no stage
 hand-writes its own tag-union join:
 
 - `broadcast_join`, the small-side pattern (SURVEY §2.6):
-  the dimension table ships ONCE via ray.put, every map_batches task
-  answers its probe batch with one vectorized np.searchsorted over the
-  sorted key column — no shuffle at all. The fact side streams.
+  the dimension table ships ONCE via ray.put, each worker process sorts
+  its key column once (`broadcast.map_side`), and every task answers its
+  probe batch with one vectorized np.searchsorted — no shuffle at all.
+  The fact side streams.
 - `shuffle_join`, the large-large pattern: both sides pad to one
   schema and take ONE coarse `combine.by_partition` exchange on the
   key, then each partition matches with a sort + searchsorted. Integer
@@ -30,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .broadcast import map_side, put_side
 from .combine import by_partition, combine_by_key
 
 
@@ -45,24 +47,22 @@ def _match_ranges(lo: np.ndarray, counts: np.ndarray):
 
 
 class BroadcastJoin:
-    """map_batches actor: equi-join of each probe batch against a
-    broadcast dimension table — inner or left-outer, one-to-MANY.
+    """The dimension side of `broadcast_join`, built once per process:
+    equi-join of each probe batch against the dimension table — inner or
+    left-outer, one-to-MANY.
 
-    __init__ (once per actor) fetches the dimension from the object store
-    and sorts its key column; __call__ resolves each probe key with one
-    searchsorted left/right pair and expands duplicate matches with a
-    run-length np.repeat gather (no per-row Python). Inner join: null
-    probe keys and misses drop (nulls are filtered EXPLICITLY — a bare
-    int64 cast would turn them into INT64_MIN and let two nulls join).
-    Left join: miss rows and null-key rows emit once with null dim_cols.
+    __init__ sorts the dimension's key column; __call__ resolves each
+    probe key with one searchsorted left/right pair and expands duplicate
+    matches with a run-length np.repeat gather (no per-row Python). Inner
+    join: null probe keys and misses drop (nulls are filtered EXPLICITLY —
+    a bare int64 cast would turn them into INT64_MIN and let two nulls
+    join). Left join: miss rows and null-key rows emit once with null
+    dim_cols.
     """
 
-    def __init__(self, dim_ref, key: str, dim_cols: tuple[str, ...],
+    def __init__(self, dim: pa.Table, key: str, dim_cols: tuple[str, ...],
                  how: str = "inner"):
-        import ray
         assert how in ("inner", "left")
-        dim = (ray.get(dim_ref)
-               if isinstance(dim_ref, ray.ObjectRef) else dim_ref)
         keys = np.asarray(dim[key], np.int64)
         order = np.argsort(keys, kind="stable")
         self.keys = keys[order]
@@ -107,25 +107,14 @@ class BroadcastJoin:
 
 
 def broadcast_join(ds, dim_table: pa.Table, *, key: str,
-                   dim_cols: tuple[str, ...], how: str = "inner",
-                   concurrency=None):
+                   dim_cols: tuple[str, ...], how: str = "inner"):
     """ds (probe side, streams) JOIN dim_table (broadcast) on `key`;
     appends `dim_cols` from the dimension. `how`: "inner" or "left"
     (left-outer: unmatched probe rows keep null dim_cols). Duplicate
-    dimension keys multi-match (one output row per match). Default
-    concurrency is a FIXED pool of cpus-1 actors (an autoscaling
-    (min,max) pool sticks at min under fused chains — the measured
-    CLAUDE.md pathology; cpus-1 leaves headroom so small clusters don't
-    deadlock the upstream read)."""
-    import ray
-    if concurrency is None:
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 4)) - 1)
-    ref = ray.put(dim_table)
-    return ds.map_batches(
-        BroadcastJoin,
-        fn_constructor_kwargs={"dim_ref": ref, "key": key,
-                               "dim_cols": dim_cols, "how": how},
-        batch_format="pyarrow", concurrency=concurrency)
+    dimension keys multi-match (one output row per match). A task map
+    fused with the maps before it (`broadcast.map_side`)."""
+    return map_side(ds, "broadcast_join", BroadcastJoin, put_side(dim_table),
+                    key=key, dim_cols=tuple(dim_cols), how=how)
 
 
 JOIN_PARTS = 251   # prime (CLAUDE.md partition-modulus rule)

@@ -187,7 +187,7 @@ def test_joins_handle_empty_sides_and_null_keys(ray_session):
     empty_dim = pa.table({"k": pa.array([], pa.int64()),
                           "v": pa.array([], pa.string())})
     out = broadcast_join(ray.data.from_arrow(fact), empty_dim,
-                         key="k", dim_cols=("v",), concurrency=2).to_pandas()
+                         key="k", dim_cols=("v",)).to_pandas()
     assert len(out) == 0
     # shuffle join: left key 5 has no right rows anywhere; null on both
     # sides must NOT match

@@ -60,3 +60,37 @@ def test_pip_matches_brute_force_on_lakes():
     exp = set(brute_force_pip(px, py, polys))
     assert got == exp
     assert len(exp) > 50  # non-trivial
+
+
+def test_contains_pairs_equals_one_polygon_index():
+    """One index over the whole set answers "is point i in polygon p_i"
+    exactly as a one-polygon PIPIndex per polygon does: random points in
+    each bbox, the bbox corners, every polygon vertex, and the corners
+    of the index's own grid cells that touch the bbox."""
+    from shapefile_rs_ray.functions.cells import (cover_bboxes,
+                                                  grid_cell_bounds)
+    h, st = shp.read_shp(f"{D}/ne_10m_lakes_north_america.shp")
+    polys = group_rings(st)
+    idx = PIPIndex(polys)
+    rng = np.random.default_rng(5)
+    px, py, pp = [], [], []
+    for i, p in enumerate(polys):
+        x0, y0, x1, y1 = p.bbox
+        _, cells = cover_bboxes(np.array([p.bbox]), idx.grid_zoom)
+        cb = grid_cell_bounds(cells, idx.grid_zoom)
+        xs = np.concatenate([rng.uniform(x0, x1, 8), [x0, x1, x0, x1],
+                             p.outer[:, 0], cb[:, 0], cb[:, 2]])
+        ys = np.concatenate([rng.uniform(y0, y1, 8), [y0, y0, y1, y1],
+                             p.outer[:, 1], cb[:, 1], cb[:, 3]])
+        px.append(xs)
+        py.append(ys)
+        pp.append(np.full(len(xs), i))
+    px, py, pp = map(np.concatenate, (px, py, pp))
+    got = idx.contains_pairs(px, py, pp)
+    exp = np.zeros(len(px), bool)
+    for i, p in enumerate(polys):
+        m = np.nonzero(pp == i)[0]
+        inside, _ = PIPIndex([p]).query(px[m], py[m])
+        exp[m[inside]] = True
+    assert np.array_equal(got, exp)
+    assert 1000 < exp.sum() < len(exp)

@@ -113,12 +113,11 @@ def test_broadcast_join_multimatch_left_outer(ray_session):
     from shapefile_rs_ray.stages.relational import broadcast_join
     left, right = _join_fixture()
     got = broadcast_join(ray.data.from_arrow(left), right, key="k",
-                         dim_cols=("rv",), how="left",
-                         concurrency=2).to_pandas()
+                         dim_cols=("rv",), how="left").to_pandas()
     pd.testing.assert_frame_equal(_canon_join(got),
                                   _canon_join(_expected_left_join()))
     inner = broadcast_join(ray.data.from_arrow(left), right, key="k",
-                           dim_cols=("rv",), concurrency=2).to_pandas()
+                           dim_cols=("rv",)).to_pandas()
     assert sorted(inner["rv"].tolist()) == [10.0, 11.0, 30.0]
 
 
@@ -551,8 +550,7 @@ def test_nearest_polygon_degenerate_edges_and_ties(ray_session):
         "lon": pa.array([0.5, 10.0, 5.0], pa.float64()),
         "lat": pa.array([0.5, 3.0, 1.0], pa.float64()),
     })
-    got = (nearest_polygon_join(ray.data.from_arrow(pts), edges,
-                                concurrency=2)
+    got = (nearest_polygon_join(ray.data.from_arrow(pts), edges)
            .to_pandas().sort_values("page_id").reset_index(drop=True))
     # pt0: inside-ish of poly 3's corner, d2 = 0.25 to edge y=0
     assert got.loc[0, "nearest_poly"] == 3 and got.loc[0, "d2"] == 0.25

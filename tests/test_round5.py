@@ -746,10 +746,10 @@ def test_substring_clean_matches_brute_force(ray_session):
 
 
 def test_phash_engine_matches_scalar_twin():
-    """PhashStage (vectorized int64 DCT) vs the pure-Python-int twin:
+    """phash_batch (vectorized int64 DCT) vs the pure-Python-int twin:
     bit-identical hashes over the clustered synth corpus."""
     import pyarrow as pa
-    from shapefile_rs_ray.stages.multimodal import (PhashStage,
+    from shapefile_rs_ray.stages.multimodal import (phash_batch,
                                                     synth_phash_bmp_bytes)
     from shapefile_rs_ray.pipelines.oracles import _phash_scalar_row
     ids = list(range(41)) + [499, 1234, 4999]
@@ -757,7 +757,7 @@ def test_phash_engine_matches_scalar_twin():
         "doc_id": pa.array(ids, pa.int64()),
         "bmp": pa.array([synth_phash_bmp_bytes(d) for d in ids],
                         pa.binary())})
-    eng = PhashStage()(tbl)["phash"].to_pylist()
+    eng = phash_batch(tbl)["phash"].to_pylist()
     assert eng == [_phash_scalar_row(d)[0] for d in ids]
 
 
@@ -830,7 +830,7 @@ def test_phash_neardup_counts_match_brute_force(ray_session):
     import pyarrow as pa
     import ray.data
     from shapefile_rs_ray.stages.multimodal import (phash_neardup,
-                                                    PhashStage,
+                                                    phash_batch,
                                                     synth_phash_bmp_bytes)
     n = 120
     tbl = pa.table({
@@ -839,7 +839,7 @@ def test_phash_neardup_counts_match_brute_force(ray_session):
                         pa.binary())})
     got = (phash_neardup(ray.data.from_arrow(tbl).repartition(5))
            .to_pandas().set_index("doc_id").sort_index())
-    hashes = PhashStage()(tbl)["phash"].to_pylist()
+    hashes = phash_batch(tbl)["phash"].to_pylist()
     want = [0] * n
     for i in range(n):
         for j in range(i + 1, n):

@@ -34,21 +34,133 @@ def test_broadcast_join_matches_driver_side_oracle(ray_session, pages_ds):
     assert len(exp) > 100
 
 
-def test_broadcast_join_is_one_fused_task_operator(ray_session):
-    """The join runs in the same task operator as the page synthesis (no
-    actor pool, no object-store hop for the pages), even when a caller
-    passes a pool size."""
+def _pages():
     from shapefile_rs_ray.sources.webpages import read_webpages
+    return read_webpages(SF, with_html=False)
+
+
+def _pip_family():
     from shapefile_rs_ray.stages.pip_join import (broadcast_pip_join,
                                                   load_polygons)
-    polys = load_polygons(LAKES)
-    stats = broadcast_pip_join(read_webpages(SF, with_html=False), polys,
-                               concurrency=1).materialize().stats()
-    ops = [line for line in stats.splitlines()
-           if line.startswith("Operator ")]
-    assert any("MapBatches(webpage_batch)" in op
-               and "MapBatches(pip_batch)" in op for op in ops), ops
-    assert "MapWorker" not in stats
+    return broadcast_pip_join(_pages(), load_polygons(LAKES), concurrency=1)
+
+
+def _dim_family():
+    from shapefile_rs_ray.stages.relational import broadcast_join
+    dim = pa.table({"page_id": pa.array(np.arange(0, 4000, 3), pa.int64()),
+                    "v": pa.array(np.arange(0, 4000, 3), pa.int64())})
+    return broadcast_join(_pages(), dim, key="page_id", dim_cols=("v",))
+
+
+def _knn_family():
+    from shapefile_rs_ray.stages.knn import knn_join
+    return knn_join(_pages(), synth.sites(), k=2)
+
+
+def _nearest_family():
+    from shapefile_rs_ray.geometry.rings import edge_table
+    from shapefile_rs_ray.stages.knn import nearest_polygon_join
+    from shapefile_rs_ray.stages.pip_join import load_polygons
+    et = edge_table(load_polygons(LAKES)[:3])
+    return nearest_polygon_join(_pages(), et)
+
+
+def _center_family():
+    from shapefile_rs_ray.stages.h3ops import center_in_polygon
+    from shapefile_rs_ray.stages.pip_join import load_polygons
+
+    def page_candidates(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch["page_id"], np.int64)
+        return pa.table({"poly_id": pa.array(ids % 50, pa.int64()),
+                         "cell": batch["page_id"], "clat": batch["lat"],
+                         "clng": batch["lon"]})
+
+    cand = _pages().map_batches(page_candidates, batch_format="pyarrow")
+    return center_in_polygon(cand, load_polygons(LAKES)[:50])
+
+
+def _phash_family():
+    from shapefile_rs_ray.stages.multimodal import (phash_neardup,
+                                                    synth_phash_bmp_bytes)
+
+    def page_bmps(batch: pa.Table) -> pa.Table:
+        ids = batch["page_id"].to_pylist()[:20]
+        return pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "bmp": pa.array([synth_phash_bmp_bytes(d) for d in ids],
+                            pa.binary())})
+
+    return phash_neardup(_pages().map_batches(page_bmps,
+                                              batch_format="pyarrow"))
+
+
+def _host_family():
+    import __ray_entry__
+    return __ray_entry__._host_filter(SF)
+
+
+FAMILIES = [
+    (_pip_family, "webpage_batch", "pip_batch"),
+    (_dim_family, "webpage_batch", "broadcast_join"),
+    (_knn_family, "webpage_batch", "knn_batch"),
+    (_nearest_family, "webpage_batch", "nearest_polygon"),
+    (_center_family, "page_candidates", "center_in_polygon"),
+    (_phash_family, "page_bmps", "phash_batch"),
+    (_host_family, "webpage_batch", "_drop_blocked_hosts"),
+]
+
+
+def test_broadcast_join_is_one_fused_task_operator(ray_session):
+    """Every broadcast family runs in the same task operator as the map
+    before it (no actor pool, no object-store hop for the probe rows),
+    even when a caller passes a pool size to the PIP join."""
+    for plan, upstream, family in FAMILIES:
+        stats = plan().materialize().stats()
+        ops = [line for line in stats.splitlines()
+               if line.startswith("Operator ")]
+        assert any(f"MapBatches({upstream})" in op
+                   and f"MapBatches({family})" in op for op in ops), \
+            (family, ops)
+        assert "MapWorker" not in stats, family
+
+
+# The actor pools that still take their side through
+# `fn_constructor_kwargs`, each with its reason. Every caller passes the
+# corpus as a Dataset, which reaches the pool as Arrow shard refs; a
+# content digest of that corpus would need the driver copy the sharded
+# path exists to avoid.
+ACTOR_SIDES = {
+    ("stages/ann.py", "cosine_topk"):
+        "ann_top1 streams a Dataset corpus shard by shard",
+    ("stages/ann.py", "with_pair_consistency"):
+        "ann_lsh_top1 and ann_ivf_top1 look pairs up in a Dataset corpus",
+    ("stages/dedup.py", "embedding_neardup_pairs"):
+        "embed_neardup streams a Dataset corpus shard by shard",
+}
+
+
+def _constructor_kwargs_sites() -> set[tuple[str, str]]:
+    """(module, top-level function) of every call that passes
+    `fn_constructor_kwargs=`, in the package and the driver entry."""
+    import ast
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pkg = root / "shapefile_rs_ray"
+    files = [(p.relative_to(pkg).as_posix(), p) for p in pkg.rglob("*.py")]
+    files.append(("__ray_entry__.py", root / "__ray_entry__.py"))
+    sites = set()
+    for name, path in files:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.keyword)
+                        and node.arg == "fn_constructor_kwargs"):
+                    sites.add((name, getattr(top, "name", "<module>")))
+    return sites
+
+
+def test_broadcast_sides_are_task_maps():
+    assert _constructor_kwargs_sites() == set(ACTOR_SIDES), \
+        "put a read-only side through stages/broadcast.map_side"
 
 
 def _square(geom_id, x0, holes=()):
@@ -64,23 +176,36 @@ def _hole(x0):
 
 
 def test_polygons_digest_follows_content():
-    from shapefile_rs_ray.stages.pip_join import polygons_digest
+    from shapefile_rs_ray.stages.broadcast import digest
 
     def side(a_holes=(_hole(0),), b_holes=(), gid=7):
         return [_square(gid, 0, a_holes), _square(8, 2, b_holes)]
 
-    d = polygons_digest(side())
-    assert polygons_digest(side()) == d          # a new list, same content
+    d = digest(side())
+    assert digest(side()) == d                   # a new list, same content
     moved = side()
     moved[0].outer[1, 1] = 1.5                   # one vertex
-    assert polygons_digest(moved) != d
-    assert polygons_digest(side(gid=9)) != d     # one geom_id
+    assert digest(moved) != d
+    assert digest(side(gid=9)) != d              # one geom_id
     # the same hole owned by the next polygon
-    assert polygons_digest(side(a_holes=(), b_holes=(_hole(0),))) != d
+    assert digest(side(a_holes=(), b_holes=(_hole(0),))) != d
 
 
-def test_pip_batch_builds_index_once_per_digest(monkeypatch):
-    from shapefile_rs_ray.stages import pip_join
+class _Recorder:
+    """Stands in for a Dataset: keeps the map `map_side` adds."""
+
+    def map_batches(self, fn, **kwargs):
+        self.fn, self.kwargs = fn, kwargs
+        return self
+
+    def __call__(self, batch):
+        return self.fn(batch, **self.kwargs["fn_kwargs"])
+
+
+def test_pip_batch_builds_index_once_per_digest(ray_session, monkeypatch):
+    """`map_side`'s task builds a side once per process for each digest
+    and build option, and a second family does not evict the first."""
+    from shapefile_rs_ray.stages import broadcast, knn, pip_join
     builds = []
 
     class CountingIndex(pip_join.PIPIndex):
@@ -89,23 +214,69 @@ def test_pip_batch_builds_index_once_per_digest(monkeypatch):
             super().__init__(polys)
 
     monkeypatch.setattr(pip_join, "PIPIndex", CountingIndex)
-    monkeypatch.setattr(pip_join, "_INDEX_CACHE", {})
+    monkeypatch.setattr(broadcast, "_CACHE", {})
     batch = pa.table({"page_id": [1, 2, 3], "url": ["a", "b", "c"],
                       "lon": [0.5, 2.5, 4.5], "lat": [0.5, 0.2, 0.5]})
-    one = [_square(7, 0, (_hole(0),)), _square(8, 2)]
-    d1 = pip_join.polygons_digest(one)
+    one = broadcast.put_side([_square(7, 0, (_hole(0),)), _square(8, 2)])
+    join = pip_join.broadcast_pip_join(_Recorder(), one)
+    assert join.fn.__name__ == "pip_batch"
     for _ in range(2):
-        out = pip_join.pip_batch(batch, one, d1)
+        out = join(batch)
         assert out["page_id"].to_pylist() == [2]
         assert out["geom_id"].to_pylist() == [8]
     assert builds == [2]
+    pip_join.broadcast_pip_join(_Recorder(), one, keep_cols=("url",))(batch)
+    assert builds == [2, 2]                     # another build option
 
-    two = [_square(9, 4)]
-    d2 = pip_join.polygons_digest(two)
-    out = pip_join.pip_batch(batch, two, d2)
+    sites = (np.array([5, 6]), np.array([0.0, 3.0]), np.array([0.0, 0.0]))
+    knn_k1 = knn.knn_join(_Recorder(), sites, k=1)
+    knn_k2 = knn.knn_join(_Recorder(), sites, k=2)
+    assert knn_k1(batch)["site_id"].to_pylist() == [5, 6, 6]
+    assert knn_k2(batch).num_rows == 6          # k is in the key: a miss
+    assert knn_k1(batch).num_rows == 3
+
+    two = pip_join.broadcast_pip_join(_Recorder(), [_square(9, 4)])
+    out = two(batch)
     assert out["page_id"].to_pylist() == [3]
-    assert builds == [2, 1]
-    assert list(pip_join._INDEX_CACHE) == [d2]   # one index per process
+    assert builds == [2, 2, 1]
+    assert sorted(broadcast._CACHE) == ["knn_batch", "pip_batch"]
+    assert broadcast._CACHE["pip_batch"][0][0] == broadcast.digest(
+        [_square(9, 4)])
+
+
+def test_cached_keeps_one_entry_per_kind(monkeypatch):
+    from shapefile_rs_ray.stages import broadcast
+    monkeypatch.setattr(broadcast, "_CACHE", {})
+    made = []
+
+    def build(tag):
+        return lambda: made.append(tag) or tag
+
+    assert broadcast.cached("a", 1, build("a1")) == "a1"
+    assert broadcast.cached("b", 1, build("b1")) == "b1"
+    assert broadcast.cached("a", 1, build("x")) == "a1"   # b kept a
+    assert broadcast.cached("a", 2, build("a2")) == "a2"  # new key: rebuild
+    assert broadcast.cached("b", 1, build("x")) == "b1"
+    assert made == ["a1", "b1", "a2"]
+    assert broadcast._CACHE == {"a": (2, "a2"), "b": (1, "b1")}
+
+
+def test_center_in_polygon_build_options_miss(ray_session, monkeypatch):
+    """keep_poly_id is part of the cache key: the same polygons with the
+    other option build a second CenterInPolygon, not a cache hit."""
+    from shapefile_rs_ray.stages import broadcast, h3ops
+    monkeypatch.setattr(broadcast, "_CACHE", {})
+    polys = {3: _square(7, 0, (_hole(0),)), 1: _square(8, 2)}
+    batch = pa.table({"poly_id": pa.array([3, 1, 3, 1], pa.int64()),
+                      "cell": pa.array(["a", "b", "c", "d"]),
+                      "clat": [0.5, 0.5, 0.2, 0.2],
+                      "clng": [0.5, 2.5, 0.2, 0.2]})
+    a = h3ops.center_in_polygon(_Recorder(), polys)(batch)
+    assert a.column_names == ["cell", "geom_id", "poly_idx"]
+    assert a["cell"].to_pylist() == ["b", "c"]   # sorted by poly_id
+    assert a["geom_id"].to_pylist() == [8, 7]
+    b = h3ops.center_in_polygon(_Recorder(), polys, keep_poly_id=True)(batch)
+    assert b["poly_id"].to_pylist() == [1, 3]
 
 
 def test_cellpart_join_equals_broadcast(ray_session):
@@ -141,8 +312,7 @@ def test_h3part_join_equals_broadcast(ray_session):
 def test_knn_matches_brute_force(ray_session, pages_ds):
     from shapefile_rs_ray.sources.webpages import webpages_table
     from shapefile_rs_ray.stages.knn import knn_join
-    got = knn_join(pages_ds, synth.sites(), k=3,
-                   concurrency=2).to_pandas()
+    got = knn_join(pages_ds, synth.sites(), k=3).to_pandas()
     tbl = webpages_table(SF)
     ids, slon, slat = synth.sites()
     lon = np.asarray(tbl["lon"])
@@ -277,7 +447,7 @@ def test_zonal_stats_sums(ray_session):
 def test_knn_cellpart_equals_broadcast(ray_session, pages_ds):
     from shapefile_rs_ray.sources.webpages import read_webpages
     from shapefile_rs_ray.stages.knn import knn_join, knn_join_cellpart
-    a = (knn_join(pages_ds, synth.sites(), k=3, concurrency=2).to_pandas()
+    a = (knn_join(pages_ds, synth.sites(), k=3).to_pandas()
          .sort_values(["page_id", "rank"]).reset_index(drop=True))
     b = (knn_join_cellpart(read_webpages(SF, with_html=False), synth.sites(),
                            k=3).to_pandas()

@@ -2468,16 +2468,19 @@ def _simplify_lakes(sf_dir: str):
 
 
 def _clip_lakes(sf_dir: str):
-    """Liang-Barsky clip of every lake ring edge to a Great-Lakes tile
-    bbox through the DISTRIBUTED decode; parametric ts / clipped
-    endpoints bit-exact vs the SQL twin (selection + identical IEEE
-    division / mult-add)."""
-    from shapefile_rs_ray.pipelines.oracles import ensure_lakes_vertices
+    """Liang-Barsky clip of every lake ring edge to the corpus tile
+    (`oracles.clip_tile_box`, around the largest lakes) through the
+    DISTRIBUTED decode; parametric ts / clipped endpoints bit-exact vs the
+    SQL twin (selection + identical IEEE division / mult-add)."""
+    import functools
+    from shapefile_rs_ray.pipelines.oracles import (clip_tile_box,
+                                                    ensure_lakes_vertices)
     from shapefile_rs_ray.sources.shapefile import read_shapefile_dataset
     from shapefile_rs_ray.stages.clip import clip_edges
     ensure_lakes_vertices()
     ds = read_shapefile_dataset(LAKES, records_per_task=300)
-    return ds.map_batches(clip_edges, batch_format="pyarrow")
+    return ds.map_batches(functools.partial(clip_edges, box=clip_tile_box()),
+                          batch_format="pyarrow")
 
 
 def _wkb_export(sf_dir: str):
@@ -3509,7 +3512,8 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)""",
         "SELECT geom_id, part_idx, vtx_idx, x, y "
         f"FROM read_parquet('{oracles.golden_path('lakes_dp_golden')}')")
     from shapefile_rs_ray.stages.clip import clip_edges_sql
-    out["clip_lakes"] = clip_edges_sql(oracles.golden_path("lakes_vertices"))
+    out["clip_lakes"] = clip_edges_sql(oracles.golden_path("lakes_vertices"),
+                                       box=oracles.clip_tile_box())
     from shapefile_rs_ray.stages.ngrams import ngram_topk_sql
     out["bigram_counts"] = ngram_topk_sql("documents", n=2, k=100)
     out["decontaminate"] = f"""

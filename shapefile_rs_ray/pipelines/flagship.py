@@ -10,19 +10,26 @@ partitioned parquet output.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..functions import cells as cells_mod
+from ..functions import synth
 from ..functions.text import token_stats
-from ..sources.webpages import read_webpages
-from ..stages.broadcast import put_side
+from ..sources.webpages import pages_in_range, read_webpages
+from ..stages.broadcast import map_side, put_side
 from ..stages.combine import combine_by_key
-from ..stages.pip_join import broadcast_pip_join, load_polygons
-from ..state.lineage import drop_completed, write_partitioned
+from ..stages.pip_join import PipJoin, broadcast_pip_join, load_polygons
+from ..state.lineage import (PARTITION_SIZE, PartitionWriter,
+                             pending_partitions, read_partitions, write_rows)
 from .oracles import LAKES
 
 GRID_ZOOM = 12
+JOIN_COLS = ("page_id", "url", "text", "lang", "cell", "n_chars",
+             "is_quality")
 
 
 def add_grid_cell(batch: pa.Table, zoom: int = GRID_ZOOM) -> pa.Table:
@@ -35,36 +42,69 @@ def flagship(sf_dir: str, *, out_dir: str | None = None, repl: int | None = None
              concurrency=None, polygons: str = LAKES):
     """Returns the lazy Dataset of all joined rows.
 
-    With `out_dir`, the joined rows are also written as resumable keyed
-    partitions (state/lineage.py) and the write manifest is consumed. The
-    plan that writes drops completed partitions at the page source, so a
-    resume computes text stats and the join for the pending pages only,
-    and a full resume writes through no exchange. The returned Dataset
-    does not filter: it is every joined row either way.
-
-    The polygons are put once per call, with their digest, and both plans
-    share them; the PIP join is a task map fused into the page synthesis,
-    text and grid maps (`stages/pip_join.py`). `concurrency` is accepted
-    and unused, as in `broadcast_pip_join`: forwarding it would split that
-    fusion.
+    Without `out_dir` it is the streaming plan: page synthesis, text
+    stats, grid cells and the PIP join, one fused task map
+    (`stages/pip_join.py`). With `out_dir`, `write_lineage` first writes
+    the joined rows of every pending lineage partition, and the result is
+    a lazy read of all the completed partitions' `data.parquet` files,
+    without their `__p` column: the same rows, read back, not a second
+    join plan. `concurrency` is accepted and unused, as in
+    `broadcast_pip_join`: forwarding it would split that fusion.
     """
+    if out_dir is not None:
+        repl = synth.REPL if repl is None else repl
+        write_lineage(sf_dir, out_dir, repl=repl, polygons=polygons)
+        joined = read_partitions(out_dir)
+        if joined is None:      # no page joined: typed, and empty
+            import ray
+            none = pages_in_range(sf_dir, 0, 0, repl)
+            join = PipJoin(load_polygons(polygons), keep_cols=JOIN_COLS)
+            joined = ray.data.from_arrow(
+                join(add_grid_cell(token_stats(none))))
+        return joined
     kwargs = {} if repl is None else {"repl": repl}
     polys = put_side(load_polygons(polygons))
-
-    def joined_rows(pages):
-        pages = pages.map_batches(token_stats, batch_format="pyarrow")
-        pages = pages.map_batches(add_grid_cell, batch_format="pyarrow")
-        return broadcast_pip_join(
-            pages, polys,
-            keep_cols=("page_id", "url", "text", "lang", "cell", "n_chars",
-                       "is_quality"))
-
     pages = read_webpages(sf_dir, with_html=False, **kwargs)
-    if out_dir is not None:
-        pending = drop_completed(pages, out_dir, key_col="page_id")
-        write_partitioned(joined_rows(pending), out_dir, key_col="page_id",
-                          text_col="text", url_col="url").materialize()
-    return joined_rows(pages)
+    pages = pages.map_batches(token_stats, batch_format="pyarrow")
+    pages = pages.map_batches(add_grid_cell, batch_format="pyarrow")
+    return broadcast_pip_join(pages, polys, keep_cols=JOIN_COLS)
+
+
+def write_lineage(sf_dir: str, out_dir: str, *, repl: int = synth.REPL,
+                  polygons: str = LAKES):
+    """Write the joined rows of every lineage partition of `out_dir` that
+    is not completed; returns the materialized manifest Dataset (part,
+    rows, skipped), or None when no partition is pending.
+
+    The driver reads `doc_id` alone and plans one unit per pending
+    partition (`lineage.pending_partitions`), so a full resume reads and
+    synthesizes nothing. Each unit is one call of one task map: its pages
+    (`pages_in_range`), text stats, grid cells, the cached PIP join and
+    the partition's write. A partition with no joined row writes nothing,
+    as in `write_partitioned`, and stays pending.
+    """
+    import ray
+    doc_ids = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
+                            columns=["doc_id"])["doc_id"]
+    parts = pending_partitions(doc_ids, repl, out_dir)
+    if not len(parts):
+        return None
+
+    def write_unit(units: pa.Table, join: PipJoin) -> pa.Table:
+        writer = PartitionWriter(out_dir)
+        out = []
+        for p in units["part"].to_pylist():
+            pages = pages_in_range(sf_dir, p * PARTITION_SIZE,
+                                   (p + 1) * PARTITION_SIZE, repl)
+            out.append(write_rows(join(add_grid_cell(token_stats(pages))),
+                                  writer))
+        return pa.concat_tables(out)
+
+    units = ray.data.from_items([{"part": int(p)} for p in parts],
+                                override_num_blocks=len(parts))
+    return map_side(units, "lineage_unit", PipJoin,
+                    put_side(load_polygons(polygons)), call=write_unit,
+                    keep_cols=JOIN_COLS).materialize()
 
 
 PYRAMID_ZOOMS = (4, 6, 8, 10, 12)

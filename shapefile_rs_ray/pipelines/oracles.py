@@ -343,6 +343,16 @@ def top_lakes_bboxes(k: int | None = None) -> np.ndarray:
     return order[:(H3_COMPACT_TOPK if k is None else k)]
 
 
+def clip_tile_box() -> tuple[float, float, float, float]:
+    """The clip_lakes tile (xmin, ymin, xmax, ymax): the bbox around the
+    `top_lakes_bboxes()` lakes, so it follows the corpus and cuts some of
+    its edges. The engine and the SQL twin both clip to it."""
+    boxes = np.vstack([p.bbox for p in load_polygons(LAKES)])
+    sel = boxes[top_lakes_bboxes()]
+    return (float(sel[:, 0].min()), float(sel[:, 1].min()),
+            float(sel[:, 2].max()), float(sel[:, 3].max()))
+
+
 def ensure_h3_compact_centers() -> str:
     """Golden for h3_compact: (cell BIGINT, clat, clng) per distinct cell
     in the top-K lakes' bbox covers at H3_COMPACT_RES, centers from the

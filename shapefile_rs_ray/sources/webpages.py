@@ -6,7 +6,9 @@ deterministically from the driver's `documents` parquet by the
 bit-reproducible kernels in functions/synth.py (same rows the oracle SQL
 produces). The synthesis runs inside map_batches — the documents parquet is
 the only disk input and the expansion streams, so the page table is never
-materialized driver-side.
+materialized driver-side. `pages_in_range(sf_dir, lo, hi)` is the same
+synthesis for one page-id range inside one call: the partition-aligned
+unit of the flagship's lineage write (`state/lineage.py`).
 
 At 100 TB the same code path applies with the real Common-Crawl parquet as
 input and the synthesis stage dropped: every downstream operator reads only
@@ -24,6 +26,21 @@ import pyarrow as pa
 from ..functions import synth
 
 
+PAGE_COLS = ["page_id", "url", "warc_ts", "text", "lang", "lon", "lat"]
+DOC_COLS = ["doc_id", "text", "lang"]
+
+
+def _doc_schema(path: str, columns=None) -> pa.Schema:
+    """The file's schema, projected to `columns`, without its key-value
+    metadata: a pandas-written file carries a `pandas` entry that pyarrow
+    hashes as a dict, so every block schema read with it is unhashable
+    (Ray's schema dedup then logs "Failed to hash the schemas")."""
+    import pyarrow.parquet as pq
+    schema = pq.read_schema(path).remove_metadata()
+    return schema if columns is None else pa.schema(
+        [schema.field(c) for c in columns])
+
+
 def read_documents(sf_dir: str, columns=None, num_blocks: int | None = None):
     """documents.parquet is one small file = one block by default, which
     would serialize every downstream fused stage into a single task
@@ -32,9 +49,10 @@ def read_documents(sf_dir: str, columns=None, num_blocks: int | None = None):
     import ray
     if num_blocks is None:
         num_blocks = int(ray.cluster_resources().get("CPU", 8)) * 8
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=columns,
-        override_num_blocks=num_blocks)
+    path = os.path.join(sf_dir, "documents.parquet")
+    ds = ray.data.read_parquet(path, columns=columns,
+                               schema=_doc_schema(path, columns),
+                               override_num_blocks=num_blocks)
     # materialize the (tiny) seed: a single-file parquet read is ONE task
     # whose streaming generator trickles split blocks out a few at a time,
     # gating downstream task launches to ~3x parallelism; pinning the seed
@@ -65,20 +83,39 @@ def read_webpages(sf_dir: str, repl: int = synth.REPL, with_html: bool = True):
     So: at most 32k pages per block, and at least ~16 blocks for the
     corpus (footer row count, no data read).
     """
-    ds = read_documents(sf_dir, columns=["doc_id", "text", "lang"])
+    ds = read_documents(sf_dir, columns=DOC_COLS)
     fn = functools.partial(synth.webpage_batch, repl=repl)
     batch = max(8, min(32768 // max(repl, 1),
                        -(-_doc_count(sf_dir) // 16)))
     ds = ds.map_batches(fn, batch_format="pyarrow", batch_size=batch)
     if not with_html:
-        ds = ds.select_columns(
-            ["page_id", "url", "warc_ts", "text", "lang", "lon", "lat"])
+        ds = ds.select_columns(PAGE_COLS)
     return ds
+
+
+def pages_in_range(sf_dir: str, lo: int, hi: int,
+                   repl: int = synth.REPL) -> pa.Table:
+    """The pages with `lo <= page_id < hi` (no html), synthesized in the
+    calling process: a pyarrow filter reads only the docs that hold them,
+    `doc_id` in `[lo // repl, (hi - 1) // repl]`. A doc whose pages
+    straddle `lo` or `hi` is synthesized whole and cut, so two
+    neighbouring ranges both synthesize it; synthesis is deterministic."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    path = os.path.join(sf_dir, "documents.parquet")
+    docs = pq.read_table(path, columns=DOC_COLS,
+                         schema=_doc_schema(path, DOC_COLS),
+                         filters=[("doc_id", ">=", lo // repl),
+                                  ("doc_id", "<=", (hi - 1) // repl)])
+    pages = synth.webpage_batch(docs, repl=repl)
+    ids = pages["page_id"]
+    return pages.filter(pc.and_(pc.greater_equal(ids, lo),
+                                pc.less(ids, hi))).select(PAGE_COLS)
 
 
 def webpages_table(sf_dir: str, repl: int = synth.REPL) -> pa.Table:
     """Driver-side (no Ray) synthesis for tests/small checks."""
     import pyarrow.parquet as pq
     docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text", "lang"])
+                         columns=DOC_COLS)
     return synth.webpage_batch(docs)

@@ -58,19 +58,22 @@ def cached(kind: str, key, build: Callable[[], Any]):
     return hit[1]
 
 
-def map_side(ds, family: str, build: Callable, side: Side,
-             **build_kwargs):
+def map_side(ds, family: str, build: Callable, side: Side, *,
+             call: Callable | None = None, **build_kwargs):
     """`ds.map_batches` as a plain task: each batch `b` becomes
-    `cached(family, ..., lambda: build(side_value, **build_kwargs))(b)`.
-    The operator is named `MapBatches(<family>)`. The cache key is the
-    side's digest plus `build_kwargs`, so other build options miss."""
+    `cached(family, ..., lambda: build(side_value, **build_kwargs))(b)`,
+    or `call(b, built)` when `call` is given (one task call that runs a
+    chain around the side). The operator is named `MapBatches(<family>)`.
+    The cache key is the side's digest plus `build_kwargs`, so other build
+    options miss; `call` is not in it."""
     key = (side.digest, sorted(build_kwargs.items()))
 
     def apply(batch, ref, key):
         def make():
             import ray
             return build(ray.get(ref), **build_kwargs)
-        return cached(family, key, make)(batch)
+        built = cached(family, key, make)
+        return built(batch) if call is None else call(batch, built)
 
     apply.__name__ = apply.__qualname__ = family
     return ds.map_batches(apply, batch_format="pyarrow",

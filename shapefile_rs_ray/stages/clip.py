@@ -26,12 +26,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-TILE_BOX = (-95.0, 40.0, -80.0, 50.0)   # Great-Lakes tile (lon/lat deg)
 
-
-def clip_edges(batch: pa.Table, *, box=TILE_BOX) -> pa.Table:
+def clip_edges(batch: pa.Table, *, box) -> pa.Table:
     """Geometry block -> clipped edge table (geom_id, part_idx, edge_idx,
-    t0, t1, cx1, cy1, cx2, cy2) for every ring edge intersecting `box`."""
+    t0, t1, cx1, cy1, cx2, cy2) for every ring edge intersecting `box`
+    (xmin, ymin, xmax, ymax); zero rows, typed as `_empty()`, when none
+    does."""
     from ..geometry.schema import explode_xy
     xmin, ymin, xmax, ymax = (float(v) for v in box)
     ex = explode_xy(batch)
@@ -98,7 +98,7 @@ def _empty() -> pa.Table:
                      "cx2": f, "cy2": f})
 
 
-def clip_edges_sql(vertices_pq: str, *, box=TILE_BOX) -> str:
+def clip_edges_sql(vertices_pq: str, *, box) -> str:
     """DuckDB twin over the vertex golden: identical divisions, identical
     MAX/MIN selections (GREATEST/LEAST), identical CASEs."""
     from ..functions.synth import _lit

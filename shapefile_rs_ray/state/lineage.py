@@ -9,22 +9,39 @@ Output layout (the "resumable output" contract of BASELINE.md):
 
 Partitions are keyed by `key_col // PARTITION_SIZE` — a pure function of the
 data, NOT of block boundaries — so a re-run assigns identical rows to
-identical partitions regardless of execution order, and the resume filter
-can skip completed partitions by key range alone. That filter,
-`drop_completed`, belongs at the source: a pipeline applies it to the rows
-it reads, before any per-row work, so a resume computes only the pending
-partitions (`pipelines/flagship.py`); `write_partitioned` applies it again
-for direct callers. The one `PARTITION_SIZE` constant is the default of the
-filter and the writer alike, so they cannot disagree on the partition
-width. The writer materializes the rows it is to write; when there are
-none (an empty input, or a full resume) it returns a typed empty manifest
-and makes no exchange, since a Ray sort exchange over zero rows still
-starts worker processes that a long-lived session then keeps. Otherwise
-the exchange is one
-`stages/combine.by_partition` whose callable key gives that partition id
-as it is; each `data.parquet` keeps it as its int64 tag column `__p`.
-Writes go to a temp file then `os.replace` (atomic on POSIX), so a killed
-run never leaves a half-written partition that passes the manifest check.
+identical partitions regardless of execution order, and a resume can skip
+completed partitions by key range alone. The one `PARTITION_SIZE` constant
+is the default of the planner, the filter and the writer alike, so they
+cannot disagree on the partition width.
+
+Two writers share `PartitionWriter`:
+
+- The flagship (`pipelines/flagship.write_lineage`) writes from a
+  partition-aligned page source, with no exchange. `page_id = doc_id ×
+  repl + r`, so the driver reads `doc_id` alone and
+  `pending_partitions` gives every partition that holds a page and is not
+  completed; one unit per partition is one call of one task map, which
+  synthesizes the unit's pages, joins them and writes them (`write_rows`).
+  The chain runs inside one call, not as a chain of maps: Ray Data cuts a
+  fused map's output into blocks of at most `target_max_block_size`, and a
+  partition that reached the writer as two blocks would lose the second
+  to the done marker. A full resume plans no unit and reads nothing. At
+  Common-Crawl scale the driver's read is the row-group statistics
+  (min/max `doc_id`) of the input files, and a unit is a file or row
+  group range, not a sliced doc list.
+- `write_partitioned` writes any Dataset: `drop_completed` filters out
+  the rows of completed partitions, the rows left are materialized, and
+  one `stages/combine.by_partition` exchange, whose callable key gives
+  the partition id as it is, hands each partition to the writer. When no
+  row is left (an empty input, or a full resume) it returns a typed empty
+  manifest and makes no exchange, since a Ray sort exchange over zero
+  rows still starts worker processes that a long-lived session then
+  keeps.
+
+Each `data.parquet` keeps the partition id as its int64 tag column `__p`
+on both paths, so their bytes are the same. Writes go to a temp file then
+`os.replace` (atomic on POSIX), so a killed run never leaves a
+half-written partition that passes the manifest check.
 
 The per-partition `text_sha256` chains the lineage invariant (byte-identical
 extracted text per url, BASELINE.json input_hint): it hashes (url, text)
@@ -63,6 +80,20 @@ def completed_partitions(out_dir: str) -> set[int]:
             if f.startswith("part=") and f.endswith(".json"):
                 done.add(int(f[5:-5]))
     return done
+
+
+def pending_partitions(doc_ids, repl: int, out_dir: str,
+                       partition_size: int = PARTITION_SIZE) -> np.ndarray:
+    """The sorted partitions that hold a page of `doc_ids` (page_id =
+    doc_id * repl + r, 0 <= r < repl) and are not completed in `out_dir`.
+    Doc `d` spans partitions `[d·repl // S, (d·repl + repl - 1) // S]`."""
+    ids = np.asarray(doc_ids, np.int64)
+    first = ids * repl // partition_size
+    n = (ids * repl + repl - 1) // partition_size - first + 1
+    parts = np.repeat(first, n) + (np.arange(n.sum())
+                                   - np.repeat(np.cumsum(n) - n, n))
+    done = np.fromiter(completed_partitions(out_dir), np.int64)
+    return np.setdiff1d(parts, done)
 
 
 def drop_completed(ds, out_dir: str, *, key_col: str = "page_id",
@@ -162,6 +193,41 @@ class PartitionWriter:
             json.dump(manifest, f)
         os.replace(done_marker + ".tmp", done_marker)
         return _manifest_row(part, group.num_rows, False)
+
+
+def write_rows(rows: pa.Table, writer: PartitionWriter) -> pa.Table:
+    """Write `rows`, which hold whole partitions, one `writer` call per
+    partition, each with the int64 `__p` column that `by_partition` gives
+    `write_partitioned`'s groups; returns their manifest rows."""
+    parts = partition_key(rows[writer.key_col], writer.partition_size)
+    out = [MANIFEST_SCHEMA.empty_table()]
+    for p in np.unique(parts):
+        group = rows.filter(pa.array(parts == p))
+        out.append(writer(group.append_column(
+            "__p", pa.array(np.full(group.num_rows, p), pa.int64()))))
+    return pa.concat_tables(out)
+
+
+def read_partitions(out_dir: str):
+    """Lazy Dataset of every completed partition's rows, without `__p`;
+    None when no partition is completed. One read task per file over the
+    file list, and not `ray.data.read_parquet`: when it is called, that
+    samples files in remote tasks (and, from 25 files on, fetches footers
+    in half-CPU ones), which starts spare worker processes before
+    anything is consumed."""
+    import ray
+    paths = [os.path.join(out_dir, f"part={p:06d}", "data.parquet")
+             for p in sorted(completed_partitions(out_dir))]
+    if not paths:
+        return None
+
+    def read(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables([pq.ParquetFile(p).read().drop_columns("__p")
+                                 for p in batch["path"].to_pylist()])
+
+    return ray.data.from_items(
+        [{"path": p} for p in paths], override_num_blocks=len(paths)
+    ).map_batches(read, batch_format="pyarrow")
 
 
 def write_partitioned(ds, out_dir: str, *, key_col: str = "page_id",

@@ -1,4 +1,5 @@
-"""Resumable lineage output (`state/lineage.py`): a resume computes only the
+"""Resumable lineage output (`state/lineage.py`): the flagship writes each
+partition in one task call with no exchange; a resume computes only the
 pending partitions, from the page source on, and rewrites them byte for
 byte; the one-pass `text_sha256` keeps the per-row formula's digest."""
 
@@ -16,6 +17,7 @@ from shapefile_rs_ray.sources.webpages import webpages_table
 from shapefile_rs_ray.state import lineage
 
 N_DOCS, SPREAD = 200, 40     # 4000 pages over ~10 partitions of 16384 ids
+REPL = 20                    # pages per doc (synth.REPL)
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +61,34 @@ def _lose(out: str, parts) -> None:
         os.remove(os.path.join(out, "_done", f"part={p:06d}.json"))
 
 
+@pytest.fixture(scope="module")
+def straddle_inputs(inputs, tmp_path_factory):
+    """`inputs` with one doc moved onto a partition boundary: its pages
+    fall in two partitions."""
+    size = lineage.PARTITION_SIZE
+    docs = gen.documents_table(3, N_DOCS, SPREAD)
+    ids = docs["doc_id"].to_numpy().copy()
+    # the first boundary past the median page that cuts a doc in two
+    p = next(p for p in range(int(np.median(ids)) * REPL // size + 1,
+                              ids.max() * REPL // size)
+             if p * size % REPL)
+    straddler = p * size // REPL
+    ids[np.argmin(np.abs(ids - straddler))] = straddler
+    d = tmp_path_factory.mktemp("straddle_in")
+    gen.write_documents(str(d), docs.set_column(
+        0, "doc_id", pa.array(ids, pa.int64())))
+    return (str(d), inputs[1]), (p - 1, p)
+
+
 def _flagship(inputs, out):
     from shapefile_rs_ray.pipelines.flagship import flagship
     sf, shp = inputs
     return flagship(sf, out_dir=out, polygons=shp)
+
+
+def _data(out: str) -> dict[str, bytes]:
+    return {k: v for k, v in _files(out).items()
+            if k.endswith("data.parquet")}
 
 
 def test_flagship_resume_rewrites_lost_partitions_exactly(ray_session,
@@ -197,3 +223,132 @@ def test_text_sha256_matches_row_loop(typ):
         nourl = g.drop(["url"])
         assert lineage.text_sha256(nourl, "text", "url") == _loop_sha(
             nourl, "text", "url")
+
+
+def _token_stats_spy(monkeypatch, path):
+    """Count the rows that enter `token_stats` (in any process) in `path`;
+    returns a reader that also resets the count."""
+    from shapefile_rs_ray.pipelines import flagship as flagship_mod
+    token_stats = flagship_mod.token_stats
+
+    def spy(batch):
+        with open(path, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return token_stats(batch)
+
+    def rows_seen():
+        if not os.path.exists(path):
+            return 0
+        with open(path) as f:
+            n = sum(int(line) for line in f)
+        os.remove(path)
+        return n
+
+    monkeypatch.setattr(flagship_mod, "token_stats", spy)
+    return rows_seen
+
+
+def test_flagship_resume_rewrites_one_side_of_a_straddling_doc(
+        ray_session, straddle_inputs, tmp_path, monkeypatch):
+    """A doc whose pages fall in two partitions: with one of them
+    completed, the resume synthesizes the doc again and rewrites exactly
+    the other partition's pages, byte for byte."""
+    inputs, pair = straddle_inputs
+    out = str(tmp_path / "out")
+    _flagship(inputs, out)
+    assert set(pair) <= lineage.completed_partitions(out)
+    data, mans = _data(out), _manifests(out)
+    pages = webpages_table(inputs[0], REPL)["page_id"].to_numpy()
+    rows_seen = _token_stats_spy(monkeypatch, str(tmp_path / "seen"))
+    for lost in pair:
+        _lose(out, [lost])
+        _flagship(inputs, out)
+        assert rows_seen() == (pages // lineage.PARTITION_SIZE == lost).sum()
+        assert _data(out) == data
+        assert _manifests(out) == mans
+
+
+def test_flagship_unit_is_never_split(ray_session, inputs, tmp_path,
+                                      monkeypatch):
+    """Each partition is written by one call whatever the block size: a
+    64 KiB `target_max_block_size`, below every partition's joined bytes,
+    gives the default run's files."""
+    import ray
+    out = str(tmp_path / "default")
+    _flagship(inputs, out)
+    data, mans = _data(out), _manifests(out)
+    ctx = ray.data.DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_max_block_size", 64 * 1024)
+    assert min(m["bytes"] for m in mans.values()) > 64 * 1024
+    small = str(tmp_path / "small")
+    _flagship(inputs, small)
+    assert _data(small) == data
+    assert _manifests(small) == mans
+
+
+def test_flagship_write_has_no_exchange(ray_session, inputs, tmp_path,
+                                        monkeypatch):
+    """The flagship write reaches neither `by_partition` nor
+    `write_partitioned`, its executed plan has no sort or all-to-all
+    operator, and a full resume plans no unit at all."""
+    from shapefile_rs_ray.pipelines import flagship as flagship_mod
+    from shapefile_rs_ray.stages import combine
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the flagship write made an exchange")
+
+    for mod, name in ((combine, "by_partition"), (lineage, "by_partition"),
+                      (lineage, "write_partitioned")):
+        monkeypatch.setattr(mod, name, forbidden)
+    manifests = []
+    write_lineage = flagship_mod.write_lineage
+
+    def keep(*args, **kwargs):
+        manifests.append(write_lineage(*args, **kwargs))
+        return manifests[-1]
+
+    monkeypatch.setattr(flagship_mod, "write_lineage", keep)
+    out = str(tmp_path / "out")
+    joined = _flagship(inputs, out)
+    stats = manifests[0].stats()
+    assert "lineage_unit" in stats
+    assert "Sort" not in stats and "AllToAll" not in stats
+    written = manifests[0].to_pandas()
+    assert not written["skipped"].any()
+    assert sorted(written["part"]) == sorted(
+        lineage.completed_partitions(out))
+    assert joined.count() == written["rows"].sum()
+    assert "__p" not in joined.schema().names
+    _flagship(inputs, out)
+    assert manifests[1] is None
+
+
+def test_flagship_with_no_joined_page_is_typed_and_empty(ray_session,
+                                                         inputs, tmp_path,
+                                                         data_dir):
+    """No page falls in the polygon: nothing is written, every partition
+    stays pending, and the result is zero rows with the joined schema."""
+    out = str(tmp_path / "out")
+    joined = _flagship((inputs[0], os.path.join(data_dir, "polygonm.shp")),
+                       out)
+    assert joined.count() == 0
+    assert joined.schema().names == [
+        "page_id", "url", "text", "lang", "cell", "n_chars", "is_quality",
+        "geom_id", "poly_idx"]
+    assert lineage.completed_partitions(out) == set()
+
+
+def test_pending_partitions_follow_doc_spans(tmp_path):
+    """Doc `d` holds pages `[d*repl, d*repl + repl)`: every partition they
+    touch, less the completed ones."""
+    out = str(tmp_path / "out")
+    ids = np.array([0, 3, 4, 9, 10, 31])
+    assert lineage.pending_partitions(ids, 5, out, 16).tolist() == [
+        0, 1, 2, 3, 9]
+    os.makedirs(os.path.join(out, "_done"))
+    for p in (1, 9):
+        open(os.path.join(out, "_done", f"part={p:06d}.json"), "w").close()
+    assert lineage.pending_partitions(ids, 5, out, 16).tolist() == [0, 2, 3]
+    # a doc wider than a partition spans every partition between its ends
+    assert lineage.pending_partitions([1], 40, str(tmp_path / "x"),
+                                      16).tolist() == [2, 3, 4]

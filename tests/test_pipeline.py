@@ -90,6 +90,32 @@ def test_text_fidelity_through_checkpoint(ray_session, tmp_path):
     assert got == exp
 
 
+def test_documents_read_drops_pandas_metadata(ray_session, tmp_path):
+    """A pandas-written documents.parquet carries a `pandas` schema entry,
+    which makes block schemas unhashable; every read of it leaves the
+    metadata behind and keeps the rows."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+    import ray
+    from shapefile_rs_ray.sources.webpages import (pages_in_range,
+                                                   read_documents,
+                                                   read_webpages,
+                                                   webpages_table)
+    pd.DataFrame({"doc_id": [3, 1, 2], "text": ["a b", "c", "d e f"],
+                  "lang": ["en", "fr", "de"], "source": ["x", "y", "z"]}
+                 ).to_parquet(tmp_path / "documents.parquet")
+    assert b"pandas" in pq.read_schema(tmp_path / "documents.parquet").metadata
+    sf = str(tmp_path)
+    for ds in (read_documents(sf), read_documents(sf, columns=["text"]),
+               read_webpages(sf)):
+        blocks = ray.get(ds.to_arrow_refs())
+        assert blocks and all(b.schema.metadata is None for b in blocks)
+    pages = pages_in_range(sf, 0, 1 << 14)
+    assert pages.schema.metadata is None
+    assert sorted(pages["page_id"].to_pylist()) == sorted(
+        webpages_table(sf)["page_id"].to_pylist())
+
+
 def test_shapefile_dataset_roundtrip_via_ray(ray_session, tmp_path):
     """Distributed read -> partitioned shapefile sink -> re-read: identical
     geometry (the Ray-native analogue of read_write_read_test!)."""

@@ -494,6 +494,27 @@ def test_clip_edges_vs_bruteforce():
                 assert (gi, 0, ei) not in kept
 
 
+def test_clip_tile_follows_corpus(ray_session):
+    """The clip_lakes tile cuts the lakes corpus: some edges are kept
+    whole, some clipped. A tile that meets no edge gives zero rows typed
+    as `clip._empty()`."""
+    import functools
+    from shapefile_rs_ray.pipelines.oracles import LAKES, clip_tile_box
+    from shapefile_rs_ray.sources.shapefile import read_shapefile_dataset
+    from shapefile_rs_ray.stages.clip import _empty, clip_edges
+
+    def clipped(box):
+        return read_shapefile_dataset(LAKES, records_per_task=300).map_batches(
+            functools.partial(clip_edges, box=box), batch_format="pyarrow")
+
+    got = clipped(clip_tile_box()).to_pandas()
+    cut = (got.t0 > 0) | (got.t1 < 1)
+    assert cut.any() and (~cut).any()
+    far = clipped((0.0, 0.0, 1.0, 1.0))
+    assert far.count() == 0
+    assert far.schema().base_schema == _empty().schema
+
+
 def test_tile_pyramid_nests_exactly(ray_session):
     """Every zoom-z count == the sum of its 4 children at z+2 (exact
     integer nesting from the shared base cell), and the finest level

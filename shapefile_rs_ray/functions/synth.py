@@ -96,10 +96,12 @@ def geocode(page_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lon, lat
 
 
-def webpage_batch(batch: pa.Table, repl: int = REPL) -> pa.Table:
+def webpage_batch(batch: pa.Table, repl: int = REPL,
+                  html: bool = True) -> pa.Table:
     """documents batch (doc_id, text, lang, ...) -> web-page batch
     (page_id, url, warc_ts, html, text, lang, lon, lat), `repl` pages per
-    document."""
+    document; `html=False` leaves the html column out (~1/3 of the
+    synthesis time)."""
     doc_ids = np.asarray(batch["doc_id"], np.int64)
     n = len(doc_ids)
     rep_ids = np.repeat(doc_ids, repl)
@@ -115,17 +117,16 @@ def webpage_batch(batch: pa.Table, repl: int = REPL) -> pa.Table:
         pa.scalar("https://h"), host, pa.scalar(".example/p/"), idstr, "")
     ts = (np.datetime64(EPOCH.replace(" ", "T")) +
           page_ids.astype("timedelta64[s]")).astype("datetime64[us]")
-    html = pc.binary_join_element_wise(
-        pa.scalar(b"<html><body>"),
-        pc.cast(text, pa.binary()),
-        pa.scalar(b"</body></html>"), b"")
+    cols = {"page_id": pa.array(page_ids, pa.int64()), "url": url,
+            "warc_ts": pa.array(ts, pa.timestamp("us"))}
+    if html:
+        cols["html"] = pc.binary_join_element_wise(
+            pa.scalar(b"<html><body>"),
+            pc.cast(text, pa.binary()),
+            pa.scalar(b"</body></html>"), b"")
     lon, lat = geocode(page_ids)
-    return pa.table({
-        "page_id": pa.array(page_ids, pa.int64()), "url": url,
-        "warc_ts": pa.array(ts, pa.timestamp("us")),
-        "html": html, "text": text, "lang": lang,
-        "lon": pa.array(lon), "lat": pa.array(lat),
-    })
+    return pa.table({**cols, "text": text, "lang": lang,
+                     "lon": pa.array(lon), "lat": pa.array(lat)})
 
 
 def sites() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

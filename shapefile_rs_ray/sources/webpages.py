@@ -13,7 +13,8 @@ unit of the flagship's lineage write (`state/lineage.py`).
 At 100 TB the same code path applies with the real Common-Crawl parquet as
 input and the synthesis stage dropped: every downstream operator reads only
 (page_id/url, text/lon/lat/...) columns it needs — `html` is dropped at the
-first select unless a query touches it.
+first select unless a query touches it. Here `read_webpages(with_html=False)`
+and `pages_in_range` do not synthesize it at all.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import pyarrow as pa
 from ..functions import synth
 
 
-PAGE_COLS = ["page_id", "url", "warc_ts", "text", "lang", "lon", "lat"]
 DOC_COLS = ["doc_id", "text", "lang"]
 
 
@@ -84,13 +84,10 @@ def read_webpages(sf_dir: str, repl: int = synth.REPL, with_html: bool = True):
     corpus (footer row count, no data read).
     """
     ds = read_documents(sf_dir, columns=DOC_COLS)
-    fn = functools.partial(synth.webpage_batch, repl=repl)
+    fn = functools.partial(synth.webpage_batch, repl=repl, html=with_html)
     batch = max(8, min(32768 // max(repl, 1),
                        -(-_doc_count(sf_dir) // 16)))
-    ds = ds.map_batches(fn, batch_format="pyarrow", batch_size=batch)
-    if not with_html:
-        ds = ds.select_columns(PAGE_COLS)
-    return ds
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch)
 
 
 def pages_in_range(sf_dir: str, lo: int, hi: int,
@@ -107,10 +104,10 @@ def pages_in_range(sf_dir: str, lo: int, hi: int,
                          schema=_doc_schema(path, DOC_COLS),
                          filters=[("doc_id", ">=", lo // repl),
                                   ("doc_id", "<=", (hi - 1) // repl)])
-    pages = synth.webpage_batch(docs, repl=repl)
+    pages = synth.webpage_batch(docs, repl=repl, html=False)
     ids = pages["page_id"]
     return pages.filter(pc.and_(pc.greater_equal(ids, lo),
-                                pc.less(ids, hi))).select(PAGE_COLS)
+                                pc.less(ids, hi)))
 
 
 def webpages_table(sf_dir: str, repl: int = synth.REPL) -> pa.Table:

@@ -8,11 +8,12 @@ J1 `broadcast_pip_join` — broadcast join: the polygon side (small:
     and joined by `pip_batch`, a `broadcast.map_side` task map that Ray
     Data fuses into the maps before it (page synthesis, text stats, grid
     cells), so probe pages never cross the object store. Each Ray worker
-    process builds the immutable grid + y-strip PIPIndex (`PipJoin`) on
-    its first batch and keeps it, keyed by the side's content digest
-    (`stages/broadcast.py`). A driver-put PIPIndex measured slower and
-    larger in peak memory than a per-worker build (0.11 s for ~1k
-    lakes). No shuffle at all — the right default when the polygon side
+    process builds the immutable PIPIndex (candidate grid, label raster,
+    y-strips; `PipJoin`) on its first batch and keeps it, keyed by the
+    side's content digest (`stages/broadcast.py`). A driver-put PIPIndex
+    measured slower and larger in peak memory than a per-worker build
+    (~0.2 s for ~1k lakes of ~250 edges, paid once per process). No
+    shuffle at all — the right default when the polygon side
     fits in memory (even 10M polygons is ~GBs; Common-Crawl-scale doc
     sides never are).
 
@@ -64,9 +65,9 @@ def load_polygons(paths: list[str] | str,
 
 class PipJoin:
     """J1's side as `broadcast.map_side` builds it once per process: the
-    grid + y-strip PIPIndex over the polygons. A call joins one probe
-    batch: grid candidate pairs -> exact even-odd refine -> matched rows
-    (`keep_cols` + geom_id, poly_idx)."""
+    PIPIndex over the polygons. A call joins one probe batch: grid
+    candidate pairs -> label lookup or exact even-odd refine -> matched
+    rows (`keep_cols` + geom_id, poly_idx)."""
 
     def __init__(self, polys: list[SimplePolygon],
                  keep_cols=("page_id", "url")):

@@ -28,6 +28,9 @@ def test_webpages_bit_parity_with_sql():
                                sql[col].cast(eng[col].type))).as_py()
     for col in ["lon", "lat"]:
         assert np.array_equal(np.asarray(eng[col]), np.asarray(sql[col]))
+    # without html: the same table less that column
+    assert synth.webpage_batch(_docs(), html=False).equals(
+        eng.drop_columns(["html"]))
 
 
 def test_sites_bit_parity_with_sql():

@@ -136,6 +136,8 @@ class PIPIndex:
         """(point_idx, poly_idx) pairs of the grid cell each point is in,
         by point, then polygon; not yet bbox-checked."""
         from ..functions.cells import grid_cell
+        if len(self.grid_cells) == 0:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
         cells = grid_cell(px, py, self.grid_zoom)
         pos = np.searchsorted(self.grid_cells, cells)
         pos = np.clip(pos, 0, len(self.grid_cells) - 1)

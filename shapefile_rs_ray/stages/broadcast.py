@@ -2,15 +2,17 @@
 
 Every broadcast join (the PIP join's polygons, a dimension table, kNN
 sites, nearest-polygon edges, the center-in-polygon filter's polygons)
-is one `map_side` call: the driver puts the side once with a content
-digest; a plain task `map_batches` (no `concurrency`, so Ray Data fuses
-it into the maps before it) builds the side's state once per worker
-process and keeps it in `cached`, keyed by the digest and the build
-options, one entry per family. Equal digests mean equal content; equal
-content may get two digests (a sliced Arrow table pickles apart from an
-equal fresh one), which costs a rebuild, never a wrong answer. Never a
-path, an mtime or an ObjectRef id as the key: they outlive or misname
-their content.
+is one `map_side` call, and every exchange whose partitions join a
+broadcast side (the cell-partitioned PIP and kNN joins) takes its `fn`
+from `part_fn`. The driver puts the side once with a content digest; a
+plain task (a `map_batches` with no `concurrency`, so Ray Data fuses it
+into the maps before it, or the exchange's merge task) builds the
+side's state once per worker process and keeps it in `cached`, keyed by
+the digest and the build options, one entry per family. Equal digests
+mean equal content; equal content may get two digests (a sliced Arrow
+table pickles apart from an equal fresh one), which costs a rebuild,
+never a wrong answer. Never a path, an mtime or an ObjectRef id as the
+key: they outlive or misname their content.
 
 Not an actor pool: a pool's fresh workers must import Ray Data (0.8-1.0 s
 per job on a 4-core host, against 0.03-0.04 s for the task map), and an
@@ -58,6 +60,14 @@ def cached(kind: str, key, build: Callable[[], Any]):
     return hit[1]
 
 
+def _built(family: str, key, ref, build: Callable, build_kwargs: dict):
+    """This process's `build(side value, **build_kwargs)` for `key`."""
+    def make():
+        import ray
+        return build(ray.get(ref), **build_kwargs)
+    return cached(family, key, make)
+
+
 def map_side(ds, family: str, build: Callable, side: Side, *,
              call: Callable | None = None, **build_kwargs):
     """`ds.map_batches` as a plain task: each batch `b` becomes
@@ -69,12 +79,24 @@ def map_side(ds, family: str, build: Callable, side: Side, *,
     key = (side.digest, sorted(build_kwargs.items()))
 
     def apply(batch, ref, key):
-        def make():
-            import ray
-            return build(ray.get(ref), **build_kwargs)
-        built = cached(family, key, make)
+        built = _built(family, key, ref, build, build_kwargs)
         return built(batch) if call is None else call(batch, built)
 
     apply.__name__ = apply.__qualname__ = family
     return ds.map_batches(apply, batch_format="pyarrow",
                           fn_kwargs={"ref": side.ref, "key": key})
+
+
+def part_fn(family: str, build: Callable, side: Side, **build_kwargs):
+    """The per-partition `fn` of `combine.by_partition` over a broadcast
+    side: each call `part -> built(part)`, with `built` cached per worker
+    process under the same key as `map_side`'s, so a side's state (and
+    any cache it keeps, say per cell) outlives the task that built it."""
+    key = (side.digest, sorted(build_kwargs.items()))
+    ref = side.ref
+
+    def apply(part):
+        return _built(family, key, ref, build, build_kwargs)(part)
+
+    apply.__name__ = apply.__qualname__ = family
+    return apply

@@ -1,17 +1,32 @@
 """The engine's one exchange, and its one keyed aggregate on top of it.
 
 Every wide step is `by_partition`: tag each row with a partition id
-`__p`, make ONE sort exchange on it (`groupby("__p").map_groups`), and
-call a function once per partition. A partition holds many whole keys,
-so the number of `fn` calls is the coarse `parts`, never the number of
+`__p` and call a function once per partition. The exchange is two waves
+of plain Ray tasks over the object store (the shape of *Exoshuffle*):
+
+  1. split: one task per non-empty input block tags its rows and cuts
+     them into R pieces, one per reducer (`__p % R`, stable), returning
+     the pieces and their row counts;
+  2. merge: one task per reducer that got rows concatenates its pieces
+     in block order, stable-sorts them on `__p`, and calls `fn` once per
+     distinct `__p`.
+
+R is the number of non-empty input blocks (capped at `parts` for column
+keys), as in Ray's sort, which also uses one reducer per input block.
+There is no sort sampling, no Ray Data all-to-all operator and no actor
+pool: a `fn` that joins a broadcast side builds it once per worker
+process (`broadcast.part_fn`). A partition holds many whole keys, so
+the number of `fn` calls is the coarse `parts`, never the number of
 distinct keys (one group call per key collapses once keys number in the
-millions). Ray's `repartition(keys=...)` took 4.1-5.0 s against
-0.29-0.32 s for this sort exchange (400k rows, 13 partitions), and
-`Dataset.join` hangs on aggregator memory, so this module holds the
-engine's only `.groupby(` call: `combine_by_key` below,
-`relational.shuffle_join` and every other wide step call `by_partition`,
-and no stage uses Ray's built-in `groupby(col).aggregate`
-(`tests/test_combine.py` fails on a `.groupby(` anywhere else).
+millions). On 400k rows in 8 blocks and 13 partitions (1-core host,
+Ray at 4 logical CPUs, 7 runs) this exchange took 0.08-0.11 s, Ray
+Data's sort exchange (`groupby("__p").map_groups`: sample, map, reduce
+and group waves with a barrier between each) 0.24-0.33 s, and Ray's
+hash `repartition(keys=...)` 4.4-4.7 s; `Dataset.join` hangs on
+aggregator memory. So no stage calls Ray
+Data's `groupby` (`tests/test_combine.py` fails on any `.groupby(`
+call): `combine_by_key` below, `relational.shuffle_join` and every
+other wide step call `by_partition`.
 
 `combine_by_key` is the keyed aggregate. Every stage that reduces rows
 per key projects its key and value columns and calls it, which
@@ -27,6 +42,8 @@ result is bit-identical at any block layout and any `parts`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -54,38 +71,104 @@ def _key_partition(tbl: pa.Table, keys: list[str], parts: int) -> np.ndarray:
     return h % parts
 
 
-def by_partition(inputs, key, fn, *, parts: int | None = None,
-                 concurrency=None):
+def _split(block, key, parts: int | None, reducers: int):
+    """Split task: tag one input block with `__p` and cut it into one
+    piece per reducer (`__p % reducers`, rows in block order within each
+    piece). Returns the pieces, then their row counts."""
+    if not isinstance(block, pa.Table):
+        from ray.data.block import BlockAccessor
+        block = BlockAccessor.for_block(block).to_arrow()
+    counts = np.zeros(reducers, np.int64)
+    if block.num_rows == 0:     # its metadata gave no row count
+        return (*[block] * reducers, counts)
+    p = np.asarray(key(block) if callable(key)
+                   else _key_partition(block, key, parts), np.int64)
+    block = block.append_column("__p", pa.array(p, pa.int64()))
+    r = p % reducers
+    order = np.argsort(r, kind="stable")
+    counts[:] = np.bincount(r, minlength=reducers)
+    ends = np.cumsum(counts)
+    return (*[block.take(order[e - n:e]) for n, e in zip(counts, ends)],
+            counts)
+
+
+def _merge(fn, *pieces) -> pa.Table:
+    """Merge task: one reducer's pieces in block order, stable-sorted on
+    `__p`, and one `fn` call per distinct `__p`."""
+    tbl = pa.concat_tables(pieces, promote_options="permissive")
+    p = np.asarray(tbl["__p"], np.int64)
+    if np.any(p[1:] < p[:-1]):
+        order = np.argsort(p, kind="stable")
+        tbl, p = tbl.take(order), p[order]
+    bounds = np.append(np.flatnonzero(np.r_[True, p[1:] != p[:-1]]), len(p))
+    outs = []
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        out = fn(tbl.slice(b0, b1 - b0))
+        if not isinstance(out, pa.Table):
+            from ray.data.block import BlockAccessor
+            out = BlockAccessor.batch_to_block(out)
+        outs.append(out)
+    full = [t for t in outs if t.num_rows]
+    if not full:
+        return outs[0]       # typed by fn, zero rows
+    return pa.concat_tables(full, promote_options="permissive")
+
+
+def by_partition(inputs, key, fn, *, parts: int | None = None):
     """Co-partition `inputs` on `key` and call `fn(part)` once per
-    partition: the engine's one exchange.
+    partition: the engine's one exchange. It runs now, and the result is
+    a materialized Dataset of the `fn` outputs.
 
     `inputs` is a Dataset or a list of Datasets whose rows share a
-    schema; each is tagged in its own map (so the tag fuses with that
-    side's last map) and the tagged sides are unioned. `key` is either
-    key column names, partitioned by `_key_partition(batch, keys,
-    parts)`, or a callable `batch -> int64 array` whose values are the
-    partition ids as they are (no modulo; `parts` is unused). Rows with
-    equal partition ids, from every input, meet in exactly one
-    `fn(part)` call; `part` still carries the `__p` column. Schema-less
-    empty input blocks contribute nothing. `fn` may be an actor class,
-    run on a `concurrency` pool."""
+    schema. `key` is either key column names, partitioned by
+    `_key_partition(batch, keys, parts)`, or a callable `batch -> int64
+    array` whose values are the partition ids as they are (no modulo;
+    `parts` is unused). Rows with equal partition ids, from every input,
+    meet in exactly one `fn(part)` call, in input order, then block
+    order, then row order; `part` still carries the `__p` column. Blocks
+    with no rows contribute nothing, and no block without columns is
+    made. With no rows at all the result has no block and `fn` is never
+    called."""
+    import ray
     inputs = list(inputs) if isinstance(inputs, (list, tuple)) else [inputs]
     if not callable(key):
-        keys = [key] if isinstance(key, str) else list(key)
+        key = [key] if isinstance(key, str) else list(key)
         assert parts, "by_partition: column keys need `parts`"
+    blocks = [ref for ds in inputs
+              for bundle in ds.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows != 0]
+    out = ray.data.from_arrow_refs(_exchange(blocks, key, fn, parts))
+    # the inputs' operator stats as the result's parents, so that
+    # `stats()` shows the whole chain and not only `FromArrow`
+    out._plan._in_stats.parents = [ds._plan.stats() for ds in inputs]
+    return out
 
-    def tag(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0:
-            # a fully-empty upstream groupby can emit schema-less blocks
-            return pa.table({"__p": pa.array([], pa.int64())})
-        p = key(batch) if callable(key) else _key_partition(batch, keys,
-                                                             parts)
-        return batch.append_column("__p", pa.array(p, pa.int64()))
 
-    tagged = [ds.map_batches(tag, batch_format="pyarrow") for ds in inputs]
-    ds = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return ds.groupby("__p").map_groups(fn, batch_format="pyarrow",
-                                        concurrency=concurrency)
+def _exchange(blocks: list, key, fn, parts: int | None) -> list:
+    """Split every block, then merge each reducer's pieces: the refs of
+    the merged tables, one per reducer that got rows."""
+    import ray
+    if not blocks:
+        return []
+    reducers = len(blocks) if callable(key) else min(len(blocks), parts)
+    split, merge = _tasks()
+    key_ref, fn_ref = ray.put(key), ray.put(fn)
+    split = split.options(num_returns=reducers + 1)
+    pieces = [split.remote(b, key_ref, parts, reducers) for b in blocks]
+    counts = ray.get([p[-1] for p in pieces])
+    merged = []
+    for r in range(reducers):
+        mine = [p[r] for p, n in zip(pieces, counts) if n[r]]
+        if mine:
+            merged.append(merge.remote(fn_ref, *mine))
+    return merged
+
+
+@functools.cache
+def _tasks():
+    """The split and merge tasks, as Ray remote functions."""
+    import ray
+    return ray.remote(_split), ray.remote(_merge)
 
 
 def combine_by_key(ds, keys, aggs: dict | None = None, *, parts: int = 251):

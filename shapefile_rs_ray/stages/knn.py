@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .broadcast import map_side, put_side
+from .broadcast import map_side, part_fn, put_side
 from .combine import by_partition
 
 
@@ -230,101 +230,109 @@ def knn_join_cellpart(ds, sites: tuple[np.ndarray, np.ndarray, np.ndarray],
     broadcast); what shuffles is the doc side — the pattern that matters
     when docs >> memory and sites are per-cell shardable.
     """
-    import ray
-    import pyarrow.compute as _pc
     from ..functions.cells import grid_cell
 
     site_ids, slon, slat = sites
-    z2 = 1 << zoom
     s_cell = grid_cell(slon, slat, zoom)
-    ref = ray.put((np.asarray(site_ids, np.int64),
-                   np.asarray(slon), np.asarray(slat),
-                   np.asarray(s_cell, np.int64)))
+    side = (np.asarray(site_ids, np.int64), np.asarray(slon),
+            np.asarray(slat), np.asarray(s_cell, np.int64))
 
     def add_cell(batch: pa.Table) -> pa.Table:
         c = grid_cell(np.asarray(batch[lon_col], np.float64),
                       np.asarray(batch[lat_col], np.float64), zoom)
         return batch.append_column("__cell", pa.array(c, pa.int64()))
 
-    cell_w = 360.0 / z2
-    cell_h = 180.0 / z2
-
-    class CellKnn:
-        def __init__(self):
-            self.ids, self.slon, self.slat, self.scell = ray.get(ref)
-            self.sx = self.scell // z2
-            self.sy = self.scell % z2
-
-        def __call__(self, part: pa.Table) -> pa.Table:
-            """One partition = many whole cells: sort by cell, run the
-            per-cell ring kernel on each run, concat."""
-            cells = np.asarray(part["__cell"], np.int64)
-            order = np.argsort(cells, kind="stable")
-            sorted_cells = cells[order]
-            new = np.empty(len(cells), bool)
-            new[0:1] = True
-            new[1:] = sorted_cells[1:] != sorted_cells[:-1]
-            starts = np.nonzero(new)[0]
-            bounds = np.append(starts, len(cells))
-            outs = []
-            for s, e in zip(bounds[:-1], bounds[1:]):
-                rows = order[s:e]
-                outs.append(self._one_cell(
-                    part.take(pa.array(rows)), int(sorted_cells[s])))
-            if not outs:
-                z = pa.array([], pa.int64())
-                out = {c: _pc.take(part[c], pa.array([], pa.int64()))
-                       for c in keep_cols}
-                out.update({"rank": z, "site_id": z,
-                            "dist2": pa.array([], pa.float64())})
-                return pa.table(out)
-            return pa.concat_tables(outs)
-
-        def _one_cell(self, group: pa.Table, cell: int) -> pa.Table:
-            cx, cy = cell // z2, cell % z2
-            ring = 0
-            while True:
-                m = (np.abs(self.sx - cx) <= ring) & (np.abs(self.sy - cy) <= ring)
-                cand = np.nonzero(m)[0]
-                if len(cand) >= min(k, len(self.ids)):
-                    # safe-stop: a site outside ring r is at least
-                    # (r) * min(cell_w, cell_h) away from anywhere in the
-                    # cell; stop when that exceeds the worst kth distance
-                    lon = np.asarray(group[lon_col], np.float64)
-                    lat = np.asarray(group[lat_col], np.float64)
-                    dx = lon[:, None] - self.slon[cand][None, :]
-                    dy = lat[:, None] - self.slat[cand][None, :]
-                    d2 = dx * dx + dy * dy
-                    kk = min(k, len(cand))
-                    worst = np.sqrt(np.partition(d2, kk - 1, axis=1)[:, kk - 1].max())
-                    if ring * min(cell_w, cell_h) >= worst or len(cand) == len(self.ids):
-                        break
-                ring += 1
-                if ring > 2 * z2:
-                    cand = np.arange(len(self.ids))
-                    lon = np.asarray(group[lon_col], np.float64)
-                    lat = np.asarray(group[lat_col], np.float64)
-                    dx = lon[:, None] - self.slon[cand][None, :]
-                    dy = lat[:, None] - self.slat[cand][None, :]
-                    d2 = dx * dx + dy * dy
-                    break
-            kk = min(k, len(cand))
-            cand_order = np.argsort(self.ids[cand], kind="stable")
-            cand = cand[cand_order]
-            d2 = d2[:, cand_order]
-            sel = np.argsort(d2, axis=1, kind="stable")[:, :kk]
-            pid = self.ids[cand][sel]
-            pd2 = np.take_along_axis(d2, sel, axis=1)
-            n = group.num_rows
-            take = pa.array(np.repeat(np.arange(n), kk))
-            out = {c: _pc.take(group[c], take) for c in keep_cols}
-            out["rank"] = pa.array(np.tile(np.arange(1, kk + 1), n), pa.int64())
-            out["site_id"] = pa.array(pid.ravel(), pa.int64())
-            out["dist2"] = pa.array(pd2.ravel(), pa.float64())
-            return pa.table(out)
-
+    knn = part_fn("cell_knn", CellKnn, put_side(side), k=k, zoom=zoom,
+                  keep_cols=tuple(keep_cols), lon_col=lon_col,
+                  lat_col=lat_col)
     return by_partition(ds.map_batches(add_cell, batch_format="pyarrow"),
-                        "__cell", CellKnn, parts=parts, concurrency=(1, 4))
+                        "__cell", knn, parts=parts)
+
+
+class CellKnn:
+    """`knn_join_cellpart`'s per-partition kNN, built once per worker
+    process from the broadcast site side (ids, lon, lat, cell) by
+    `broadcast.part_fn`."""
+
+    def __init__(self, side, *, k, zoom, keep_cols, lon_col, lat_col):
+        self.ids, self.slon, self.slat, self.scell = side
+        self.k, self.keep_cols = k, keep_cols
+        self.lon_col, self.lat_col = lon_col, lat_col
+        self.z2 = 1 << zoom
+        self.sx = self.scell // self.z2
+        self.sy = self.scell % self.z2
+        self.cell_w = 360.0 / self.z2
+        self.cell_h = 180.0 / self.z2
+
+    def __call__(self, part: pa.Table) -> pa.Table:
+        """One partition = many whole cells: sort by cell, run the
+        per-cell ring kernel on each run, concat."""
+        cells = np.asarray(part["__cell"], np.int64)
+        order = np.argsort(cells, kind="stable")
+        sorted_cells = cells[order]
+        new = np.empty(len(cells), bool)
+        new[0:1] = True
+        new[1:] = sorted_cells[1:] != sorted_cells[:-1]
+        starts = np.nonzero(new)[0]
+        bounds = np.append(starts, len(cells))
+        outs = []
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            rows = order[s:e]
+            outs.append(self._one_cell(
+                part.take(pa.array(rows)), int(sorted_cells[s])))
+        if not outs:
+            z = pa.array([], pa.int64())
+            out = {c: pc.take(part[c], pa.array([], pa.int64()))
+                   for c in self.keep_cols}
+            out.update({"rank": z, "site_id": z,
+                        "dist2": pa.array([], pa.float64())})
+            return pa.table(out)
+        return pa.concat_tables(outs)
+
+    def _one_cell(self, group: pa.Table, cell: int) -> pa.Table:
+        k, z2 = self.k, self.z2
+        cx, cy = cell // z2, cell % z2
+        ring = 0
+        while True:
+            m = (np.abs(self.sx - cx) <= ring) & (np.abs(self.sy - cy) <= ring)
+            cand = np.nonzero(m)[0]
+            if len(cand) >= min(k, len(self.ids)):
+                # safe-stop: a site outside ring r is at least
+                # (r) * min(cell_w, cell_h) away from anywhere in the
+                # cell; stop when that exceeds the worst kth distance
+                lon = np.asarray(group[self.lon_col], np.float64)
+                lat = np.asarray(group[self.lat_col], np.float64)
+                dx = lon[:, None] - self.slon[cand][None, :]
+                dy = lat[:, None] - self.slat[cand][None, :]
+                d2 = dx * dx + dy * dy
+                kk = min(k, len(cand))
+                worst = np.sqrt(np.partition(d2, kk - 1, axis=1)[:, kk - 1].max())
+                if (ring * min(self.cell_w, self.cell_h) >= worst
+                        or len(cand) == len(self.ids)):
+                    break
+            ring += 1
+            if ring > 2 * z2:
+                cand = np.arange(len(self.ids))
+                lon = np.asarray(group[self.lon_col], np.float64)
+                lat = np.asarray(group[self.lat_col], np.float64)
+                dx = lon[:, None] - self.slon[cand][None, :]
+                dy = lat[:, None] - self.slat[cand][None, :]
+                d2 = dx * dx + dy * dy
+                break
+        kk = min(k, len(cand))
+        cand_order = np.argsort(self.ids[cand], kind="stable")
+        cand = cand[cand_order]
+        d2 = d2[:, cand_order]
+        sel = np.argsort(d2, axis=1, kind="stable")[:, :kk]
+        pid = self.ids[cand][sel]
+        pd2 = np.take_along_axis(d2, sel, axis=1)
+        n = group.num_rows
+        take = pa.array(np.repeat(np.arange(n), kk))
+        out = {c: pc.take(group[c], take) for c in self.keep_cols}
+        out["rank"] = pa.array(np.tile(np.arange(1, kk + 1), n), pa.int64())
+        out["site_id"] = pa.array(pid.ravel(), pa.int64())
+        out["dist2"] = pa.array(pd2.ravel(), pa.float64())
+        return pa.table(out)
 
 
 class NearestPolygon:

@@ -22,10 +22,13 @@ J2 `cell_partitioned_pip` — shuffle join for a polygon side too big to
     bbox cell cover), hot cells are salted into sub-keys from a cheap
     count pre-pass, and one `combine.by_partition` exchange on the
     cell_salt key hands each coarse partition (many whole cell_salt
-    groups) to one local join. Documented partitioning assumption: a
-    polygon appears in every cell its bbox covers, so each (doc-cell)
-    group sees every polygon that could contain its docs; results are
-    deduped by construction since a doc belongs to exactly one cell.
+    groups) to one local join, `CellJoin`, called in the exchange's merge
+    tasks: each worker process builds the polygon side and its per-cell
+    PIPIndex cache once (`broadcast.part_fn`), with no actor pool.
+    Documented partitioning assumption: a polygon appears in every cell
+    its bbox covers, so each (doc-cell) group sees every polygon that
+    could contain its docs; results are deduped by construction since a
+    doc belongs to exactly one cell.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from ..geometry.pip import PIPIndex
 from ..geometry.rings import (SimplePolygon, group_multipatch_rings,
                               group_rings)
 from ..geometry.shp import MULTIPATCH, read_shp
-from .broadcast import Side, map_side, put_side
+from .broadcast import Side, map_side, part_fn, put_side
 from .combine import by_partition, combine_by_key
 
 
@@ -139,22 +142,73 @@ def detect_hot_cells(ds, zoom: int, threshold: int,
     return hot
 
 
+class CellJoin:
+    """J2's per-partition join, built once per worker process from the
+    broadcast side (polygons, {cell: polygon indices}) by
+    `broadcast.part_fn`. One call = one shuffle partition = many whole
+    cell_salt groups; a per-cell PIPIndex cache persists across the calls
+    and tasks the process runs."""
+
+    def __init__(self, side, *, keep_cols, lon_col, lat_col):
+        self.polys, self.cmap = side
+        self.keep_cols = keep_cols
+        self.lon_col, self.lat_col = lon_col, lat_col
+        self.sub_indexes: dict[int, PIPIndex] = {}
+
+    def _join_cell(self, cell: int, group: pa.Table):
+        cand = self.cmap.get(cell, [])
+        if not cand:
+            return None
+        idx = self.sub_indexes.get(cell)
+        if idx is None:
+            idx = PIPIndex([self.polys[i] for i in cand])
+            if len(self.sub_indexes) > 4096:   # LRU-ish cap
+                self.sub_indexes.clear()
+            self.sub_indexes[cell] = idx
+        lon = np.asarray(group[self.lon_col], np.float64)
+        lat = np.asarray(group[self.lat_col], np.float64)
+        pt, poly = idx.query(lon, lat)
+        out = {c: pc.take(group[c], pa.array(pt)) for c in self.keep_cols}
+        out["geom_id"] = pa.array(idx.geom_ids[poly], pa.int64())
+        out["poly_idx"] = pa.array(idx.poly_idx[poly], pa.int64())
+        return pa.table(out)
+
+    def __call__(self, part: pa.Table) -> pa.Table:
+        keys = np.asarray(part["cell_salt"], np.int64)
+        order = np.argsort(keys, kind="stable")
+        part = part.take(pa.array(order))
+        keys = keys[order]
+        _, starts = np.unique(keys, return_index=True)
+        bounds = np.append(starts, len(keys))
+        outs = []
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            cell = int(keys[b0]) // 1024
+            res = self._join_cell(cell, part.slice(b0, b1 - b0))
+            if res is not None and res.num_rows:
+                outs.append(res)
+        if not outs:
+            empty = {c: part[c].slice(0, 0) for c in self.keep_cols}
+            empty["geom_id"] = pa.array([], pa.int64())
+            empty["poly_idx"] = pa.array([], pa.int64())
+            return pa.table(empty)
+        return pa.concat_tables(outs)
+
+
 def _cell_shuffle_pip(ds, polys, *, cell_fn, cover_pairs, hot,
                       keep_cols, lon_col, lat_col, id_col):
     """Shared core of the cell-partitioned PIP joins (quadkey + H3): add
     (cell, salt) shuffle keys with hot-cell salting, ONE coarse
-    prime-modulus shuffle, per-partition many-cell local joins with a
-    per-actor PIPIndex cache. `cell_fn(lon, lat) -> int64` must leave 10
-    headroom bits for the salt packing (quadkey keys and mode/res-stripped
-    H3 keys both do)."""
-    import ray
-
+    prime-modulus shuffle, per-partition many-cell local joins
+    (`CellJoin`, with a per-process PIPIndex cache per cell).
+    `cell_fn(lon, lat) -> int64` must leave 10 headroom bits for the salt
+    packing (quadkey keys and mode/res-stripped H3 keys both do)."""
     poly_idx, cover_cells = cover_pairs
     cell_to_polys: dict[int, list[int]] = {}
     for pi, cc in zip(poly_idx.tolist(), cover_cells.tolist()):
         cell_to_polys.setdefault(cc, []).append(pi)
-    polys_ref = ray.put(polys)
-    map_ref = ray.put(cell_to_polys)
+    join = part_fn("cell_join", CellJoin, put_side((polys, cell_to_polys)),
+                   keep_cols=tuple(keep_cols), lon_col=lon_col,
+                   lat_col=lat_col)
 
     def add_cell(batch: pa.Table) -> pa.Table:
         lon = np.asarray(batch[lon_col], np.float64)
@@ -172,62 +226,13 @@ def _cell_shuffle_pip(ds, polys, *, cell_fn, cover_pairs, hot,
         key = cell * 1024 + salt  # cell_salt shuffle key (<=1024 salts)
         return batch.append_column("cell_salt", pa.array(key, pa.int64()))
 
-    class CellJoin:
-        """One shuffle partition = many whole cell_salt groups. The polygon
-        side and the cell->polys cover map are fetched once per actor; a
-        per-cell PIPIndex cache persists across groups and batches."""
-
-        def __init__(self):
-            self.polys = ray.get(polys_ref)
-            self.cmap = ray.get(map_ref)
-            self.sub_indexes: dict[int, PIPIndex] = {}
-
-        def _join_cell(self, cell: int, group: pa.Table):
-            cand = self.cmap.get(cell, [])
-            if not cand:
-                return None
-            idx = self.sub_indexes.get(cell)
-            if idx is None:
-                idx = PIPIndex([self.polys[i] for i in cand])
-                if len(self.sub_indexes) > 4096:   # LRU-ish cap
-                    self.sub_indexes.clear()
-                self.sub_indexes[cell] = idx
-            lon = np.asarray(group[lon_col], np.float64)
-            lat = np.asarray(group[lat_col], np.float64)
-            pt, poly = idx.query(lon, lat)
-            out = {c: pc.take(group[c], pa.array(pt)) for c in keep_cols}
-            out["geom_id"] = pa.array(idx.geom_ids[poly], pa.int64())
-            out["poly_idx"] = pa.array(idx.poly_idx[poly], pa.int64())
-            return pa.table(out)
-
-        def __call__(self, part: pa.Table) -> pa.Table:
-            keys = np.asarray(part["cell_salt"], np.int64)
-            order = np.argsort(keys, kind="stable")
-            part = part.take(pa.array(order))
-            keys = keys[order]
-            _, starts = np.unique(keys, return_index=True)
-            bounds = np.append(starts, len(keys))
-            outs = []
-            for b0, b1 in zip(bounds[:-1], bounds[1:]):
-                cell = int(keys[b0]) // 1024
-                res = self._join_cell(cell, part.slice(b0, b1 - b0))
-                if res is not None and res.num_rows:
-                    outs.append(res)
-            if not outs:
-                empty = {c: part[c].slice(0, 0) for c in keep_cols}
-                empty["geom_id"] = pa.array([], pa.int64())
-                empty["poly_idx"] = pa.array([], pa.int64())
-                return pa.table(empty)
-            return pa.concat_tables(outs)
-
-    # coarse shuffle partitions: one Ray group per ~1/251st of the key
-    # space, per-cell joins delimited locally (a group per CELL pays a
+    # coarse shuffle partitions: one fn call per ~1/251st of the key
+    # space, per-cell joins delimited locally (a call per CELL pays a
     # scheduler round-trip per mostly-tiny cell). 251 is prime: a
     # power-of-two modulus would cancel against the *1024 packing and
     # collapse every salt-0 row into one partition.
     return by_partition(ds.map_batches(add_cell, batch_format="pyarrow"),
-                        "cell_salt", CellJoin, parts=251,
-                        concurrency=(1, 4))
+                        "cell_salt", join, parts=251)
 
 
 def cell_partitioned_pip(ds, polys: list[SimplePolygon], *, zoom: int = 7,

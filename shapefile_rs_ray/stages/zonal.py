@@ -1,11 +1,12 @@
 """Zonal statistics (J4 in SURVEY.md §2.6): raster<->vector style aggregation
 of the page "raster" (points) over polygon zones.
 
-Pipeline shape: PIP join (broadcast grid + y-strip index actors) emits
-(zone, measure) rows, and `combine_by_key` collapses them to one row per
-zone per batch before its one shuffle — the pre-aggregate-before-shuffle
-pattern, so the all-to-all exchange moves one row per (zone, batch)
-instead of one per page.
+Pipeline shape: PIP join (a broadcast `PIPIndex`, built once per worker
+process by a fused task map) emits (zone, measure) rows, and
+`combine_by_key` collapses them to one row per zone per batch before
+its one exchange — the pre-aggregate-before-shuffle pattern, so the
+exchange's split and merge tasks move one row per (zone, block) instead
+of one per page.
 """
 
 from __future__ import annotations

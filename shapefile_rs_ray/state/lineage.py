@@ -34,9 +34,8 @@ Two writers share `PartitionWriter`:
   one `stages/combine.by_partition` exchange, whose callable key gives
   the partition id as it is, hands each partition to the writer. When no
   row is left (an empty input, or a full resume) it returns a typed empty
-  manifest and makes no exchange, since a Ray sort exchange over zero
-  rows still starts worker processes that a long-lived session then
-  keeps.
+  manifest and makes no exchange: the exchange would write nothing, and
+  its result would carry no manifest schema.
 
 Each `data.parquet` keeps the partition id as its int64 tag column `__p`
 on both paths, so their bytes are the same. Writes go to a temp file then
@@ -141,7 +140,7 @@ def _manifest_row(part: int, rows: int, skipped: bool) -> pa.Table:
 
 
 class PartitionWriter:
-    """map_groups callable: writes one partition directory atomically.
+    """`by_partition` fn: writes one partition directory atomically.
 
     Emits the manifest row. Safe to re-run: an existing completed partition
     is left untouched (idempotent writes under task retry)."""

@@ -1,11 +1,13 @@
 """by_partition and combine_by_key: the exchange's co-location and row
 conservation, and the aggregate against a pure-Python dict reduce, over
 int64, string and two-column keys, across block layouts and partition
-counts. Plus the rule that no other module writes its own exchange."""
+counts; the exchange's own tasks (no Ray Data all-to-all), empty inputs
+and errors. Plus the rule that no module writes a Ray Data groupby."""
 
 import ast
 import pathlib
 import random
+import signal
 import uuid
 
 import numpy as np
@@ -142,17 +144,116 @@ def test_by_partition_two_inputs_meet(ray_session, keys):
     assert both          # the fixture has keys on both sides
 
 
+def _blocks(ds) -> list[pa.Table]:
+    import ray
+    return [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+            for ref, _ in bundle.blocks]
+
+
+def test_by_partition_makes_no_all_to_all(ray_session):
+    out = by_partition(_dataset(_table()), "k", _call_ids(),
+                       parts=13).materialize()
+    stats = out.stats()
+    assert "FromArrow" in stats
+    for op in ("Sort", "AllToAll", "Aggregate", "Repartition", "Shuffle"):
+        assert op not in stats, op
+    assert out.count() == 600
+
+
+@pytest.mark.parametrize("n_blocks", [1, 7, 40])
+def test_by_partition_colocates_at_any_block_count(ray_session, n_blocks):
+    import ray
+    t = _table(seed=13)
+    ds = ray.data.from_arrow(t).repartition(n_blocks).materialize()
+    assert ds.num_blocks() == n_blocks
+    for parts in (1, 13, 251):
+        rows = by_partition(ds, "k", _call_ids(), parts=parts).take_all()
+        assert _multiset(rows, t.column_names) == \
+            _multiset(t.to_pylist(), t.column_names), (n_blocks, parts)
+        calls = _calls_by_key(rows, ["k"])
+        assert all(len(c) == 1 for c in calls.values()), (n_blocks, parts)
+
+
+def test_by_partition_callable_key_extremes(ray_session):
+    """Partition ids used as they are: negative, and far above 2^40."""
+    import ray
+    ids = [-7, -1, 0, 5, 2**40 + 3, 2**62 + 11, -(2**50)]
+    t = pa.table({"id": pa.array(ids * 20, pa.int64()),
+                  "v": pa.array(range(len(ids) * 20), pa.int64())})
+
+    def one_call(part: pa.Table) -> pa.Table:
+        p = np.asarray(part["__p"], np.int64)
+        assert (p == p[0]).all()
+        assert (np.asarray(part["id"], np.int64) == p[0]).all()
+        return pa.table({"pid": pa.array([p[0]], pa.int64()),
+                         "n": pa.array([part.num_rows], pa.int64())})
+
+    ds = ray.data.from_arrow(t).repartition(5)
+    rows = by_partition(ds, lambda b: np.asarray(b["id"], np.int64),
+                        one_call).take_all()
+    assert sorted((r["pid"], r["n"]) for r in rows) == \
+        sorted((i, 20) for i in ids)
+
+
+def test_by_partition_on_no_rows(ray_session):
+    """Zero-row and schema-less inputs: zero rows, no schema-less block,
+    and `fn` is never called."""
+    import ray
+    typed = _table().slice(0, 0)
+
+    def never(part):
+        raise AssertionError("fn called on an empty exchange")
+
+    for inputs in (ray.data.from_arrow([pa.table({}), pa.table({})]),
+                   ray.data.from_arrow([typed, pa.table({})]),
+                   [ray.data.from_arrow(typed),
+                    ray.data.from_arrow(_table()).filter(
+                        expr="k > 1000000")]):
+        out = by_partition(inputs, "k", never, parts=13)
+        assert out.count() == 0
+        assert all(b.num_columns for b in _blocks(out))
+    # a mix: the empty blocks drop out, the rows all arrive
+    t = _table()
+    out = by_partition(_dataset(t), "k", lambda part: part, parts=13)
+    assert all(b.num_columns and b.num_rows for b in _blocks(out))
+    assert out.count() == t.num_rows
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("by_partition hung on a failing task")
+
+
+@pytest.mark.parametrize("where", ["fn", "key"])
+def test_by_partition_raises_task_errors(ray_session, where):
+    def bad_fn(part):
+        if (np.asarray(part["__p"]) == 3).any():
+            raise ValueError("bad partition 3")
+        return part
+
+    def bad_key(b):
+        raise ValueError("bad key")
+
+    fn, key = ((bad_fn, lambda b: np.asarray(b["k"], np.int64) % 5)
+               if where == "fn" else (lambda part: part, bad_key))
+    old = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(120)
+    try:
+        with pytest.raises(ValueError, match="bad"):
+            by_partition(_dataset(_table()), key, fn).take_all()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def _groupby_sites() -> set[tuple[str, str]]:
     """(module, top-level function) of every `.groupby(` call in the
-    package and the driver entry, outside `stages/combine.py`."""
+    package and the driver entry."""
     root = pathlib.Path(__file__).resolve().parents[1]
     pkg = root / "shapefile_rs_ray"
     files = [(p.relative_to(pkg).as_posix(), p) for p in pkg.rglob("*.py")]
     files.append(("__ray_entry__.py", root / "__ray_entry__.py"))
     sites = set()
     for name, path in files:
-        if name == "stages/combine.py":
-            continue
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 if (isinstance(node, ast.Call)

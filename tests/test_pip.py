@@ -46,6 +46,24 @@ def test_pip_hole_semantics():
     assert set(pt.tolist()) == {1, 3, 4}
 
 
+def test_empty_polygon_side():
+    """No polygon: no pair, and a PIP join gives zero typed rows."""
+    import pyarrow as pa
+    from shapefile_rs_ray.stages.pip_join import PipJoin
+    idx = PIPIndex([])
+    px, py = np.array([0.0, 10.5, -3.0]), np.array([0.0, 45.0, 7.0])
+    for got in idx.query(px, py):
+        assert got.dtype == np.int64 and len(got) == 0
+    none = np.empty(0, np.int64)
+    assert idx.contains_pairs(px[:0], py[:0], none).tolist() == []
+    out = PipJoin([], keep_cols=("page_id",))(pa.table(
+        {"page_id": pa.array([1, 2, 3], pa.int64()), "lon": px, "lat": py}))
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("page_id", pa.int64()),
+                                    ("geom_id", pa.int64()),
+                                    ("poly_idx", pa.int64())])
+
+
 def test_pip_matches_brute_force_on_lakes():
     h, st = shp.read_shp(f"{D}/ne_10m_lakes_north_america.shp")
     polys = group_rings(st)

@@ -3,9 +3,10 @@
 y-strip index) against the shapefile-decoded lake polygons -> resumable
 partitioned output with lineage manifests -> zonal aggregates.
 
-Every stage is a streaming map_batches over Arrow; the only materialized
-artifacts are the (small) polygon side, the zonal aggregate, and the
-partitioned parquet output.
+The streaming plan is map_batches over Arrow, and the lineage write is
+one plain Ray task per partition; the only materialized artifacts are the
+(small) polygon side, the zonal aggregate, and the partitioned parquet
+output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ..functions import cells as cells_mod
 from ..functions import synth
 from ..functions.text import token_stats
 from ..sources.webpages import pages_in_range, read_webpages
-from ..stages.broadcast import map_side, put_side
+from ..stages.broadcast import map_units, put_side
 from ..stages.combine import combine_by_key
 from ..stages.pip_join import PipJoin, broadcast_pip_join, load_polygons
 from ..state.lineage import (PARTITION_SIZE, PartitionWriter,
@@ -45,7 +46,8 @@ def flagship(sf_dir: str, *, out_dir: str | None = None, repl: int | None = None
     Without `out_dir` it is the streaming plan: page synthesis, text
     stats, grid cells and the PIP join, one fused task map
     (`stages/pip_join.py`). With `out_dir`, `write_lineage` first writes
-    the joined rows of every pending lineage partition, and the result is
+    the joined rows of every pending lineage partition, one plain Ray
+    task per partition and no Ray Data operator, and the result is
     a lazy read of all the completed partitions' `data.parquet` files,
     without their `__p` column: the same rows, read back, not a second
     join plan. `concurrency` is accepted and unused, as in
@@ -78,10 +80,12 @@ def write_lineage(sf_dir: str, out_dir: str, *, repl: int = synth.REPL,
 
     The driver reads `doc_id` alone and plans one unit per pending
     partition (`lineage.pending_partitions`), so a full resume reads and
-    synthesizes nothing. Each unit is one call of one task map: its pages
+    synthesizes nothing. Each unit is one plain Ray task
+    (`broadcast.map_units`, one per logical CPU at a time): its pages
     (`pages_in_range`), text stats, grid cells, the cached PIP join and
-    the partition's write. A partition with no joined row writes nothing,
-    as in `write_partitioned`, and stays pending.
+    the partition's write. The manifest is their rows in partition order.
+    A partition with no joined row writes nothing, as in
+    `write_partitioned`, and stays pending.
     """
     import ray
     doc_ids = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
@@ -90,21 +94,16 @@ def write_lineage(sf_dir: str, out_dir: str, *, repl: int = synth.REPL,
     if not len(parts):
         return None
 
-    def write_unit(units: pa.Table, join: PipJoin) -> pa.Table:
-        writer = PartitionWriter(out_dir)
-        out = []
-        for p in units["part"].to_pylist():
-            pages = pages_in_range(sf_dir, p * PARTITION_SIZE,
-                                   (p + 1) * PARTITION_SIZE, repl)
-            out.append(write_rows(join(add_grid_cell(token_stats(pages))),
-                                  writer))
-        return pa.concat_tables(out)
+    def write_unit(part: int, join: PipJoin) -> pa.Table:
+        pages = pages_in_range(sf_dir, part * PARTITION_SIZE,
+                               (part + 1) * PARTITION_SIZE, repl)
+        return write_rows(join(add_grid_cell(token_stats(pages))),
+                          PartitionWriter(out_dir))
 
-    units = ray.data.from_items([{"part": int(p)} for p in parts],
-                                override_num_blocks=len(parts))
-    return map_side(units, "lineage_unit", PipJoin,
-                    put_side(load_polygons(polygons)), call=write_unit,
-                    keep_cols=JOIN_COLS).materialize()
+    rows = map_units([int(p) for p in parts], "lineage_unit", PipJoin,
+                     put_side(load_polygons(polygons)), write_unit,
+                     keep_cols=JOIN_COLS)
+    return ray.data.from_arrow(pa.concat_tables(rows))
 
 
 PYRAMID_ZOOMS = (4, 6, 8, 10, 12)

@@ -20,12 +20,13 @@ Two writers share `PartitionWriter`:
   partition-aligned page source, with no exchange. `page_id = doc_id ×
   repl + r`, so the driver reads `doc_id` alone and
   `pending_partitions` gives every partition that holds a page and is not
-  completed; one unit per partition is one call of one task map, which
-  synthesizes the unit's pages, joins them and writes them (`write_rows`).
-  The chain runs inside one call, not as a chain of maps: Ray Data cuts a
-  fused map's output into blocks of at most `target_max_block_size`, and a
-  partition that reached the writer as two blocks would lose the second
-  to the done marker. A full resume plans no unit and reads nothing. At
+  completed; one unit per partition is one plain Ray task
+  (`stages/broadcast.map_units`), which synthesizes the unit's pages,
+  joins them and writes them (`write_rows`). The chain runs inside one
+  call, not as a chain of Ray Data maps: Ray Data cuts a fused map's
+  output into blocks of at most `target_max_block_size`, and a partition
+  that reached the writer as two blocks would lose the second to the done
+  marker. A full resume plans no unit and reads nothing. At
   Common-Crawl scale the driver's read is the row-group statistics
   (min/max `doc_id`) of the input files, and a unit is a file or row
   group range, not a sliced doc list.

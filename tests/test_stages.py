@@ -139,9 +139,9 @@ ACTOR_SIDES = {
 }
 
 
-def _constructor_kwargs_sites() -> set[tuple[str, str]]:
-    """(module, top-level function) of every call that passes
-    `fn_constructor_kwargs=`, in the package and the driver entry."""
+def _package_sites(match) -> set[tuple[str, str]]:
+    """(module, top-level function) of every AST node for which
+    `match(node)` holds, in the package and the driver entry."""
     import ast
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[1]
@@ -152,15 +152,38 @@ def _constructor_kwargs_sites() -> set[tuple[str, str]]:
     for name, path in files:
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.keyword)
-                        and node.arg == "fn_constructor_kwargs"):
+                if match(node):
                     sites.add((name, getattr(top, "name", "<module>")))
     return sites
+
+
+def _constructor_kwargs_sites() -> set[tuple[str, str]]:
+    """Every call that passes `fn_constructor_kwargs=`."""
+    import ast
+    return _package_sites(lambda node: isinstance(node, ast.keyword)
+                          and node.arg == "fn_constructor_kwargs")
 
 
 def test_broadcast_sides_are_task_maps():
     assert _constructor_kwargs_sites() == set(ACTOR_SIDES), \
         "put a read-only side through stages/broadcast.map_side"
+
+
+# The one `ray.data.from_items` left: a lazy read of the completed
+# partitions' files, handed to the caller to consume.
+FROM_ITEMS_SITES = {("state/lineage.py", "read_partitions")}
+
+
+def test_driver_planned_units_are_plain_tasks():
+    """A map over units the driver plans is `broadcast.map_units`: under
+    Ray Data a `from_items` + `map_batches` over them ran one task at a
+    time at 2 logical CPUs."""
+    import ast
+    sites = _package_sites(lambda node: isinstance(node, ast.Call)
+                           and isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "from_items")
+    assert sites == FROM_ITEMS_SITES, \
+        "run driver-planned units through stages/broadcast.map_units"
 
 
 def _square(geom_id, x0, holes=()):
@@ -259,6 +282,112 @@ def test_cached_keeps_one_entry_per_kind(monkeypatch):
     assert broadcast.cached("b", 1, build("x")) == "b1"
     assert made == ["a1", "b1", "a2"]
     assert broadcast._CACHE == {"a": (2, "a2"), "b": (1, "b1")}
+
+
+def _tagged():
+    """A side's build whose state names the process and build it came
+    from (a closure, so workers need not import this module)."""
+    def build(value, tag=""):
+        import os
+        import uuid
+        return (os.getpid(), uuid.uuid4().hex, value, tag)
+    return build
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("map_units hung on a failing unit")
+
+
+def test_map_units_keeps_unit_order(ray_session):
+    import time
+    from shapefile_rs_ray.stages import broadcast
+    side = broadcast.put_side("side")
+
+    def call(unit, built):
+        time.sleep(0.02 * (9 - unit))       # later units end first
+        return unit, built[2:]
+
+    assert broadcast.map_units(list(range(10)), "unit_order", _tagged(),
+                               side, call, tag="t") == \
+        [(u, ("side", "t")) for u in range(10)]
+
+
+def test_map_units_bounds_tasks_in_flight(ray_session, monkeypatch):
+    """`ray.wait` is called once the units outnumber the CPUs, and never
+    holds more than the cluster's CPU count of tasks."""
+    import ray
+    from shapefile_rs_ray.stages import broadcast
+    cpus = int(ray.cluster_resources()["CPU"])
+    held = []
+    wait = ray.wait
+
+    def spy(refs, **kwargs):
+        held.append(len(refs))
+        return wait(refs, **kwargs)
+
+    monkeypatch.setattr(ray, "wait", spy)
+    units = list(range(3 * cpus + 1))
+    out = broadcast.map_units(units, "unit_bound", _tagged(),
+                              broadcast.put_side(0), lambda u, b: u)
+    assert out == units
+    assert held and max(held) <= cpus
+    assert len(held) == len(units) - cpus
+
+
+def test_map_units_on_no_unit(ray_session, monkeypatch):
+    from shapefile_rs_ray.stages import broadcast
+
+    def no_task():
+        raise AssertionError("a task was submitted")
+
+    monkeypatch.setattr(broadcast, "_unit_task", no_task)
+    assert broadcast.map_units([], "unit_none", _tagged(),
+                               broadcast.put_side(0), lambda u, b: u) == []
+
+
+def test_map_units_raises_unit_errors(ray_session):
+    import signal
+    from shapefile_rs_ray.stages import broadcast
+
+    def call(unit, built):
+        if unit == 3:
+            raise ValueError("bad unit 3")
+        return unit
+
+    old = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(120)
+    try:
+        with pytest.raises(ValueError, match="bad unit"):
+            broadcast.map_units(list(range(12)), "unit_error", _tagged(),
+                                broadcast.put_side(0), call)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_map_units_builds_side_once_per_process(ray_session):
+    """Across two calls each worker process builds a side once per
+    digest; another side is a new build."""
+    import uuid
+    from shapefile_rs_ray.stages import broadcast
+    one = broadcast.put_side(uuid.uuid4().hex)
+    two = broadcast.put_side(uuid.uuid4().hex)
+
+    build = _tagged()
+
+    def run(side):
+        return broadcast.map_units(list(range(12)), "unit_cache", build,
+                                   side, lambda u, built: built[:3])
+
+    first = run(one) + run(one)
+    tokens = {}
+    for pid, token, value in first:
+        assert value == ray_session.get(one.ref)
+        tokens.setdefault(pid, set()).add(token)
+    assert all(len(t) == 1 for t in tokens.values()), tokens
+    for pid, token, value in run(two):
+        assert value == ray_session.get(two.ref)
+        assert token not in tokens.get(pid, set())
 
 
 def test_center_in_polygon_build_options_miss(ray_session, monkeypatch):

@@ -1,11 +1,19 @@
 """kNN stage (J3 in SURVEY.md §2.6): each page -> its k nearest sites.
 
-A task map (`broadcast.map_side`): the site set is broadcast once
-(`ray.put`), each worker process builds a grid-bucketed spatial index once
-(the per-cell "kd-tree" of the north star — buckets are the cells,
-candidates come from expanding neighbor rings), and batches are answered
-with vectorized numpy. For small site sets (< `brute_threshold`) the stage
-uses exact blockwise brute force — same result, fewer branches.
+One kernel, `KnnStage`, serves both plans: `knn_join` maps it over the
+pages (`broadcast.map_side`), `knn_join_cellpart` calls it once per
+partition of an exchange on the page's cell (`broadcast.part_fn`). The
+sites are put once; each worker process builds the stage once: exact
+blockwise brute force up to `brute_threshold` sites, else a
+`GridKnnIndex` (the per-cell "kd-tree" of the north star: buckets are
+cells, candidates come from expanding rings, a ring bound stops exactly).
+
+The grid holds about `SITES_PER_CELL` sites per cell, because it runs one
+Python ring search per occupied query cell of a batch: cells of ~1 site
+(`span / sqrt(n)`) meant about one search per page. 30k pages and sites
+uniform in one box, k=3, Ray at 2 logical CPUs on 1 core, ~1 vs ~64
+sites per cell: `knn_join` 1.8 vs 0.8 s at 20k sites, 1.9 vs 1.3 s at
+10^5; `knn_join_cellpart` 1.6 vs 0.9 s at 10^5.
 
 Distances are planar squared euclidean on (lon, lat), computed as
 ``(dx*dx + dy*dy)`` in f64 — the identical expression the DuckDB oracle
@@ -21,18 +29,39 @@ import pyarrow.compute as pc
 from .broadcast import map_side, part_fn, put_side
 from .combine import by_partition
 
+# rows per distance block: a brute chunk, or one grid group's slice
+BLOCK = 2048
+# mean sites per grid cell that `KnnStage` sizes its grid for
+SITES_PER_CELL = 64
+
+
+def nearest(d2: np.ndarray, kk: int) -> np.ndarray:
+    """Each row's first `kk` columns in (d2, column) order, as a stable
+    argsort's `[:, :kk]`, without sorting whole rows: select by the kth
+    value, ties at it going to the lower columns, then sort `kk` per row."""
+    m, c = d2.shape
+    if c > kk > 0:
+        kth = np.partition(d2, kk - 1, axis=1)[:, kk - 1, None]
+        take = d2 < kth
+        eq = d2 == kth
+        take |= eq & (np.cumsum(eq, axis=1)
+                      <= kk - take.sum(axis=1, keepdims=True))
+        # short only for a row with fewer than kk non-NaN values
+        if np.count_nonzero(take) == m * kk:
+            cols = np.nonzero(take)[1].reshape(m, kk)
+            sel = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1,
+                             kind="stable")
+            return np.take_along_axis(cols, sel, axis=1)
+    return np.argsort(d2, axis=1, kind="stable")[:, :kk]
+
 
 class GridKnnIndex:
-    """Uniform-grid bucket index over sites with expanding-ring search.
-
-    Queries are answered per CELL-GROUP, not per row: a batch is lexsorted
-    by its query cell, each distinct cell runs ONE expanding-ring candidate
-    gather (Python cost scales with distinct cells x ring cells, never with
-    rows), and all of the cell's queries score the shared candidate set with
-    one vectorized (rows x candidates) distance block. Exact: the ring stops
-    only when the ring boundary's minimum possible separation from anywhere
-    in the cell exceeds every query's current kth-best distance.
-    """
+    """Uniform-grid bucket index over sites with expanding-ring search,
+    answered per query CELL-GROUP: a batch is lexsorted by query cell, and
+    each cell runs ONE ring gather per `BLOCK` of its rows, scored with one
+    (rows x candidates) distance block. Exact: the ring stops only when
+    its minimum possible separation from anywhere in the cell exceeds
+    every query's current kth-best distance."""
 
     def __init__(self, lon: np.ndarray, lat: np.ndarray, site_ids: np.ndarray,
                  cell_size: float):
@@ -43,9 +72,8 @@ class GridKnnIndex:
         gx = np.floor(self.lon / self.cs).astype(np.int64)
         gy = np.floor(self.lat / self.cs).astype(np.int64)
         key = gx * 1_000_003 + gy
-        order = np.argsort(key, kind="stable")
-        self.sorted_keys = key[order]
-        self.order = order
+        self.order = np.argsort(key, kind="stable")
+        self.sorted_keys = key[self.order]
         self.max_ring = int(max(gx.max() - gx.min(),
                                 gy.max() - gy.min())) + 2 if len(gx) else 1
 
@@ -72,42 +100,32 @@ class GridKnnIndex:
         site-index rows + (m, k) d2, ties (d2 asc, site_id asc)."""
         n_sites = len(self.ids)
         kk = min(k, n_sites)
-
-        def score(have: np.ndarray):
-            # candidates sorted by id once -> stable argsort on d2 breaks
-            # exact-distance ties by ascending site_id
-            cand = have[np.argsort(self.ids[have], kind="stable")]
-            dx = x[:, None] - self.lon[cand][None, :]
-            dy = y[:, None] - self.lat[cand][None, :]
-            d2 = dx * dx + dy * dy
-            return cand, d2
-
         parts: list[np.ndarray] = []
-        have = np.empty(0, np.int64)
         ring = 0
         while True:
-            new = [self._bucket(cx, cy)
-                   for cx, cy in self._ring_cells(gx, gy, ring)]
-            if new:
-                parts.extend(new)
+            if ring > self.max_ring:
+                # numerical-degeneracy fallback: every site, once
+                have = np.arange(n_sites)
+            else:
+                parts.extend(self._bucket(cx, cy)
+                             for cx, cy in self._ring_cells(gx, gy, ring))
                 have = np.concatenate(parts)
-            if len(have) >= kk:
-                cand, d2 = score(have)
-                worst = np.sqrt(
-                    np.partition(d2, kk - 1, axis=1)[:, kk - 1].max())
+            # ring 0 can stop only at distance 0: not worth a score
+            if len(have) >= kk and (ring or len(have) == n_sites):
+                # candidates in id order, so (d2, column) order breaks
+                # exact-distance ties by ascending site_id
+                cand = have[np.argsort(self.ids[have], kind="stable")]
+                dx = x[:, None] - self.lon[cand][None, :]
+                dy = y[:, None] - self.lat[cand][None, :]
+                d2 = dx * dx + dy * dy
+                sel = nearest(d2, kk)
+                top = np.take_along_axis(d2, sel, axis=1)
                 # a site outside Chebyshev ring r is >= r*cs from anywhere
                 # in cell (gx, gy)
-                if ring * self.cs >= worst or len(have) == n_sites:
-                    sel = np.argsort(d2, axis=1, kind="stable")[:, :kk]
-                    return cand[sel], np.take_along_axis(d2, sel, axis=1)
+                if (ring * self.cs >= np.sqrt(top.max(initial=0.0))
+                        or len(have) == n_sites):
+                    return cand[sel], top
             ring += 1
-            if ring > self.max_ring:
-                # numerical-degeneracy fallback: score EVERY site once and
-                # return directly — re-entering the gather loop would stack
-                # ring buckets on top of the full set and duplicate sites
-                cand, d2 = score(np.arange(n_sites))
-                sel = np.argsort(d2, axis=1, kind="stable")[:, :kk]
-                return cand[sel], np.take_along_axis(d2, sel, axis=1)
 
     def query_batch(self, x: np.ndarray, y: np.ndarray,
                     k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,32 +141,33 @@ class GridKnnIndex:
         # query group the wrong ring origin, breaking the exact-stop bound
         order = np.lexsort((qy, qx))
         xs, ys = qx[order], qy[order]
-        new = np.empty(n, bool)
-        new[0:1] = True
+        new = np.ones(n, bool)
         new[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-        starts = np.nonzero(new)[0]
-        bounds = np.append(starts, n)
+        bounds = np.append(np.nonzero(new)[0], n)
         for s, e in zip(bounds[:-1], bounds[1:]):
-            rows = order[s:e]
-            idx, d2 = self._cell_group(x[rows], y[rows],
-                                       int(qx[rows[0]]), int(qy[rows[0]]), k)
-            out_idx[rows] = idx
-            out_d2[rows] = d2
+            # a cell's run goes BLOCK rows at a time, so no distance block
+            # exceeds BLOCK x candidates
+            for b in range(s, e, BLOCK):
+                rows = order[b:min(b + BLOCK, e)]
+                out_idx[rows], out_d2[rows] = self._cell_group(
+                    x[rows], y[rows], int(xs[b]), int(ys[b]), k)
         return out_idx, out_d2
 
 
 class KnnStage:
-    """The site side of `knn_join`, built once per process: k nearest
-    sites per page row.
+    """The site side of both kNN plans, built once per process: k nearest
+    sites per page row, in row order. Brute force up to `brute_threshold`
+    sites, where it is faster: one call over 30k uniform pages on 1 core
+    took 0.06 vs 0.07 s (brute vs grid) at 64 sites, 0.21 vs 0.23 s at
+    256, 0.26-0.30 vs 0.25-0.28 s at 320, 0.9 vs 0.5 s at 1k.
 
     Output columns: keep_cols + rank (1-based), site_id, dist2.
     """
 
     def __init__(self, sites, k: int = 3, keep_cols=("page_id",),
-                 lon_col="lon", lat_col="lat", brute_threshold: int = 10_000,
-                 block: int = 2048):
+                 lon_col="lon", lat_col="lat", brute_threshold: int = 256):
         sid, slon, slat = sites
-        # id-sorted site arrays: a stable argsort on d2 then breaks exact
+        # id-sorted site arrays: (d2, column) order then breaks exact
         # distance ties by ascending site_id (the oracle's ROW_NUMBER order)
         order = np.argsort(np.asarray(sid), kind="stable")
         self.site_ids = np.asarray(sid, np.int64)[order]
@@ -157,12 +176,13 @@ class KnnStage:
         self.k = k
         self.keep_cols = list(keep_cols)
         self.lon_col, self.lat_col = lon_col, lat_col
-        self.block = block
         self.brute = len(self.site_ids) <= brute_threshold
         if not self.brute:
             span = max(self.slon.max() - self.slon.min(),
                        self.slat.max() - self.slat.min())
-            cell = span / max(np.sqrt(len(self.site_ids)), 1.0)
+            per_side = np.sqrt(len(self.site_ids) / SITES_PER_CELL)
+            # sites on one point: any positive cell size is exact
+            cell = (span or 1.0) / max(per_side, 1.0)
             self.grid = GridKnnIndex(self.slon, self.slat, self.site_ids, cell)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -173,15 +193,14 @@ class KnnStage:
         nn_sites = np.empty((n, k), np.int64)
         nn_d2 = np.empty((n, k), np.float64)
         if self.brute:
-            for s in range(0, n, self.block):
-                e = min(s + self.block, n)
+            for s in range(0, n, BLOCK):
+                e = min(s + BLOCK, n)
                 dx = lon[s:e, None] - self.slon[None, :]
                 dy = lat[s:e, None] - self.slat[None, :]
                 d2 = dx * dx + dy * dy
-                # sites are id-sorted, so one stable argsort on d2 gives
-                # (distance asc, site_id asc) including boundary ties that
-                # argpartition-then-sort would break arbitrarily
-                sel = np.argsort(d2, axis=1, kind="stable")[:, :k]
+                # sites are id-sorted, so (d2, column) order is
+                # (distance asc, site_id asc), boundary ties included
+                sel = nearest(d2, k)
                 nn_sites[s:e] = self.site_ids[sel]
                 nn_d2[s:e] = np.take_along_axis(d2, sel, axis=1)
         else:
@@ -200,8 +219,7 @@ def knn_join(ds, sites: tuple[np.ndarray, np.ndarray, np.ndarray], *,
              k: int = 3, keep_cols=("page_id",)):
     """kNN map stage: a task map fused with the maps before it
     (`broadcast.map_side`). Each worker process builds the `KnnStage`
-    once (an id-sorted site table, plus a GridKnnIndex past its brute
-    threshold) and answers every batch from it."""
+    once and answers every batch from it."""
     return map_side(ds, "knn_batch", KnnStage, put_side(sites),
                     k=k, keep_cols=tuple(keep_cols))
 
@@ -213,126 +231,28 @@ def knn_join_cellpart(ds, sites: tuple[np.ndarray, np.ndarray, np.ndarray],
                       *, k: int = 3, zoom: int = 6,
                       keep_cols=("page_id",), lon_col="lon", lat_col="lat",
                       parts: int = CELL_PARTS):
-    """J3 scale path: kNN as a groupby-by-cell shuffle.
-
-    The doc side shuffles ONCE into `parts` coarse cell-hash partitions
-    (cell % prime — NOT one group per distinct cell: partition count is
-    fixed and scale-free, each partition holds many whole cells and is
-    processed by one task). Per cell run inside a partition, candidate
-    sites come from expanding square rings of neighbor cells around the
-    run's cell until >= k candidates exist AND the ring's minimum
-    possible distance exceeds the worst kth-candidate bound for every
-    corner of the cell (so the answer is exact, not approximate). The
-    per-run search is the same vectorized brute kernel over the candidate
-    subset. Output is identical to the broadcast knn_join.
-
-    Partitioning assumption: the site set is visible to every group (tiny,
-    broadcast); what shuffles is the doc side — the pattern that matters
-    when docs >> memory and sites are per-cell shardable.
+    """J3 scale path: ONE `by_partition` exchange of the pages on their
+    zoom `zoom` grid cell into `parts` partitions (cell % prime: a fixed,
+    scale-free count of whole-cell partitions), each answered by the
+    `KnnStage` that `knn_join` maps (`broadcast.part_fn`), so the rows
+    equal `knn_join`'s. The exchange stays because it groups pages by
+    cell: a partition's pages fill few of the stage's grid cells (at 10^5
+    sites, module docstring: 1.2k ring searches over 13 partitions, 5.5k
+    over `knn_join`'s 8 batches; 0.9 vs 1.3 s), and the doc side is what
+    shuffles when docs >> memory.
     """
     from ..functions.cells import grid_cell
-
-    site_ids, slon, slat = sites
-    s_cell = grid_cell(slon, slat, zoom)
-    side = (np.asarray(site_ids, np.int64), np.asarray(slon),
-            np.asarray(slat), np.asarray(s_cell, np.int64))
 
     def add_cell(batch: pa.Table) -> pa.Table:
         c = grid_cell(np.asarray(batch[lon_col], np.float64),
                       np.asarray(batch[lat_col], np.float64), zoom)
         return batch.append_column("__cell", pa.array(c, pa.int64()))
 
-    knn = part_fn("cell_knn", CellKnn, put_side(side), k=k, zoom=zoom,
+    knn = part_fn("cell_knn", KnnStage, put_side(sites), k=k,
                   keep_cols=tuple(keep_cols), lon_col=lon_col,
                   lat_col=lat_col)
     return by_partition(ds.map_batches(add_cell, batch_format="pyarrow"),
                         "__cell", knn, parts=parts)
-
-
-class CellKnn:
-    """`knn_join_cellpart`'s per-partition kNN, built once per worker
-    process from the broadcast site side (ids, lon, lat, cell) by
-    `broadcast.part_fn`."""
-
-    def __init__(self, side, *, k, zoom, keep_cols, lon_col, lat_col):
-        self.ids, self.slon, self.slat, self.scell = side
-        self.k, self.keep_cols = k, keep_cols
-        self.lon_col, self.lat_col = lon_col, lat_col
-        self.z2 = 1 << zoom
-        self.sx = self.scell // self.z2
-        self.sy = self.scell % self.z2
-        self.cell_w = 360.0 / self.z2
-        self.cell_h = 180.0 / self.z2
-
-    def __call__(self, part: pa.Table) -> pa.Table:
-        """One partition = many whole cells: sort by cell, run the
-        per-cell ring kernel on each run, concat."""
-        cells = np.asarray(part["__cell"], np.int64)
-        order = np.argsort(cells, kind="stable")
-        sorted_cells = cells[order]
-        new = np.empty(len(cells), bool)
-        new[0:1] = True
-        new[1:] = sorted_cells[1:] != sorted_cells[:-1]
-        starts = np.nonzero(new)[0]
-        bounds = np.append(starts, len(cells))
-        outs = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            rows = order[s:e]
-            outs.append(self._one_cell(
-                part.take(pa.array(rows)), int(sorted_cells[s])))
-        if not outs:
-            z = pa.array([], pa.int64())
-            out = {c: pc.take(part[c], pa.array([], pa.int64()))
-                   for c in self.keep_cols}
-            out.update({"rank": z, "site_id": z,
-                        "dist2": pa.array([], pa.float64())})
-            return pa.table(out)
-        return pa.concat_tables(outs)
-
-    def _one_cell(self, group: pa.Table, cell: int) -> pa.Table:
-        k, z2 = self.k, self.z2
-        cx, cy = cell // z2, cell % z2
-        ring = 0
-        while True:
-            m = (np.abs(self.sx - cx) <= ring) & (np.abs(self.sy - cy) <= ring)
-            cand = np.nonzero(m)[0]
-            if len(cand) >= min(k, len(self.ids)):
-                # safe-stop: a site outside ring r is at least
-                # (r) * min(cell_w, cell_h) away from anywhere in the
-                # cell; stop when that exceeds the worst kth distance
-                lon = np.asarray(group[self.lon_col], np.float64)
-                lat = np.asarray(group[self.lat_col], np.float64)
-                dx = lon[:, None] - self.slon[cand][None, :]
-                dy = lat[:, None] - self.slat[cand][None, :]
-                d2 = dx * dx + dy * dy
-                kk = min(k, len(cand))
-                worst = np.sqrt(np.partition(d2, kk - 1, axis=1)[:, kk - 1].max())
-                if (ring * min(self.cell_w, self.cell_h) >= worst
-                        or len(cand) == len(self.ids)):
-                    break
-            ring += 1
-            if ring > 2 * z2:
-                cand = np.arange(len(self.ids))
-                lon = np.asarray(group[self.lon_col], np.float64)
-                lat = np.asarray(group[self.lat_col], np.float64)
-                dx = lon[:, None] - self.slon[cand][None, :]
-                dy = lat[:, None] - self.slat[cand][None, :]
-                d2 = dx * dx + dy * dy
-                break
-        kk = min(k, len(cand))
-        cand_order = np.argsort(self.ids[cand], kind="stable")
-        cand = cand[cand_order]
-        d2 = d2[:, cand_order]
-        sel = np.argsort(d2, axis=1, kind="stable")[:, :kk]
-        pid = self.ids[cand][sel]
-        pd2 = np.take_along_axis(d2, sel, axis=1)
-        n = group.num_rows
-        take = pa.array(np.repeat(np.arange(n), kk))
-        out = {c: pc.take(group[c], take) for c in self.keep_cols}
-        out["rank"] = pa.array(np.tile(np.arange(1, kk + 1), n), pa.int64())
-        out["site_id"] = pa.array(pid.ravel(), pa.int64())
-        out["dist2"] = pa.array(pd2.ravel(), pa.float64())
-        return pa.table(out)
 
 
 class NearestPolygon:

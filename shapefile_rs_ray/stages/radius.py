@@ -5,8 +5,8 @@ The site set is the SMALL side, so this is the broadcast plan: the
 per-task closure carries the (tiny) pre-radianized site arrays, each
 batch computes one vectorized (rows x sites) haversine-term block, and
 matches emit map-side — NO shuffle at any corpus size (the shuffle-free
-analogue of knn.knn_join; a LARGE site side would reuse the cell
-partitioning in knn.knn_join_cellpart / pip_join.CellJoin).
+analogue of knn.knn_join; a LARGE site side would bucket its sites in
+a coarse grid built once per process, as knn.KnnStage does).
 
 Distance semantics: the join keeps and emits the raw haversine TERM
     hav = sin^2(dlat/2) + (cos(lat1)*cos(lat2)) * sin^2(dlon/2)

@@ -497,6 +497,118 @@ def test_knn_stage_50k_sites_grid_path():
     assert a.equals(b)
 
 
+def test_knn_cellpart_grid_path_through_exchange(ray_session):
+    """20k sites put every partition of the cell exchange on the grid
+    path: its rows equal `knn_join`'s, and sampled pages are bit-equal to
+    a numpy (d2, site_id) lexsort."""
+    import ray
+    from shapefile_rs_ray.stages.knn import (KnnStage, knn_join,
+                                             knn_join_cellpart)
+    rng = np.random.default_rng(21)
+    n_sites, n = 20_000, 3000
+    slon = rng.uniform(-125, -65, n_sites)
+    slat = rng.uniform(25, 50, n_sites)
+    sid = rng.permutation(n_sites).astype(np.int64)
+    lon = rng.uniform(-125, -65, n)
+    lat = rng.uniform(25, 50, n)
+    pages = pa.table({"page_id": pa.array(np.arange(n), pa.int64()),
+                      "lon": pa.array(lon), "lat": pa.array(lat)})
+    assert KnnStage((sid, slon, slat)).brute is False
+    blocks = [pages.slice(s, 500) for s in range(0, n, 500)]
+    key = ["page_id", "rank"]
+    got = (knn_join_cellpart(ray.data.from_arrow(blocks), (sid, slon, slat),
+                             k=3, zoom=6, parts=13).to_pandas()
+           .sort_values(key).reset_index(drop=True))
+    exp = (knn_join(ray.data.from_arrow(blocks), (sid, slon, slat),
+                    k=3).to_pandas()
+           .sort_values(key).reset_index(drop=True))
+    assert len(got) == 3 * n
+    assert got.equals(exp)
+    for i in rng.choice(n, 250, replace=False):
+        d2 = (lon[i] - slon) ** 2 + (lat[i] - slat) ** 2
+        top = np.lexsort((sid, d2))[:3]
+        rows = got.iloc[3 * i:3 * i + 3]
+        assert np.array_equal(rows.site_id.to_numpy(), sid[top])
+        assert np.array_equal(rows.dist2.to_numpy(), d2[top])
+
+
+def test_knn_stage_grid_cells_are_coarse():
+    """The grid holds many sites per occupied cell (about SITES_PER_CELL),
+    not ~1: one ring search then serves many pages."""
+    from shapefile_rs_ray.stages.knn import KnnStage
+    rng = np.random.default_rng(12)
+    n_sites = 100_000
+    stage = KnnStage((np.arange(n_sites, dtype=np.int64),
+                      rng.uniform(-120, -60, n_sites),
+                      rng.uniform(20, 60, n_sites)), k=3)
+    occupied = len(np.unique(stage.grid.sorted_keys))
+    assert n_sites / occupied >= 16
+
+
+def test_knn_grid_bounds_rows_per_distance_block(monkeypatch):
+    """More than BLOCK pages in one grid cell are scored BLOCK rows at a
+    time, and still match the brute truth."""
+    from shapefile_rs_ray.stages import knn
+    rng = np.random.default_rng(13)
+    n_sites, n = 2000, 2 * knn.BLOCK + 17
+    sid = rng.permutation(n_sites).astype(np.int64)
+    slon = rng.uniform(0, 10, n_sites)
+    slat = rng.uniform(0, 10, n_sites)
+    grid = knn.KnnStage((sid, slon, slat), k=3)
+    cell = grid.grid.cs
+    lon = rng.uniform(0.05, 0.95, n) * cell
+    lat = rng.uniform(0.05, 0.95, n) * cell
+    batch = pa.table({"page_id": pa.array(np.arange(n), pa.int64()),
+                      "lon": pa.array(lon), "lat": pa.array(lat)})
+    seen = []
+    real = knn.GridKnnIndex._cell_group
+
+    def spy(self, x, y, gx, gy, k):
+        seen.append((len(x), gx, gy))
+        return real(self, x, y, gx, gy, k)
+
+    monkeypatch.setattr(knn.GridKnnIndex, "_cell_group", spy)
+    got = grid(batch)
+    assert len({(gx, gy) for _, gx, gy in seen}) == 1   # one grid cell
+    assert len(seen) == 3
+    assert max(rows for rows, _, _ in seen) <= knn.BLOCK
+    brute = knn.KnnStage((sid, slon, slat), k=3, brute_threshold=10**9)
+    assert got.equals(brute(batch))
+
+
+def test_knn_stage_grid_on_coincident_sites():
+    """Past the brute threshold with every site on one point the grid
+    gets a positive cell size (no division by zero) and stays exact."""
+    import warnings
+    from shapefile_rs_ray.stages.knn import KnnStage
+    sites = (np.arange(1000, dtype=np.int64)[::-1].copy(),
+             np.full(1000, 5.0), np.full(1000, 5.0))
+    batch = pa.table({"page_id": pa.array([1, 2], pa.int64()),
+                      "lon": pa.array([5.0, 6.0]), "lat": pa.array([5.0, 7.0])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = KnnStage(sites, k=3)
+        got = grid(batch)
+    assert grid.brute is False and grid.grid.cs > 0
+    assert got.equals(KnnStage(sites, k=3, brute_threshold=10**9)(batch))
+    assert got["site_id"].to_pylist() == [0, 1, 2, 0, 1, 2]
+
+
+def test_knn_nearest_is_a_stable_argsort_prefix():
+    """`nearest` picks what a stable argsort's first kk columns pick,
+    under heavy ties, with NaNs, and at kk of 0 or the full width."""
+    from shapefile_rs_ray.stages.knn import nearest
+    rng = np.random.default_rng(14)
+    for trial in range(2000):
+        m, c = rng.integers(1, 6), rng.integers(1, 25)
+        kk = int(rng.integers(0, c + 1))
+        d2 = rng.integers(0, 4, (m, c)).astype(np.float64)
+        if trial % 3 == 0:
+            d2[rng.random((m, c)) < 0.2] = np.nan
+        exp = np.argsort(d2, axis=1, kind="stable")[:, :kk]
+        assert np.array_equal(nearest(d2, kk), exp), (d2, kk)
+
+
 def test_exact_dedup_keeps_min_id(ray_session, pages_ds):
     from shapefile_rs_ray.stages.dedup import exact_dedup
     out = exact_dedup(pages_ds).to_pandas()

@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 
+from .raydata import ray_data
+
 
 def _init_ray(num_cpus: int | None):
     import ray
@@ -22,8 +24,7 @@ def _init_ray(num_cpus: int | None):
         kwargs = {"num_cpus": num_cpus} if num_cpus else {}
         ray.init(address="local", include_dashboard=False,
                  ignore_reinit_error=True, logging_level="ERROR", **kwargs)
-    import ray.data
-    ray.data.DataContext.get_current().enable_progress_bars = False
+    ray_data().DataContext.get_current().enable_progress_bars = False
     return ray
 
 

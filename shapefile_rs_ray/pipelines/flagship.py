@@ -20,6 +20,7 @@ import pyarrow.parquet as pq
 from ..functions import cells as cells_mod
 from ..functions import synth
 from ..functions.text import token_stats
+from ..raydata import ray_data
 from ..sources.webpages import pages_in_range, read_webpages
 from ..stages.broadcast import map_units, put_side
 from ..stages.combine import combine_by_key
@@ -58,10 +59,9 @@ def flagship(sf_dir: str, *, out_dir: str | None = None, repl: int | None = None
         write_lineage(sf_dir, out_dir, repl=repl, polygons=polygons)
         joined = read_partitions(out_dir)
         if joined is None:      # no page joined: typed, and empty
-            import ray
             none = pages_in_range(sf_dir, 0, 0, repl)
             join = PipJoin(load_polygons(polygons), keep_cols=JOIN_COLS)
-            joined = ray.data.from_arrow(
+            joined = ray_data().from_arrow(
                 join(add_grid_cell(token_stats(none))))
         return joined
     kwargs = {} if repl is None else {"repl": repl}
@@ -84,10 +84,10 @@ def write_lineage(sf_dir: str, out_dir: str, *, repl: int = synth.REPL,
     (`broadcast.map_units`, one per logical CPU at a time): its pages
     (`pages_in_range`), text stats, grid cells, the cached PIP join and
     the partition's write. The manifest is their rows in partition order.
-    A partition with no joined row writes nothing, as in
-    `write_partitioned`, and stays pending.
+    A partition with no joined row gets a done marker with `rows: 0` and
+    no data file (`PartitionWriter.mark_empty`), so a resume plans it no
+    more.
     """
-    import ray
     doc_ids = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                             columns=["doc_id"])["doc_id"]
     parts = pending_partitions(doc_ids, repl, out_dir)
@@ -97,13 +97,15 @@ def write_lineage(sf_dir: str, out_dir: str, *, repl: int = synth.REPL,
     def write_unit(part: int, join: PipJoin) -> pa.Table:
         pages = pages_in_range(sf_dir, part * PARTITION_SIZE,
                                (part + 1) * PARTITION_SIZE, repl)
-        return write_rows(join(add_grid_cell(token_stats(pages))),
-                          PartitionWriter(out_dir))
+        rows = join(add_grid_cell(token_stats(pages)))
+        writer = PartitionWriter(out_dir)
+        return (write_rows(rows, writer) if rows.num_rows
+                else writer.mark_empty(part))
 
     rows = map_units([int(p) for p in parts], "lineage_unit", PipJoin,
                      put_side(load_polygons(polygons)), write_unit,
                      keep_cols=JOIN_COLS)
-    return ray.data.from_arrow(pa.concat_tables(rows))
+    return ray_data().from_arrow(pa.concat_tables(rows))
 
 
 PYRAMID_ZOOMS = (4, 6, 8, 10, 12)

@@ -25,9 +25,12 @@ import os
 import pyarrow as pa
 
 from ..functions import synth
+from ..raydata import ray_data
 
 
 DOC_COLS = ["doc_id", "text", "lang"]
+MAX_BLOCK_ROWS = 32768   # pages a document block may expand to
+MIN_BLOCKS = 16
 
 
 def _doc_schema(path: str, columns=None) -> pa.Schema:
@@ -41,24 +44,30 @@ def _doc_schema(path: str, columns=None) -> pa.Schema:
         [schema.field(c) for c in columns])
 
 
-def read_documents(sf_dir: str, columns=None, num_blocks: int | None = None):
-    """documents.parquet is one small file = one block by default, which
-    would serialize every downstream fused stage into a single task
-    (`batch_size` subdivides a task's batches, NOT its parallelism). Split
-    the read into ~8 blocks per CPU so the expansion pipeline fans out."""
+def read_documents(sf_dir: str, columns=None, repl: int = 1):
+    """documents.parquet as a materialized Dataset of blocks of at most
+    `MAX_BLOCK_ROWS // repl` docs each (from the footer row count), and
+    at least `MIN_BLOCKS` blocks, or two per logical CPU on a larger
+    cluster. A map with `batch_size=None` over it runs one task per
+    block, each making at most `MAX_BLOCK_ROWS` rows when a doc expands
+    to `repl` of them. The file is one small file: read as one block,
+    every fused stage downstream would run as a single task
+    (`batch_size` subdivides a task's batches, not its parallelism).
+
+    The seed is materialized, so every block is in the object store
+    before the maps start; how many of their tasks run at once is Ray
+    Data's executor budget (`raydata.py`), not the read's. (At
+    production scale pages come from thousands of files and nothing is
+    materialized.)"""
     import ray
-    if num_blocks is None:
-        num_blocks = int(ray.cluster_resources().get("CPU", 8)) * 8
     path = os.path.join(sf_dir, "documents.parquet")
-    ds = ray.data.read_parquet(path, columns=columns,
-                               schema=_doc_schema(path, columns),
-                               override_num_blocks=num_blocks)
-    # materialize the (tiny) seed: a single-file parquet read is ONE task
-    # whose streaming generator trickles split blocks out a few at a time,
-    # gating downstream task launches to ~3x parallelism; pinning the seed
-    # blocks lets the expansion fan out to every CPU at once. (At production
-    # scale pages come from thousands of files — reads parallelize
-    # naturally and nothing is materialized.)
+    n = _doc_count(sf_dir)
+    per_block = max(MAX_BLOCK_ROWS // max(repl, 1), 1)
+    least = max(MIN_BLOCKS, 2 * int(ray.cluster_resources().get("CPU", 1)))
+    num_blocks = max(1, min(n, max(least, -(-n // per_block))))
+    ds = ray_data().read_parquet(path, columns=columns,
+                                 schema=_doc_schema(path, columns),
+                                 override_num_blocks=num_blocks)
     return ds.materialize()
 
 
@@ -71,9 +80,10 @@ def _doc_count(sf_dir: str) -> int:
 
 
 def read_webpages(sf_dir: str, repl: int = synth.REPL, with_html: bool = True):
-    """documents.parquet -> streaming web-page Dataset (repl pages/doc).
+    """documents.parquet -> streaming web-page Dataset (repl pages/doc),
+    one synthesis task per document block (`batch_size=None`).
 
-    Synthesis batch sizing balances two measured failure modes:
+    Block sizing (`read_documents`) balances two measured failure modes:
     - blocks over ~32k pages serialize downstream fused stages into a
       handful of tasks AND regress nothing (big blocks are cheapest per
       row) — but a SMALL corpus x small repl then collapses to <=4
@@ -81,13 +91,12 @@ def read_webpages(sf_dir: str, repl: int = synth.REPL, with_html: bool = True):
     - blocks under ~8k pages at high repl regress the heavy consumers
       ~2x (bigram_counts 2.2 s -> 5.4 s at 4k-row blocks, measured).
     So: at most 32k pages per block, and at least ~16 blocks for the
-    corpus (footer row count, no data read).
+    corpus. A `batch_size` above the block size would bundle two blocks
+    into one task (12 uneven tasks of 27k-55k pages over 16 blocks).
     """
-    ds = read_documents(sf_dir, columns=DOC_COLS)
+    ds = read_documents(sf_dir, columns=DOC_COLS, repl=repl)
     fn = functools.partial(synth.webpage_batch, repl=repl, html=with_html)
-    batch = max(8, min(32768 // max(repl, 1),
-                       -(-_doc_count(sf_dir) // 16)))
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch)
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
 def pages_in_range(sf_dir: str, lo: int, hi: int,

@@ -16,13 +16,14 @@ key: they outlive or misname their content.
 
 Units that the driver plans (the flagship's lineage partitions, one
 task each) go through `map_units`: one plain Ray task per unit, over
-the same per-process cache. Not a `from_items` + `map_batches`: Ray
-Data 2.49 counts a task against its CPU budget until a later wait sees
-the task's output end, so at 2 logical CPUs it ran these units one at
-a time (25 units, 0.53-0.56 s of unit time in 0.69 s of wall time).
-At most the cluster's CPU count of unit tasks is in flight: submitting
-all 25 at once made Ray prestart about 6 spare workers of ~76 MB each
-(`peak_rss_mb` +22% on `flagship_checkpoint`).
+the same per-process cache. As a `from_items` + `map_batches` under
+Ray Data's per-operator reservation, these units ran one at a time at 2
+logical CPUs (25 units, 0.53-0.56 s of unit time in 0.69 s of wall
+time): the reservation's object-store and CPU budgets admit one task
+of a map at a time there (`raydata.py`, which the package now turns
+off). At most the cluster's CPU count of unit tasks is in flight:
+submitting all 25 at once made Ray prestart about 6 spare workers of
+~76 MB each (`peak_rss_mb` +22% on `flagship_checkpoint`).
 
 Not an actor pool: a pool's fresh workers must import Ray Data (0.8-1.0 s
 per job on a 4-core host, against 0.03-0.04 s for the task map), and an

@@ -50,6 +50,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import crc32_str
+from ..raydata import ray_data
 
 # how a partial of each op merges: partial counts add up
 _MERGE_OP = {"sum": "sum", "min": "min", "max": "max", "count": "sum"}
@@ -129,7 +130,6 @@ def by_partition(inputs, key, fn, *, parts: int | None = None):
     with no rows contribute nothing, and no block without columns is
     made. With no rows at all the result has no block and `fn` is never
     called."""
-    import ray
     inputs = list(inputs) if isinstance(inputs, (list, tuple)) else [inputs]
     if not callable(key):
         key = [key] if isinstance(key, str) else list(key)
@@ -137,7 +137,7 @@ def by_partition(inputs, key, fn, *, parts: int | None = None):
     blocks = [ref for ds in inputs
               for bundle in ds.iter_internal_ref_bundles()
               for ref, meta in bundle.blocks if meta.num_rows != 0]
-    out = ray.data.from_arrow_refs(_exchange(blocks, key, fn, parts))
+    out = ray_data().from_arrow_refs(_exchange(blocks, key, fn, parts))
     # the inputs' operator stats as the result's parents, so that
     # `stats()` shows the whole chain and not only `FromArrow`
     out._plan._in_stats.parents = [ds._plan.stats() for ds in inputs]

@@ -178,13 +178,18 @@ def shuffle_join(left, right, *, key: str, right_cols: tuple[str, ...],
     with no right match (SQL NOT EXISTS; null keys keep, matching SQL's
     never-equal null semantics).
 
-    Both inputs' `.schema()` is read up front: an input whose plan ends
-    in a shuffle would run that whole exchange once just for the
-    types, so materialize such an input before passing it here.
+    Both inputs are materialized first, and the key types read from
+    their blocks. The exchange reads every input block anyway, so
+    nothing runs twice. `.schema()` of a lazy input would run a
+    `limit(1)` plan whose other tasks are cancelled once a row arrives
+    (or, on a shuffle output, the whole exchange just for the types);
+    Ray 2.49 can abort the driver on such a cancel ("Tried to complete
+    task that was not pending") once many tasks are in flight.
     """
     assert how in ("inner", "left", "full", "semi", "anti")
     assert how not in ("semi", "anti") or not right_cols
 
+    left, right = left.materialize(), right.materialize()
     l_base = left.schema().base_schema
     r_base = right.schema().base_schema
     ltype, rtype = l_base.field(key).type, r_base.field(key).type

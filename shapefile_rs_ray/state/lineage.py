@@ -26,8 +26,10 @@ Two writers share `PartitionWriter`:
   call, not as a chain of Ray Data maps: Ray Data cuts a fused map's
   output into blocks of at most `target_max_block_size`, and a partition
   that reached the writer as two blocks would lose the second to the done
-  marker. A full resume plans no unit and reads nothing. At
-  Common-Crawl scale the driver's read is the row-group statistics
+  marker. A partition none of whose pages joins is marked done with
+  `rows: 0` and no data file (`PartitionWriter.mark_empty`), so a
+  resume plans it no more. A full resume plans no unit and reads
+  nothing. At Common-Crawl scale the driver's read is the row-group statistics
   (min/max `doc_id`) of the input files, and a unit is a file or row
   group range, not a sliced doc list.
 - `write_partitioned` writes any Dataset: `drop_completed` filters out
@@ -61,6 +63,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..raydata import ray_data
 from ..stages.combine import by_partition
 
 PARTITION_SIZE = 1 << 14
@@ -185,14 +188,30 @@ class PartitionWriter:
             "bytes": int(group.nbytes),
             "write_s": round(time.monotonic() - t0, 4),
         }
-        mtmp = os.path.join(pdir, ".manifest.json.tmp")
-        with open(mtmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(mtmp, os.path.join(pdir, "manifest.json"))
-        with open(done_marker + ".tmp", "w") as f:
-            json.dump(manifest, f)
-        os.replace(done_marker + ".tmp", done_marker)
+        _write_json(os.path.join(pdir, "manifest.json"), manifest)
+        _write_json(done_marker, manifest)
         return _manifest_row(part, group.num_rows, False)
+
+    def mark_empty(self, part: int) -> pa.Table:
+        """Mark `part` done with no row: a `_done` marker with `rows: 0`
+        and no data file, so a resume plans the partition no more and
+        `read_partitions` skips it. Its `text_sha256` is that of no row."""
+        done_marker = os.path.join(self.out_dir, "_done",
+                                   f"part={part:06d}.json")
+        if os.path.exists(done_marker):
+            return _manifest_row(part, 0, True)
+        _write_json(done_marker, {
+            "part": part, "rows": 0, "key_min": None, "key_max": None,
+            "text_sha256": hashlib.sha256().hexdigest(), "status": "done",
+            "bytes": 0, "write_s": 0.0})
+        return _manifest_row(part, 0, False)
+
+
+def _write_json(path: str, obj: dict) -> None:
+    """Write `obj` to `path` atomically (temp file, then `os.replace`)."""
+    with open(path + ".tmp", "w") as f:
+        json.dump(obj, f)
+    os.replace(path + ".tmp", path)
 
 
 def write_rows(rows: pa.Table, writer: PartitionWriter) -> pa.Table:
@@ -210,14 +229,14 @@ def write_rows(rows: pa.Table, writer: PartitionWriter) -> pa.Table:
 
 def read_partitions(out_dir: str):
     """Lazy Dataset of every completed partition's rows, without `__p`;
-    None when no partition is completed. One read task per file over the
-    file list, and not `ray.data.read_parquet`: when it is called, that
-    samples files in remote tasks (and, from 25 files on, fetches footers
-    in half-CPU ones), which starts spare worker processes before
-    anything is consumed."""
-    import ray
-    paths = [os.path.join(out_dir, f"part={p:06d}", "data.parquet")
-             for p in sorted(completed_partitions(out_dir))]
+    None when no completed partition holds a row (a `rows: 0` marker has
+    no data file). One read task per file over the file list, and not
+    `ray.data.read_parquet`: when it is called, that samples files in
+    remote tasks (and, from 25 files on, fetches footers in half-CPU
+    ones), which starts spare worker processes before anything is
+    consumed."""
+    paths = [os.path.join(out_dir, f"part={m['part']:06d}", "data.parquet")
+             for m in read_manifests(out_dir) if m["rows"]]
     if not paths:
         return None
 
@@ -225,7 +244,7 @@ def read_partitions(out_dir: str):
         return pa.concat_tables([pq.ParquetFile(p).read().drop_columns("__p")
                                  for p in batch["path"].to_pylist()])
 
-    return ray.data.from_items(
+    return ray_data().from_items(
         [{"path": p} for p in paths], override_num_blocks=len(paths)
     ).map_batches(read, batch_format="pyarrow")
 
@@ -241,13 +260,12 @@ def write_partitioned(ds, out_dir: str, *, key_col: str = "page_id",
     none (an empty input, a full resume) the result is an empty manifest
     and nothing is touched on disk; otherwise it is one `by_partition` on
     the partition key."""
-    import ray
     if resume:
         ds = drop_completed(ds, out_dir, key_col=key_col,
                             partition_size=partition_size)
     ds = ds.materialize()
     if ds.count() == 0:
-        return ray.data.from_arrow(MANIFEST_SCHEMA.empty_table())
+        return ray_data().from_arrow(MANIFEST_SCHEMA.empty_table())
 
     def part_of(batch: pa.Table) -> np.ndarray:
         return partition_key(batch[key_col], partition_size)
@@ -283,6 +301,8 @@ def job_metrics(out_dir: str) -> dict:
         "rows": sum(m.get("rows", 0) for m in ms),
         "bytes": sum(m.get("bytes", 0) for m in ms),
         "write_s": round(sum(m.get("write_s", 0.0) for m in ms), 4),
-        "key_min": min((m["key_min"] for m in ms), default=None),
-        "key_max": max((m["key_max"] for m in ms), default=None),
+        "key_min": min((m["key_min"] for m in ms if m["rows"]),
+                       default=None),
+        "key_max": max((m["key_max"] for m in ms if m["rows"]),
+                       default=None),
     }

@@ -1,8 +1,8 @@
 """by_partition and combine_by_key: the exchange's co-location and row
 conservation, and the aggregate against a pure-Python dict reduce, over
 int64, string and two-column keys, across block layouts and partition
-counts; the exchange's own tasks (no Ray Data all-to-all), empty inputs
-and errors. Plus the rule that no module writes a Ray Data groupby."""
+counts; the aggregate's result in any block order; the exchange's own
+tasks (no Ray Data all-to-all), empty inputs and errors. Plus the rule that no module writes a Ray Data groupby."""
 
 import ast
 import pathlib
@@ -172,6 +172,38 @@ def test_by_partition_colocates_at_any_block_count(ray_session, n_blocks):
             _multiset(t.to_pylist(), t.column_names), (n_blocks, parts)
         calls = _calls_by_key(rows, ["k"])
         assert all(len(c) == 1 for c in calls.values()), (n_blocks, parts)
+
+
+def _sorted_table(ds, keys) -> pa.Table:
+    import ray
+    t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    return t.sort_by([(k, "ascending") for k in keys])
+
+
+@pytest.mark.parametrize("n_blocks", [1, 7, 40])
+def test_combine_and_zonal_ignore_block_order(ray_session, n_blocks):
+    """Once a map runs tasks side by side, its outputs reach the exchange
+    in completion order: the same rows in reversed and shuffled block
+    order give identical `combine_by_key` and `zonal_stats` tables."""
+    import ray
+    from shapefile_rs_ray.stages.zonal import zonal_stats
+    t = _table(n=2000, seed=17)
+    cuts = np.linspace(0, t.num_rows, n_blocks + 1).astype(int)
+    blocks = [t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+    shuffled = list(blocks)
+    random.Random(n_blocks).shuffle(shuffled)
+    results = []
+    for order in (blocks, blocks[::-1], shuffled):
+        ds = ray.data.from_arrow(order)
+        assert ds.num_blocks() == n_blocks
+        results.append((
+            _sorted_table(combine_by_key(ds, ["k", "s"], AGGS), ["k", "s"]),
+            _sorted_table(zonal_stats(ds, measure_col="v", zone_col="k"),
+                          ["k"])))
+    for combined, zonal in results[1:]:
+        assert combined.equals(results[0][0])
+        assert zonal.equals(results[0][1])
+    assert results[0][0].num_rows == len(_expected(t, ["k", "s"], AGGS))
 
 
 def test_by_partition_callable_key_extremes(ray_session):

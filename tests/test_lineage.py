@@ -325,17 +325,45 @@ def test_flagship_write_has_no_exchange(ray_session, inputs, tmp_path,
 
 def test_flagship_with_no_joined_page_is_typed_and_empty(ray_session,
                                                          inputs, tmp_path,
-                                                         data_dir):
-    """No page falls in the polygon: nothing is written, every partition
-    stays pending, and the result is zero rows with the joined schema."""
+                                                         data_dir,
+                                                         monkeypatch):
+    """No page falls in the polygon: every partition is marked done with
+    `rows: 0` and no data file, a second call plans no unit, and both
+    results are zero rows with the joined schema."""
+    from shapefile_rs_ray.pipelines import flagship as flagship_mod
     out = str(tmp_path / "out")
-    joined = _flagship((inputs[0], os.path.join(data_dir, "polygonm.shp")),
-                       out)
+    polygons = (inputs[0], os.path.join(data_dir, "polygonm.shp"))
+    pending = set(lineage.pending_partitions(
+        _doc_ids(inputs[0]), REPL, out).tolist())
+    assert len(pending) >= 5
+    joined = _flagship(polygons, out)
+    names = ["page_id", "url", "text", "lang", "cell", "n_chars",
+             "is_quality", "geom_id", "poly_idx"]
     assert joined.count() == 0
-    assert joined.schema().names == [
-        "page_id", "url", "text", "lang", "cell", "n_chars", "is_quality",
-        "geom_id", "poly_idx"]
-    assert lineage.completed_partitions(out) == set()
+    assert joined.schema().names == names
+    assert lineage.completed_partitions(out) == pending
+    assert all(m["rows"] == 0 and m["status"] == "done"
+               for m in lineage.read_manifests(out))
+    assert not any(f.startswith("part=") for f in os.listdir(out))
+
+    units = []
+    map_units = flagship_mod.map_units
+
+    def spy(parts, *args, **kwargs):
+        units.extend(parts)
+        return map_units(parts, *args, **kwargs)
+
+    monkeypatch.setattr(flagship_mod, "map_units", spy)
+    joined = _flagship(polygons, out)
+    assert units == []
+    assert joined.count() == 0
+    assert joined.schema().names == names
+
+
+def _doc_ids(sf: str) -> np.ndarray:
+    import pyarrow.parquet as pq
+    return pq.read_table(os.path.join(sf, "documents.parquet"),
+                         columns=["doc_id"])["doc_id"].to_numpy()
 
 
 def test_pending_partitions_follow_doc_spans(tmp_path):

@@ -15,7 +15,6 @@ import pytest
 from perfbench import gen
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SF = "/root/testdata/sf0.01"
 
 
 @pytest.fixture
@@ -42,7 +41,7 @@ def _reservation(ds) -> bool:
     return ds.context.op_resource_reservation_enabled
 
 
-def test_package_plans_run_without_reservation(reservation_on,
+def test_package_plans_run_without_reservation(reservation_on, sf_dir,
                                                flagship_inputs, tmp_path):
     import ray
     import __ray_entry__
@@ -50,7 +49,7 @@ def test_package_plans_run_without_reservation(reservation_on,
     from shapefile_rs_ray.sources.webpages import read_webpages
     from shapefile_rs_ray.stages.combine import by_partition
 
-    assert _reservation(read_webpages(SF, with_html=False)) is False
+    assert _reservation(read_webpages(sf_dir, with_html=False)) is False
 
     reservation_on.op_resource_reservation_enabled = True
     rows = ray.data.from_arrow(pa.table({"k": list(range(10))}))
@@ -64,7 +63,7 @@ def test_package_plans_run_without_reservation(reservation_on,
 
     reservation_on.op_resource_reservation_enabled = True
     events_window = __ray_entry__.queries()["events_window"]
-    assert _reservation(events_window(SF)) is False
+    assert _reservation(events_window(sf_dir)) is False
 
 
 def test_package_imports_without_ray():
@@ -78,18 +77,20 @@ def test_package_imports_without_ray():
 
 
 @pytest.mark.parametrize("repl", [20, 1200])
-def test_page_synthesis_is_one_task_per_document_block(ray_session, repl):
+def test_page_synthesis_is_one_task_per_document_block(ray_session, sf_dir,
+                                                       repl):
     """A task per document block, whatever `repl`: no two blocks bundled
     into one task, and none making more than `MAX_BLOCK_ROWS` pages."""
     from shapefile_rs_ray.sources.webpages import (DOC_COLS, MAX_BLOCK_ROWS,
                                                    read_documents,
                                                    read_webpages)
-    blocks = read_documents(SF, columns=DOC_COLS, repl=repl).num_blocks()
+    blocks = read_documents(sf_dir, columns=DOC_COLS,
+                            repl=repl).num_blocks()
 
     def count(batch: pa.Table) -> pa.Table:
         return pa.table({"pages": [batch.num_rows]})
 
-    counts = (read_webpages(SF, repl=repl, with_html=False)
+    counts = (read_webpages(sf_dir, repl=repl, with_html=False)
               .map_batches(count, batch_format="pyarrow", batch_size=None)
               .materialize())
     stats = counts.stats()
@@ -100,4 +101,4 @@ def test_page_synthesis_is_one_task_per_document_block(ray_session, repl):
     assert len(pages) == blocks
     assert pages.max() <= MAX_BLOCK_ROWS
     assert pages.sum() == pq.read_metadata(
-        os.path.join(SF, "documents.parquet")).num_rows * repl
+        os.path.join(sf_dir, "documents.parquet")).num_rows * repl

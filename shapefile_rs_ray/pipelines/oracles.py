@@ -30,6 +30,7 @@ import pyarrow.parquet as pq
 
 from ..functions import synth
 from ..geometry.rings import edge_table
+from ..raydata import block_refs
 from ..stages.pip_join import load_polygons
 
 ORACLE_DIR = "/tmp/graft_oracle"
@@ -1087,7 +1088,7 @@ def write_ann_pairs_golden(res, name: str):
     driver an already-executed result)."""
     import ray
     mat = res.materialize()
-    tbls = [ray.get(r) for r in mat.to_arrow_refs()]
+    tbls = [ray.get(r) for r in block_refs(mat)]
     tbls = [t for t in tbls if t.num_rows]
     if tbls:
         tbl = pa.concat_tables(tbls)

@@ -1,13 +1,22 @@
-"""The package's Ray Data settings, set where its plans start.
+"""The package's Ray Data settings, set where its plans start, and how
+it collects a plan's blocks.
 
 `ray_data()` returns the `ray.data` module after turning off Ray Data's
 per-operator resource reservation in the current `DataContext`. A
-Dataset copies the current context when it is created, so every source
-the package creates (`read_documents`, `by_partition`'s
-`from_arrow_refs`, the lineage `from_arrow`/`from_items`) goes through
-`ray_data()`, and so do the entry points (`__ray_entry__.queries()`,
-`cli._init_ray`). Nothing runs at import: the package imports Ray
-lazily, and `import ray.data` alone takes 0.75-1.0 s.
+Dataset copies the current context when it is created, so every Dataset
+the package creates from outside data (`read_*`, `from_*`) is created
+through `ray_data()` (`tests/test_raydata.py` fails on a
+`ray.data.read_*`/`from_*` call anywhere else in the package), and the
+entry points (`__ray_entry__.queries()`, `cli._init_ray`) call it too.
+Nothing runs at import: the package imports Ray lazily, and
+`import ray.data` alone takes 0.75-1.0 s.
+
+`block_refs(ds)` is a plan's block refs from one execution.
+`Dataset.to_arrow_refs()` of a lazy Dataset executes the plan and then
+reads its schema, which a map does not know, so Ray runs the plan again
+under a `limit(1)`. With every task of the map submitted at once, that
+second run is the whole map again (an 8-block map at 2 logical CPUs ran
+its UDF 16 times), cut short by its limit (below).
 
 Why reservation is off. With it on, Ray Data 2.49's
 `ReservationOpResourceAllocator` gives each operator its own budget of
@@ -26,10 +35,11 @@ over a 16-block map of 50 ms sleeps showed two steps:
 Without reservation the executor submits every task of a map at once,
 and Ray runs one per logical CPU and queues the rest. (So a plan cut
 short, by `limit` or `.schema()` of a lazy Dataset, cancels more tasks:
-see `stages/relational.shuffle_join`.) On a 4-core host with Ray at
-2 logical CPUs, the sleeps took 0.51-0.57 s against 0.89-1.14 s with
-it on, and `pip_zonal`'s fused page -> PIP operator (16 tasks) took
-0.59-0.62x its summed task wall time against 1.13-1.31x.
+see `block_refs` and `stages/relational.shuffle_join`.) On a 4-core
+host with Ray at 2 logical CPUs, the sleeps took 0.51-0.57 s against
+0.89-1.14 s with it on, and `pip_zonal`'s fused page -> PIP operator
+(16 tasks) took 0.59-0.62x its summed task wall time against
+1.13-1.31x.
 """
 
 from __future__ import annotations
@@ -41,3 +51,11 @@ def ray_data():
     import ray.data
     ray.data.DataContext.get_current().op_resource_reservation_enabled = False
     return ray.data
+
+
+def block_refs(ds) -> list:
+    """The object refs of `ds`'s blocks, in order, from one execution of
+    its plan (all of them, empty blocks too). Its blocks must be Arrow
+    tables, as every `batch_format="pyarrow"` map's are."""
+    return [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, _ in bundle.blocks]

@@ -28,6 +28,7 @@ from ..geometry import dbf as dbf_mod
 from ..geometry import shp as shp_mod
 from ..geometry.schema import arrow_to_shape_table, shape_table_to_arrow
 from ..geometry.shp_write import write_shp
+from ..raydata import ray_data
 
 
 class MissingDbf(shp_mod.ShapefileError):
@@ -83,7 +84,6 @@ def read_shapefile_dataset(path: str, *, with_attrs: bool = True,
     offsets, so tasks decode disjoint record ranges independently; the .dbf
     is fixed-width so each task slices its own attribute rows by position.
     """
-    import ray
     from ray.data.block import BlockMetadata
     from ray.data.datasource import Datasource, ReadTask
 
@@ -161,7 +161,7 @@ def read_shapefile_dataset(path: str, *, with_attrs: bool = True,
                 tasks.append(ReadTask(make_read_fn(s, e), meta))
             return tasks
 
-    return ray.data.read_datasource(ShapefileDatasource())
+    return ray_data().read_datasource(ShapefileDatasource())
 
 
 class ShapefilePartitionWriter:

@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..raydata import ray_data
 from ..stages.combine import by_partition
 
 _CRLF = b"\r\n"
@@ -215,11 +216,10 @@ def read_wet(dir_or_paths):
     """WET directory/paths -> Dataset of (url, warc_ts, text). One file
     = one read block = one parse task; at CC scale (thousands of
     shards) this parallelizes without any shuffle or driver state."""
-    import ray
     # compression=None: hand the RAW gzip bytes to the parse stage — the
     # per-member split is the format's point (Arrow's extension-sniffing
     # decompression would erase member boundaries)
-    ds = ray.data.read_binary_files(
+    ds = ray_data().read_binary_files(
         dir_or_paths, include_paths=True, file_extensions=["gz"],
         arrow_open_stream_args={"compression": None})
     # TASK-based: the parse is stateless, and an autoscaling actor pool

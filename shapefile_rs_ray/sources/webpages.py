@@ -44,15 +44,12 @@ def _doc_schema(path: str, columns=None) -> pa.Schema:
         [schema.field(c) for c in columns])
 
 
-def read_documents(sf_dir: str, columns=None, repl: int = 1):
-    """documents.parquet as a materialized Dataset of blocks of at most
-    `MAX_BLOCK_ROWS // repl` docs each (from the footer row count), and
-    at least `MIN_BLOCKS` blocks, or two per logical CPU on a larger
-    cluster. A map with `batch_size=None` over it runs one task per
-    block, each making at most `MAX_BLOCK_ROWS` rows when a doc expands
-    to `repl` of them. The file is one small file: read as one block,
-    every fused stage downstream would run as a single task
-    (`batch_size` subdivides a task's batches, not its parallelism).
+def read_documents(sf_dir: str, columns=None, num_blocks: int | None = None):
+    """documents.parquet as a materialized Dataset of `num_blocks`
+    blocks, ~8 per logical CPU by default. The file is one small file:
+    read as one block, every fused stage downstream would run as a
+    single task (`batch_size` subdivides a task's batches, not its
+    parallelism).
 
     The seed is materialized, so every block is in the object store
     before the maps start; how many of their tasks run at once is Ray
@@ -60,15 +57,22 @@ def read_documents(sf_dir: str, columns=None, repl: int = 1):
     production scale pages come from thousands of files and nothing is
     materialized.)"""
     import ray
+    if num_blocks is None:
+        num_blocks = int(ray.cluster_resources().get("CPU", 8)) * 8
     path = os.path.join(sf_dir, "documents.parquet")
-    n = _doc_count(sf_dir)
-    per_block = max(MAX_BLOCK_ROWS // max(repl, 1), 1)
-    least = max(MIN_BLOCKS, 2 * int(ray.cluster_resources().get("CPU", 1)))
-    num_blocks = max(1, min(n, max(least, -(-n // per_block))))
     ds = ray_data().read_parquet(path, columns=columns,
                                  schema=_doc_schema(path, columns),
                                  override_num_blocks=num_blocks)
     return ds.materialize()
+
+
+def page_blocks(sf_dir: str, repl: int) -> int:
+    """Document blocks for a page synthesis at `repl` pages per doc: at
+    most `MAX_BLOCK_ROWS // repl` docs each, and at least `MIN_BLOCKS`
+    (from the footer row count)."""
+    n = _doc_count(sf_dir)
+    per_block = max(MAX_BLOCK_ROWS // max(repl, 1), 1)
+    return max(1, min(n, max(MIN_BLOCKS, -(-n // per_block))))
 
 
 @functools.lru_cache(maxsize=16)
@@ -83,7 +87,7 @@ def read_webpages(sf_dir: str, repl: int = synth.REPL, with_html: bool = True):
     """documents.parquet -> streaming web-page Dataset (repl pages/doc),
     one synthesis task per document block (`batch_size=None`).
 
-    Block sizing (`read_documents`) balances two measured failure modes:
+    Block sizing (`page_blocks`) balances two measured failure modes:
     - blocks over ~32k pages serialize downstream fused stages into a
       handful of tasks AND regress nothing (big blocks are cheapest per
       row) — but a SMALL corpus x small repl then collapses to <=4
@@ -91,10 +95,13 @@ def read_webpages(sf_dir: str, repl: int = synth.REPL, with_html: bool = True):
     - blocks under ~8k pages at high repl regress the heavy consumers
       ~2x (bigram_counts 2.2 s -> 5.4 s at 4k-row blocks, measured).
     So: at most 32k pages per block, and at least ~16 blocks for the
-    corpus. A `batch_size` above the block size would bundle two blocks
-    into one task (12 uneven tasks of 27k-55k pages over 16 blocks).
+    corpus whatever the cluster size (a read of the docs alone keeps
+    `read_documents`' 8 blocks per CPU). A `batch_size` above the block
+    size would bundle two blocks into one task (12 uneven tasks of
+    27k-55k pages over 16 blocks).
     """
-    ds = read_documents(sf_dir, columns=DOC_COLS, repl=repl)
+    ds = read_documents(sf_dir, columns=DOC_COLS,
+                        num_blocks=page_blocks(sf_dir, repl))
     fn = functools.partial(synth.webpage_batch, repl=repl, html=with_html)
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 

@@ -4,7 +4,7 @@
   oracle-able. Two corpus shapes:
   * pa.Table — the small-side fast path: broadcast once via ray.put.
   * ray.data.Dataset — the scale path: the corpus is materialized into the
-    OBJECT STORE as Arrow block refs (`to_arrow_refs`, never a driver
+    OBJECT STORE as Arrow block refs (`raydata.block_refs`, never a driver
     copy) and each query batch streams shard-by-shard with a vectorized
     running top-k merge. Per-actor prepared-shard caching turns repeat
     batches into pure matmuls; the cache is capped so a corpus larger
@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..raydata import block_refs, ray_data
 from .combine import by_partition
 
 ANN_PARTS = 61   # prime: survives any power-of-two key packing upstream
@@ -186,7 +187,7 @@ def _corpus_ref(corpus, id_col: str):
     if isinstance(corpus, pa.Table):
         ids, M = _matrix(corpus, id_col)
         return ray.put((ids, M))
-    return corpus.to_arrow_refs()
+    return block_refs(corpus)
 
 
 def cosine_topk(queries, corpus, *, k: int = 1,
@@ -403,10 +404,10 @@ def ivf_topk(embeddings, corpus, *, k: int = 1, n_centroids: int = 16,
     # object-store shards (at scale swap in a seeded ds.random_sample)
     if isinstance(corpus, pa.Table):
         sample = corpus.slice(0, sample_rows)
-        corpus_ds = ray.data.from_arrow(corpus)
+        corpus_ds = ray_data().from_arrow(corpus)
     else:
         got, total = [], 0
-        for ref in corpus.to_arrow_refs():
+        for ref in block_refs(corpus):
             t = ray.get(ref)
             got.append(t)
             total += t.num_rows

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..raydata import ray_data
 from .combine import by_partition
 from .relational import _match_ranges
 
@@ -54,8 +55,6 @@ def bbox_overlap_join(rects, boxes: pa.Table, *, id_col: str,
     boxes (same columns with box_id_col) on closed-interval rectangle
     overlap. Output: (id_col, box_id_col, overlap_area) — the area is a
     single LEAST/GREATEST-difference product, bit-exact vs SQL."""
-    import ray
-
     bx = np.column_stack([np.asarray(boxes[c], np.float64)
                           for c in ("xmin", "ymin", "xmax", "ymax")])
     x0, y0, cw, ch = _grid_of(bx, grid_n)
@@ -95,7 +94,7 @@ def bbox_overlap_join(rects, boxes: pa.Table, *, id_col: str,
     # the box side is a Dataset too (the scale path: at 100 TB neither
     # side broadcasts); here it enters from the driver-materialized
     # decode, already tiny
-    tagged_b = (ray.data.from_arrow(boxes)
+    tagged_b = (ray_data().from_arrow(boxes)
                 .map_batches(lambda b: cover(b, 1, box_id_col),
                              batch_format="pyarrow"))
 

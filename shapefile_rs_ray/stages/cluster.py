@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..raydata import block_refs
 from .combine import by_partition
 
 QUANT_SHIFT = 2.0
@@ -83,8 +84,8 @@ def kmeans_centroids(embeddings, *, id_col: str = "vec_id",
         return batch.take(pa.array(order))
 
     merged = pa.concat_tables(
-        t for t in (ray.get(r) for r in qds.map_batches(
-            local_mink, batch_format="pyarrow").to_arrow_refs())
+        t for t in (ray.get(r) for r in block_refs(qds.map_batches(
+            local_mink, batch_format="pyarrow")))
         if t.num_rows)
     sids = np.asarray(merged["vec_id"], np.int64)
     C = _list_matrix(merged["q"], np.int64)[np.argsort(sids,
@@ -108,8 +109,8 @@ def kmeans_centroids(embeddings, *, id_col: str = "vec_id",
 
         sums = np.zeros((k, dim), np.int64)
         cnt = np.zeros(k, np.int64)
-        for ref in qds.map_batches(partials,
-                                   batch_format="pyarrow").to_arrow_refs():
+        for ref in block_refs(qds.map_batches(partials,
+                                              batch_format="pyarrow")):
             t = ray.get(ref)
             if t.num_rows:
                 cl = np.asarray(t["cluster"], np.int64)

@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import hashing
+from ..raydata import block_refs, ray_data
 from .combine import by_partition, combine_by_key
 
 
@@ -99,8 +100,6 @@ def minhash_lsh_pairs(pages, *, id_col: str = "page_id",
     drops them), and confirmed-family expansion is a member-hash
     shuffle.
     """
-    import ray
-
     # plain task function, not an actor pool: MinHasher setup is microseconds
     # (derives its permutation constants from a fixed seed), and tasks use
     # every CPU immediately while a pool autoscales up from its minimum
@@ -221,11 +220,10 @@ def minhash_lsh_pairs(pages, *, id_col: str = "page_id",
     if checkpoint_dir is not None:
         import os
         import tempfile
-        import ray
         os.makedirs(checkpoint_dir, exist_ok=True)
         ckpt = tempfile.mkdtemp(prefix="minhash_mixed_", dir=checkpoint_dir)
         mixed.write_parquet(ckpt)          # fresh subdir: no stale files
-        mixed = ray.data.read_parquet(ckpt)
+        mixed = ray_data().read_parquet(ckpt)
     else:
         mixed = mixed.materialize()
 
@@ -331,8 +329,8 @@ def _make_rep_bloom(cand, n_cand: int):
                          "m": pa.array(masks.view(np.int64), pa.int64())})
 
     bm = np.zeros(m_bits // 64, np.uint64)
-    for ref in cand.map_batches(partial,
-                                batch_format="pyarrow").to_arrow_refs():
+    for ref in block_refs(cand.map_batches(partial,
+                                           batch_format="pyarrow")):
         t = ray.get(ref)
         if t.num_rows:
             np.bitwise_or.at(bm, np.asarray(t["w"], np.int64),
@@ -452,14 +450,13 @@ def _expand_members(confirmed, members):
     on hash (`shuffle_join`, one row per member), then co-partition the
     (pair, side, member) rows on pair hash and emit the per-pair cross
     products. Ints only end to end; no driver state."""
-    import ray
     from .relational import shuffle_join
 
     # materialized (bounded by confirmed pairs): the join reads its
     # schema, which would otherwise rerun the whole verify exchange
     confirmed = confirmed.materialize()
     if confirmed.count() == 0:
-        return ray.data.from_arrow(pa.table({
+        return ray_data().from_arrow(pa.table({
             "id_a": pa.array([], pa.int64()),
             "id_b": pa.array([], pa.int64())}))
 
@@ -805,8 +802,6 @@ def jaccard_similarity_join(pages, *, id_col: str = "page_id",
     so the candidate FILTER is lossless only up to 32-bit collisions
     (collisions merge set elements; verification stays exact strings).
     """
-    import ray
-
     def prefix_rows(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
         ids = np.asarray(batch[id_col], np.int64)
@@ -880,7 +875,7 @@ def jaccard_similarity_join(pages, *, id_col: str = "page_id",
                       "id_b": pa.array([], pa.int64()),
                       "jac": pa.array([], pa.float64())})
     if cand_ds.count() == 0:
-        return ray.data.from_arrow(empty)
+        return ray_data().from_arrow(empty)
 
     cand = _dedup_cand(cand_ds).materialize()
     confirmed = _verify_candidates(pages, cand, id_col=id_col,

@@ -42,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..raydata import ray_data
 from .combine import by_partition, combine_by_key
 
 CC_PARTS = 251
@@ -113,8 +114,7 @@ def min_label_components(pairs, *, a_col: str = "id_a", b_col: str = "id_b",
                          "cluster_id": batch["lbl"]})
 
     if labels.count() == 0:  # empty pair set: empty, correctly-typed result
-        import ray.data
-        return ray.data.from_arrow(pa.table({
+        return ray_data().from_arrow(pa.table({
             "node": pa.array([], pa.int64()),
             "cluster_id": pa.array([], pa.int64())}))
 

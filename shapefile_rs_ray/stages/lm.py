@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..raydata import block_refs
 from .combine import combine_by_key
 from .ngrams import _doc_ngrams
 
@@ -53,7 +54,7 @@ def _collect_split_counts(ds, min_count: int):
     import ray
     V = 0
     ug, uc, bg, bc = [], [], [], []
-    for ref in ds.to_arrow_refs():
+    for ref in block_refs(ds):
         t = ray.get(ref)
         if not t.num_rows:
             continue

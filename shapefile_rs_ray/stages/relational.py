@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..raydata import ray_data
 from .broadcast import map_side, put_side
 from .combine import by_partition, combine_by_key
 
@@ -407,7 +408,7 @@ def exact_double_quantiles(ds, *, id_col: str, value_col: str,
         inb = np.sort(gv[gb == bkt])
         before = int(cum[bkt - 1]) if bkt > 0 else 0
         out[name] = pa.array([inb[k - before - 1]], pa.float64())
-    return ray.data.from_arrow(pa.table(out))
+    return ray_data().from_arrow(pa.table(out))
 
 
 def rollup_two_level(ds, *, col_a: str, col_b: str, cents_col: str):
